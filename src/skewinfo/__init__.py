@@ -53,9 +53,7 @@ from .states import (
     KrausChannel,
     NondegenerateObservable,
     Observable,
-    ObservableBasis,
     apply_channel,
-    gell_mann_basis,
 )
 from .steering import (
     MeasurementBasis,
@@ -96,7 +94,6 @@ __all__ = [
     "NotHermitian",
     "NotPSD",
     "Observable",
-    "ObservableBasis",
     "OptimizerOptions",
     "ParseError",
     "SkewInfoError",
@@ -110,7 +107,6 @@ __all__ = [
     "commutator",
     "commuting_kraus_channel",
     "default_spectrum",
-    "gell_mann_basis",
     "ginibre_state",
     "haar_unitary",
     "hermitian_eig",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .states import (
     DensityMatrix,
     NondegenerateObservable,
     check_spectrum,
-    gell_mann_basis,
 )
 from .steering import MeasurementBasis, steer
 
@@ -37,7 +36,7 @@ class RunConfig:
     n_b: int = 2
     trials: int = 1000
     spectrum: list[float] | None = None  # None means the default spectrum
-    restarts: int = 16
+    restarts: int | None = None  # None means the subcommand's default budget
     tol: float = 1e-7
     master_seed: int = 42
     kraus_count: int = 2
@@ -59,7 +58,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--trials", type=int, default=1000, metavar="T")
     p.add_argument("--seed", type=int, default=42, metavar="SEED")
     p.add_argument("--spectrum", type=str, default=None, metavar="V1,V2,...")
-    p.add_argument("--restarts", type=int, default=16, metavar="R")
+    p.add_argument("--restarts", type=int, default=None, metavar="R")
     p.add_argument("--tol", type=float, default=1e-7, metavar="TOL")
     p.add_argument("--kraus", type=int, default=2, metavar="J")
     p.add_argument("--bases", type=int, default=20, metavar="B")
@@ -131,7 +130,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         basis_file=ns.basis_file,
     )
     for name in ("n_a", "n_b", "trials", "restarts", "kraus_count", "bases_per_trial"):
-        if getattr(config, name) < 1:
+        value = getattr(config, name)
+        if value is not None and value < 1:
             raise UsageError(f"{name} must be positive")
     if config.tol <= 0:
         raise UsageError("tol must be positive")
@@ -246,11 +246,11 @@ def _run_q(config: RunConfig) -> int:
     state = _require_state(config)
     lines = []
     if isinstance(state, BipartiteState):
-        lines.append(f"q_total = {q_total(state.state, gell_mann_basis(state.state.dim)):.6f}")
-        lines.append(f"q_local_A = {q_local(state, 'A', gell_mann_basis(state.n_a)):.6f}")
-        lines.append(f"q_local_B = {q_local(state, 'B', gell_mann_basis(state.n_b)):.6f}")
+        lines.append(f"q_total = {q_total(state.state):.6f}")
+        lines.append(f"q_local_A = {q_local(state, 'A'):.6f}")
+        lines.append(f"q_local_B = {q_local(state, 'B'):.6f}")
     else:
-        lines.append(f"q_total = {q_total(state, gell_mann_basis(state.dim)):.6f}")
+        lines.append(f"q_total = {q_total(state):.6f}")
     _emit(lines, config)
     return 0
 
@@ -260,7 +260,7 @@ def _run_lqu(config: RunConfig) -> int:
     if not isinstance(state, BipartiteState):
         raise UsageError("lqu requires a bipartite state file with a 'dims: nA nB' header")
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
-    opts = OptimizerOptions(restarts=config.restarts)
+    opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
     result = lqu(state, lam, "A", opts=opts, rng=stream(config.master_seed, 0))
     _emit(
         [
@@ -292,7 +292,9 @@ def _run_steer(config: RunConfig) -> int:
 
 def _run_verify(config: RunConfig) -> int:
     claim = config.command.split()[1]
-    opts = OptimizerOptions(restarts=config.restarts)
+    opts = verify_mod.HARNESS_OPTS
+    if config.restarts is not None:
+        opts = replace(opts, restarts=config.restarts)
     if claim == "claim1":
         report, records = verify_mod.verify_claim1(
             n_a=config.n_a,

@@ -15,6 +15,7 @@ from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
 
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-10
+_EPS = np.finfo(np.float64).eps
 
 Side = Literal["A", "B"]
 
@@ -35,13 +36,16 @@ def as_matrix(m) -> np.ndarray:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-abs deviation from Hermitian symmetry."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Max-abs deviation from Hermitian symmetry, over a whole stack."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
+def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Coerce a matrix or an (..., n, n) stack to complex128 and check it is Hermitian."""
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     res = hermiticity_residual(m)
     if res > tol:
@@ -50,7 +54,8 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 
 def hermitian_eig(m) -> HermitianEigenSystem:
-    """Eigendecompose a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecompose a Hermitian matrix (or each matrix of a stack),
+    eigenvalues ascending."""
     m = require_hermitian(m)
     try:
         w, v = np.linalg.eigh(m)
@@ -60,21 +65,23 @@ def hermitian_eig(m) -> HermitianEigenSystem:
 
 
 def sqrtm_psd(m) -> np.ndarray:
-    """Hermitian square root of a PSD matrix.
+    """Hermitian square root of a PSD matrix, or of each matrix in an
+    ``(..., n, n)`` stack.
 
     Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to 0 before the root;
-    anything below ``-PSD_TOL`` raises ``NotPSD``. Positive eigenvalues
-    below the eigensolver noise floor (n * eps * lambda_max) are zeroed
-    too: their square roots would otherwise inject ~1e-8 artifacts into
-    the root of a rank-deficient input.
+    anything below ``-PSD_TOL`` in any member raises ``NotPSD``. Positive
+    eigenvalues below each member's eigensolver noise floor
+    (n * eps * lambda_max) are zeroed too: their square roots would
+    otherwise inject ~1e-8 artifacts into the root of a rank-deficient
+    input.
     """
     w, v = hermitian_eig(m)
-    if w[0] < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}")
-    noise_floor = w.size * np.finfo(np.float64).eps * max(float(w[-1]), 0.0)
-    w = np.where(w < noise_floor, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return 0.5 * (root + root.conj().T)
+    lowest = w[..., 0].min()
+    if lowest < -PSD_TOL:
+        raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
+    w[w < w.shape[-1] * _EPS * np.maximum(w[..., -1:], 0.0)] = 0.0
+    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (root + root.conj().swapaxes(-1, -2))
 
 
 def kron(a, b) -> np.ndarray:

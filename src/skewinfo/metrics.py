@@ -13,14 +13,13 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Side, kron, partial_trace, sqrtm_psd
+from .linalg import Side, partial_trace, sqrtm_psd
 from .optim import OptimizerOptions, minimize_over_unitaries
 from .states import (
     BipartiteState,
     DensityMatrix,
     NondegenerateObservable,
     Observable,
-    ObservableBasis,
     check_spectrum,
 )
 
@@ -44,12 +43,13 @@ def _obs_matrix(x: ObservableLike) -> np.ndarray:
     return x.matrix
 
 
-def _skew_with_root(rho: np.ndarray, root: np.ndarray, x: np.ndarray) -> float:
-    """Skew information given a precomputed square root of the state."""
+def _skew_with_root(rho: np.ndarray, root: np.ndarray, x: np.ndarray):
+    """Unclamped skew information given a precomputed square root of the
+    state; for (k, n, n) stacks of states and roots, an array of k values."""
     rx = root @ x
-    t1 = np.trace(rho @ x @ x).real
-    t2 = np.sum(rx * rx.T).real  # Tr(root X root X)
-    return _clamp(t1 - t2)
+    t1 = np.trace(rho @ x @ x, axis1=-2, axis2=-1).real
+    t2 = (rx * rx.swapaxes(-1, -2)).sum(axis=(-2, -1)).real  # Tr(root X root X)
+    return t1 - t2
 
 
 def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
@@ -62,7 +62,7 @@ def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
     if xm.shape[0] != rho.dim:
         raise DimensionMismatch(f"observable dim {xm.shape[0]} vs state dim {rho.dim}")
     root = sqrtm_psd(rho.matrix)
-    return _skew_with_root(rho.matrix, root, xm)
+    return _clamp(_skew_with_root(rho.matrix, root, xm))
 
 
 def variance(rho: DensityMatrix, x: ObservableLike) -> float:
@@ -74,26 +74,25 @@ def variance(rho: DensityMatrix, x: ObservableLike) -> float:
     return np.trace(rho.matrix @ xm @ xm).real - mean * mean
 
 
-def q_total(rho: DensityMatrix, basis: ObservableBasis) -> float:
-    """Total uncertainty: skew information summed over an observable basis."""
-    if basis.dim != rho.dim:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {rho.dim}")
-    root = sqrtm_psd(rho.matrix)
-    return sum(_skew_with_root(rho.matrix, root, o.matrix) for o in basis.elements)
+def q_total(rho: DensityMatrix) -> float:
+    """Total uncertainty n - (Tr sqrt(rho))^2.
+
+    This is the skew information summed over any trace-orthonormal basis
+    of n^2 observables (Luo, PRA 73, 022324, 2006), so no basis is needed.
+    """
+    tr = np.trace(sqrtm_psd(rho.matrix)).real
+    return _clamp(rho.dim - tr * tr)
 
 
-def q_local(rho_ab: BipartiteState, side: Side, basis: ObservableBasis) -> float:
-    """Information content of a bipartite state in one side's local observables."""
+def q_local(rho_ab: BipartiteState, side: Side) -> float:
+    """Information content of a bipartite state in one side's local observables.
+
+    Closed form n_S - Tr[(Tr_S sqrt(rho))^2]: the partial trace removes the
+    named side S itself, leaving a matrix on the other side.
+    """
     n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
-    if basis.dim != n_side:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs side {side} dim {n_side}")
-    root = sqrtm_psd(rho_ab.matrix)
-    eye_other = np.eye(rho_ab.n_b if side == "A" else rho_ab.n_a)
-    total = 0.0
-    for o in basis.elements:
-        full = kron(o.matrix, eye_other) if side == "A" else kron(eye_other, o.matrix)
-        total += _skew_with_root(rho_ab.matrix, root, full)
-    return total
+    reduced = partial_trace(sqrtm_psd(rho_ab.matrix), rho_ab.dims, side)
+    return _clamp(n_side - np.trace(reduced @ reduced).real)
 
 
 class LocalSkewObjective:

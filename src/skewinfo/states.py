@@ -1,4 +1,4 @@
-"""Domain types: states, observables, channels, and operator bases."""
+"""Domain types: states, observables, and channels."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ TRACE_TOL = 1e-9
 UNITARY_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
 MIN_SPECTRAL_GAP = 1e-6
-BASIS_ORTHO_TOL = 1e-10
-BASIS_COMPLETENESS_TOL = 1e-9
 
 
 @dataclass
@@ -154,38 +152,6 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
 
-@dataclass
-class ObservableBasis:
-    """Trace-orthonormal basis of n^2 Hermitian observables on an n-dim space."""
-
-    elements: list[Observable]
-
-    def __post_init__(self):
-        if not self.elements:
-            raise DimensionMismatch("empty observable basis")
-        n = self.elements[0].dim
-        if len(self.elements) != n * n:
-            raise DimensionMismatch(f"need {n * n} elements for dimension {n}, got {len(self.elements)}")
-        stack = np.stack([o.matrix for o in self.elements])
-        flat = stack.reshape(n * n, n * n)
-        gram = flat @ flat.conj().T  # Tr(X_i X_j) for Hermitian X
-        ortho_res = float(np.max(np.abs(gram - np.eye(n * n))))
-        if ortho_res > BASIS_ORTHO_TOL:
-            raise InvalidState("trace orthonormality", ortho_res)
-        sq_sum = np.einsum("kij,kjl->il", stack, stack)
-        comp_res = float(np.max(np.abs(sq_sum - n * np.eye(n))))
-        if comp_res > BASIS_COMPLETENESS_TOL:
-            raise InvalidState("basis completeness", comp_res)
-
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
-
-    def matrices(self) -> np.ndarray:
-        """All elements stacked into an (n^2, n, n) array."""
-        return np.stack([o.matrix for o in self.elements])
-
-
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a Kraus channel to a state."""
     if channel.dim != rho.dim:
@@ -193,33 +159,3 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     out = sum(e @ rho.matrix @ e.conj().T for e in channel.kraus_ops)
     out = 0.5 * (out + out.conj().T)
     return DensityMatrix(out)
-
-
-def gell_mann_basis(n: int) -> ObservableBasis:
-    """Generalized Gell-Mann basis scaled to unit Hilbert-Schmidt norm.
-
-    Symmetric and antisymmetric off-diagonal families, the diagonal
-    family, then identity/sqrt(n); n^2 elements in total. For n=2 this
-    is the Pauli set over sqrt(2).
-    """
-    if n < 1:
-        raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    mats: list[np.ndarray] = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    for j in range(n):
-        for k in range(j + 1, n):
-            m = np.zeros((n, n), dtype=np.complex128)
-            m[j, k] = -1.0j / np.sqrt(2.0)
-            m[k, j] = 1.0j / np.sqrt(2.0)
-            mats.append(m)
-    for l in range(1, n):
-        diag = np.zeros(n)
-        diag[:l] = 1.0
-        diag[l] = -float(l)
-        mats.append(np.diag(diag).astype(np.complex128) / np.sqrt(l * (l + 1.0)))
-    mats.append(np.eye(n, dtype=np.complex128) / np.sqrt(n))
-    return ObservableBasis([Observable(m) for m in mats])

@@ -10,16 +10,17 @@ unitary-manifold search from :mod:`skewinfo.optim`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
-from .metrics import ObservableLike, _obs_matrix, _skew_with_root, q_total, skew_information
+from .linalg import sqrtm_psd
+from .metrics import ObservableLike, _obs_matrix, _skew_with_root, skew_information
 from .optim import OptimizerOptions, minimize_over_unitaries
-from .states import BipartiteState, DensityMatrix, ObservableBasis
+from .states import UNITARY_TOL, BipartiteState, DensityMatrix
 
 SKIP_EPS = 1e-12
-_UNITARY_TOL = 1e-10
 
 
 @dataclass
@@ -33,7 +34,7 @@ class MeasurementBasis:
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionMismatch(f"basis unitary must be square, got {u.shape}")
         res = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if res > _UNITARY_TOL:
+        if res > UNITARY_TOL:
             raise InvalidState("orthonormal columns", res)
         self.unitary = u
 
@@ -55,6 +56,21 @@ class SteeringEnsemble:
     skipped: list[int]
 
 
+def _condition(rho_ab: BipartiteState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure A in the columns of ``u``.
+
+    Returns the probabilities of all outcomes, a mask of the outcomes at or
+    above ``SKIP_EPS``, and the kept outcomes' normalized, Hermitized
+    conditional states of B stacked into a ``(kept, n_B, n_B)`` array.
+    """
+    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
+    cond = np.einsum("ai,abcd,ci->ibd", u.conj(), r4, u)
+    p = np.einsum("ibb->i", cond).real
+    kept = p >= SKIP_EPS
+    m = cond[kept] / p[kept, None, None]
+    return p, kept, 0.5 * (m + m.conj().swapaxes(1, 2))
+
+
 def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     """Condition B on the outcomes of measuring A in the given basis.
 
@@ -63,22 +79,26 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     """
     if theta.dim != rho_ab.n_a:
         raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
-    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-    cond = np.einsum("ai,abcd,ci->ibd", theta.unitary.conj(), r4, theta.unitary)
-    outcomes: list[tuple[float, DensityMatrix]] = []
-    skipped: list[int] = []
-    total = 0.0
-    for i in range(rho_ab.n_a):
-        p = np.trace(cond[i]).real
-        total += p
-        if p < SKIP_EPS:
-            skipped.append(i)
-            continue
-        m = cond[i] / p
-        outcomes.append((p, DensityMatrix(0.5 * (m + m.conj().T))))
-    if abs(total - 1.0) > 1e-9:
-        raise InvalidState("probability normalization", abs(total - 1.0))
-    return SteeringEnsemble(outcomes, skipped)
+    p, kept, m = _condition(rho_ab, theta.unitary)
+    residual = abs(float(np.sum(p)) - 1.0)
+    if residual > 1e-9:
+        raise InvalidState("probability normalization", residual)
+    outcomes = [(float(p_i), DensityMatrix(m_i)) for p_i, m_i in zip(p[kept], m)]
+    return SteeringEnsemble(outcomes, np.flatnonzero(~kept).tolist())
+
+
+def _steered_skew(rho_ab: BipartiteState, u: np.ndarray, km: np.ndarray) -> float:
+    """Steered skew-information sum for the basis given by the columns of ``u``."""
+    p, kept, m = _condition(rho_ab, u)
+    return float(np.sum(p[kept] * _skew_with_root(m, sqrtm_psd(m), km)))
+
+
+def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> float:
+    """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) for the
+    basis given by the columns of ``u``."""
+    p, kept, m = _condition(rho_ab, u)
+    tr = np.einsum("ibb->i", sqrtm_psd(m)).real
+    return float(np.sum(p[kept] * (rho_ab.n_b - tr * tr)))
 
 
 def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
@@ -90,26 +110,11 @@ def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: Obser
     return sum(p * skew_information(rho_i, k_b) for p, rho_i in ensemble.outcomes)
 
 
-def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis, basis_b: ObservableBasis) -> float:
+def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
     """Probability-weighted total uncertainty of the steered states of B."""
-    if basis_b.dim != rho_ab.n_b:
-        raise DimensionMismatch(f"basis dim {basis_b.dim} vs side B dim {rho_ab.n_b}")
-    ensemble = steer(rho_ab, theta)
-    return sum(p * q_total(rho_i, basis_b) for p, rho_i in ensemble.outcomes)
-
-
-def _conditional_roots(r4: np.ndarray, u: np.ndarray):
-    """Yield (p, conditional, root) triples for non-skipped outcomes."""
-    cond = np.einsum("ai,abcd,ci->ibd", u.conj(), r4, u)
-    for i in range(u.shape[0]):
-        p = np.trace(cond[i]).real
-        if p < SKIP_EPS:
-            continue
-        m = cond[i] / p
-        m = 0.5 * (m + m.conj().T)
-        w, v = np.linalg.eigh(m)
-        root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
-        yield p, m, root
+    if theta.dim != rho_ab.n_a:
+        raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
+    return _steered_q(rho_ab, theta.unitary)
 
 
 @dataclass
@@ -125,6 +130,22 @@ class SteeringSearchResult:
     converged: bool
 
 
+def _maximize(
+    gain: Callable[[np.ndarray], float],
+    n_a: int,
+    opts: OptimizerOptions | None,
+    rng: np.random.Generator | None,
+) -> SteeringSearchResult:
+    """Maximize ``gain`` over the unitaries whose columns are A's measurement bases."""
+    best = minimize_over_unitaries(lambda u: -gain(u), n_a, opts or OptimizerOptions(), rng=rng)
+    return SteeringSearchResult(
+        value=-best.value,
+        maximizer=MeasurementBasis(best.unitary),
+        restarts_used=best.restarts_used,
+        converged=best.converged,
+    )
+
+
 def steering_induced_skew(
     rho_ab: BipartiteState,
     k_b: ObservableLike,
@@ -132,52 +153,16 @@ def steering_induced_skew(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered skew-information sum over A's measurement bases."""
-    opts = opts or OptimizerOptions()
     km = _obs_matrix(k_b)
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-
-    def cost(u: np.ndarray) -> float:
-        total = 0.0
-        for p, m, root in _conditional_roots(r4, u):
-            total += p * _skew_with_root(m, root, km)
-        return -total
-
-    best = minimize_over_unitaries(cost, rho_ab.n_a, opts, rng=rng)
-    return SteeringSearchResult(
-        value=-best.value,
-        maximizer=MeasurementBasis(best.unitary),
-        restarts_used=best.restarts_used,
-        converged=best.converged,
-    )
+    return _maximize(lambda u: _steered_skew(rho_ab, u, km), rho_ab.n_a, opts, rng)
 
 
 def average_steering_induced_q(
     rho_ab: BipartiteState,
-    basis_b: ObservableBasis,
     opts: OptimizerOptions | None = None,
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered total-uncertainty sum over A's measurement bases."""
-    opts = opts or OptimizerOptions()
-    if basis_b.dim != rho_ab.n_b:
-        raise DimensionMismatch(f"basis dim {basis_b.dim} vs side B dim {rho_ab.n_b}")
-    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-    stack = basis_b.matrices()
-
-    def cost(u: np.ndarray) -> float:
-        total = 0.0
-        for p, m, root in _conditional_roots(r4, u):
-            t1 = np.einsum("ab,jbc,jca->", m, stack, stack).real
-            t2 = np.einsum("ab,jbc,cd,jda->", root, stack, root, stack, optimize=True).real
-            total += p * (t1 - t2)
-        return -total
-
-    best = minimize_over_unitaries(cost, rho_ab.n_a, opts, rng=rng)
-    return SteeringSearchResult(
-        value=-best.value,
-        maximizer=MeasurementBasis(best.unitary),
-        restarts_used=best.restarts_used,
-        converged=best.converged,
-    )
+    return _maximize(lambda u: _steered_q(rho_ab, u), rho_ab.n_a, opts, rng)

@@ -17,6 +17,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .errors import UsageError
 from .linalg import kron
 from .metrics import lqu, q_local, skew_information
 from .optim import OptimizerOptions
@@ -28,7 +29,7 @@ from .rand import (
     random_nondegenerate_observable,
     stream,
 )
-from .states import BipartiteState, DensityMatrix, Observable, apply_channel, gell_mann_basis
+from .states import BipartiteState, DensityMatrix, Observable, apply_channel
 from .steering import MeasurementBasis, steered_q_sum, steering_induced_skew
 
 DEFAULT_VIOLATION_TOL = 1e-7
@@ -81,23 +82,72 @@ class VerificationReport:
 
 
 def worker_count() -> int:
-    """Worker cap: UQ_THREADS when set, else the CPU count."""
+    """Worker cap: UQ_THREADS when set, else the CPUs this process may run on."""
     env = os.environ.get("UQ_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
+    if env is None:
+        return len(os.sched_getaffinity(0))
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise UsageError(f"UQ_THREADS must be a positive integer, got {env!r}")
+    return n
 
 
-def _finish(
+def _run_trial(job: tuple) -> tuple[TrialRecord, bool, str | None]:
+    """Run one trial body on the (master_seed, trial_index) stream.
+
+    The body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``; an
+    exception it raises becomes a record with NaN sides and an error message.
+    """
+    claim_id, body, params, dims, tol, timing, master_seed, t = job
+    start = perf_counter()
+    error = None
+    try:
+        lhs, rhs, mono_ok = body(stream(master_seed, t), params)
+    except Exception as exc:  # aborted trial becomes a diagnostic record
+        lhs = rhs = math.nan
+        mono_ok = True
+        error = f"{type(exc).__name__}: {exc}"
+    elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
+    margin = rhs - lhs
+    record = TrialRecord(
+        trial_index=t,
+        seed_tuple=(master_seed, t),
+        dims=dims,
+        claim_id=claim_id,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        violated=margin < -tol,  # False for NaN
+        wall_time_ms=elapsed,
+    )
+    return record, mono_ok, error
+
+
+def _run_trials(
     claim_id: str,
-    results: list[tuple[TrialRecord, bool, str | None]],
+    body: Callable,
+    params: tuple,
     config: dict[str, object],
+    trials: int,
+    workers: int | None,
+    timing: bool,
 ) -> tuple[VerificationReport, list[TrialRecord]]:
-    results.sort(key=lambda r: r[0].trial_index)
+    """Run ``trials`` trials of a module-level body (picklable for the pool)
+    and aggregate them into a report. Dimensions, seed and tolerance come
+    from ``config``, which the report echoes."""
+    dims = (config["n_a"], config["n_b"])
+    tol, master_seed = config["violation_tol"], config["master_seed"]
+    jobs = [(claim_id, body, params, dims, tol, timing, master_seed, t) for t in range(trials)]
+    n_workers = worker_count() if workers is None else max(1, workers)
+    if n_workers == 1 or len(jobs) < 2 * n_workers:
+        results = [_run_trial(job) for job in jobs]
+    else:
+        chunk = max(1, len(jobs) // (4 * n_workers))
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(_run_trial, jobs, chunksize=chunk))
     records = [r[0] for r in results]
     failures = [(r[0].trial_index, r[2]) for r in results if r[2] is not None]
     ok_margins = [r.margin for r in records if not math.isnan(r.margin)]
@@ -114,87 +164,22 @@ def _finish(
     return report, records
 
 
-def _run_trials(
-    claim_id: str,
-    trial_fn: Callable,
-    args_list: list[tuple],
-    config: dict[str, object],
-    workers: int | None,
-) -> tuple[VerificationReport, list[TrialRecord]]:
-    n_workers = worker_count() if workers is None else max(1, workers)
-    if n_workers == 1 or len(args_list) < 2 * n_workers:
-        results = [trial_fn(a) for a in args_list]
-    else:
-        chunk = max(1, len(args_list) // (4 * n_workers))
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(trial_fn, args_list, chunksize=chunk))
-    return _finish(claim_id, results, config)
+def _claim1_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+    n_a, n_b, kraus_count, opts = params
+    rho_a = ginibre_state(n_a, rng=rng)
+    tau_b = ginibre_state(n_b, rng=rng)
+    k_a = random_nondegenerate_observable(n_a, rng=rng)
+    channel = commuting_kraus_channel(k_a, n_b, kraus_count, rng)
+    sigma = DensityMatrix(kron(rho_a.matrix, tau_b.matrix))
+    evolved = apply_channel(channel, sigma)
 
+    k_full = Observable(kron(k_a.matrix, np.eye(n_b)))
+    mono_ok = skew_information(evolved, k_full) <= skew_information(sigma, k_full) + MONOTONICITY_TOL
 
-def _record(
-    claim_id: str,
-    seed_tuple: tuple[int, int],
-    dims: tuple[int, int],
-    lhs: float,
-    rhs: float,
-    tol: float,
-    elapsed_ms: float,
-) -> TrialRecord:
-    margin = rhs - lhs
-    return TrialRecord(
-        trial_index=seed_tuple[1],
-        seed_tuple=seed_tuple,
-        dims=dims,
-        claim_id=claim_id,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        violated=margin < -tol,
-        wall_time_ms=elapsed_ms,
-    )
-
-
-def _failed_record(
-    claim_id: str, seed_tuple: tuple[int, int], dims: tuple[int, int], elapsed_ms: float
-) -> TrialRecord:
-    return TrialRecord(
-        trial_index=seed_tuple[1],
-        seed_tuple=seed_tuple,
-        dims=dims,
-        claim_id=claim_id,
-        lhs=math.nan,
-        rhs=math.nan,
-        margin=math.nan,
-        violated=False,
-        wall_time_ms=elapsed_ms,
-    )
-
-
-def _claim1_trial(args: tuple) -> tuple[TrialRecord, bool, str | None]:
-    master_seed, t, n_a, n_b, kraus_count, tol, opts, timing = args
-    start = perf_counter()
-    seed_tuple = (master_seed, t)
-    mono_ok = True
-    try:
-        rng = stream(master_seed, t)
-        rho_a = ginibre_state(n_a, rng=rng)
-        tau_b = ginibre_state(n_b, rng=rng)
-        k_a = random_nondegenerate_observable(n_a, rng=rng)
-        channel = commuting_kraus_channel(k_a, n_b, kraus_count, rng)
-        sigma = DensityMatrix(kron(rho_a.matrix, tau_b.matrix))
-        evolved = apply_channel(channel, sigma)
-
-        k_full = Observable(kron(k_a.matrix, np.eye(n_b)))
-        mono_ok = skew_information(evolved, k_full) <= skew_information(sigma, k_full) + MONOTONICITY_TOL
-
-        evolved_ab = BipartiteState(evolved, n_a, n_b)
-        lhs = lqu(evolved_ab, k_a.spectrum, "A", opts=opts, seeds=(k_a,), rng=rng).value
-        rhs = skew_information(rho_a, k_a)
-    except Exception as exc:  # aborted trial becomes a diagnostic record
-        elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-        return _failed_record("claim1", seed_tuple, (n_a, n_b), elapsed), True, f"{type(exc).__name__}: {exc}"
-    elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-    return _record("claim1", seed_tuple, (n_a, n_b), lhs, rhs, tol, elapsed), mono_ok, None
+    evolved_ab = BipartiteState(evolved, n_a, n_b)
+    lhs = lqu(evolved_ab, k_a.spectrum, "A", opts=opts, seeds=(k_a,), rng=rng).value
+    rhs = skew_information(rho_a, k_a)
+    return lhs, rhs, mono_ok
 
 
 def verify_claim1(
@@ -228,30 +213,22 @@ def verify_claim1(
         "opt_tol": opts.tol,
         "opt_max_iters": opts.max_iters,
     }
-    args = [(master_seed, t, n_a, n_b, kraus_count, tol, opts, collect_timing) for t in range(trials)]
-    return _run_trials("claim1", _claim1_trial, args, config, workers)
+    params = (n_a, n_b, kraus_count, opts)
+    return _run_trials("claim1", _claim1_body, params, config, trials, workers, collect_timing)
 
 
-def _claim2_trial(args: tuple) -> tuple[TrialRecord, bool, str | None]:
-    master_seed, t, n_a, n_b, mode, tol, opts, timing = args
-    start = perf_counter()
-    seed_tuple = (master_seed, t)
-    try:
-        rng = stream(master_seed, t)
-        rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
-        if mode == "argmin_K":
-            opt = lqu(rho_ab, default_spectrum(n_b), "B", opts=opts, rng=rng)
-            k_b = opt.minimizer
-            rhs = opt.value
-        else:
-            k_b = random_nondegenerate_observable(n_b, rng=rng)
-            rhs = skew_information(rho_ab.state, Observable(kron(np.eye(n_a), k_b.matrix)))
-        lhs = steering_induced_skew(rho_ab, k_b, opts=opts, rng=rng).value
-    except Exception as exc:
-        elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-        return _failed_record("claim2", seed_tuple, (n_a, n_b), elapsed), True, f"{type(exc).__name__}: {exc}"
-    elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-    return _record("claim2", seed_tuple, (n_a, n_b), lhs, rhs, tol, elapsed), True, None
+def _claim2_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+    n_a, n_b, mode, opts = params
+    rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
+    if mode == "argmin_K":
+        opt = lqu(rho_ab, default_spectrum(n_b), "B", opts=opts, rng=rng)
+        k_b = opt.minimizer
+        rhs = opt.value
+    else:
+        k_b = random_nondegenerate_observable(n_b, rng=rng)
+        rhs = skew_information(rho_ab.state, Observable(kron(np.eye(n_a), k_b.matrix)))
+    lhs = steering_induced_skew(rho_ab, k_b, opts=opts, rng=rng).value
+    return lhs, rhs, True
 
 
 def verify_claim2(
@@ -283,28 +260,18 @@ def verify_claim2(
         "opt_tol": opts.tol,
         "opt_max_iters": opts.max_iters,
     }
-    args = [(master_seed, t, n_a, n_b, mode, tol, opts, collect_timing) for t in range(trials)]
-    return _run_trials("claim2", _claim2_trial, args, config, workers)
+    params = (n_a, n_b, mode, opts)
+    return _run_trials("claim2", _claim2_body, params, config, trials, workers, collect_timing)
 
 
-def _avg_trial(args: tuple) -> tuple[TrialRecord, bool, str | None]:
-    master_seed, t, n_a, n_b, bases_per_trial, tol, timing = args
-    start = perf_counter()
-    seed_tuple = (master_seed, t)
-    try:
-        rng = stream(master_seed, t)
-        rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
-        basis_b = gell_mann_basis(n_b)
-        rhs = q_local(rho_ab, "B", basis_b)
-        lhs = max(
-            steered_q_sum(rho_ab, MeasurementBasis(haar_unitary(n_a, rng)), basis_b)
-            for _ in range(bases_per_trial)
-        )
-    except Exception as exc:
-        elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-        return _failed_record("avg", seed_tuple, (n_a, n_b), elapsed), True, f"{type(exc).__name__}: {exc}"
-    elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-    return _record("avg", seed_tuple, (n_a, n_b), lhs, rhs, tol, elapsed), True, None
+def _avg_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+    n_a, n_b, bases_per_trial = params
+    rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
+    rhs = q_local(rho_ab, "B")
+    lhs = max(
+        steered_q_sum(rho_ab, MeasurementBasis(haar_unitary(n_a, rng))) for _ in range(bases_per_trial)
+    )
+    return lhs, rhs, True
 
 
 def verify_avg_bound(
@@ -327,8 +294,8 @@ def verify_avg_bound(
         "violation_tol": tol,
         "master_seed": master_seed,
     }
-    args = [(master_seed, t, n_a, n_b, bases_per_trial, tol, collect_timing) for t in range(trials)]
-    return _run_trials("avg", _avg_trial, args, config, workers)
+    params = (n_a, n_b, bases_per_trial)
+    return _run_trials("avg", _avg_body, params, config, trials, workers, collect_timing)
 
 
 def _fmt_float(x: float) -> str:

@@ -1,10 +1,12 @@
 """Shared fixtures and independent oracle helpers."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from skewinfo import BipartiteState, DensityMatrix, stream
+from skewinfo import BipartiteState, DensityMatrix, DimensionMismatch, InvalidState, Observable, stream
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -40,6 +42,97 @@ def oracle_q_local(rho: np.ndarray, dims: tuple[int, int], side: str) -> float:
         reduced = np.trace(root, axis1=1, axis2=3)
         n_s = n_b
     return n_s - np.trace(reduced @ reduced).real
+
+
+BASIS_ORTHO_TOL = 1e-10
+BASIS_COMPLETENESS_TOL = 1e-9
+
+
+@dataclass
+class ObservableBasis:
+    """Trace-orthonormal basis of n^2 Hermitian observables on an n-dim space."""
+
+    elements: list[Observable]
+
+    def __post_init__(self):
+        if not self.elements:
+            raise DimensionMismatch("empty observable basis")
+        n = self.elements[0].dim
+        if len(self.elements) != n * n:
+            raise DimensionMismatch(f"need {n * n} elements for dimension {n}, got {len(self.elements)}")
+        stack = np.stack([o.matrix for o in self.elements])
+        flat = stack.reshape(n * n, n * n)
+        gram = flat @ flat.conj().T  # Tr(X_i X_j) for Hermitian X
+        ortho_res = float(np.max(np.abs(gram - np.eye(n * n))))
+        if ortho_res > BASIS_ORTHO_TOL:
+            raise InvalidState("trace orthonormality", ortho_res)
+        sq_sum = np.einsum("kij,kjl->il", stack, stack)
+        comp_res = float(np.max(np.abs(sq_sum - n * np.eye(n))))
+        if comp_res > BASIS_COMPLETENESS_TOL:
+            raise InvalidState("basis completeness", comp_res)
+
+    @property
+    def dim(self) -> int:
+        return self.elements[0].dim
+
+    def matrices(self) -> np.ndarray:
+        """All elements stacked into an (n^2, n, n) array."""
+        return np.stack([o.matrix for o in self.elements])
+
+    def rotated(self, u: np.ndarray) -> "ObservableBasis":
+        """The basis U X_j U^dagger, again trace-orthonormal."""
+        return ObservableBasis([Observable(u @ o.matrix @ u.conj().T) for o in self.elements])
+
+
+def gell_mann_basis(n: int) -> ObservableBasis:
+    """Generalized Gell-Mann basis scaled to unit Hilbert-Schmidt norm.
+
+    Symmetric and antisymmetric off-diagonal families, the diagonal
+    family, then identity/sqrt(n); n^2 elements in total. For n=2 this
+    is the Pauli set over sqrt(2).
+    """
+    mats: list[np.ndarray] = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    for j in range(n):
+        for k in range(j + 1, n):
+            m = np.zeros((n, n), dtype=np.complex128)
+            m[j, k] = -1.0j / np.sqrt(2.0)
+            m[k, j] = 1.0j / np.sqrt(2.0)
+            mats.append(m)
+    for l in range(1, n):
+        diag = np.zeros(n)
+        diag[:l] = 1.0
+        diag[l] = -float(l)
+        mats.append(np.diag(diag).astype(np.complex128) / np.sqrt(l * (l + 1.0)))
+    mats.append(np.eye(n, dtype=np.complex128) / np.sqrt(n))
+    return ObservableBasis([Observable(m) for m in mats])
+
+
+def summed_skew(rho: np.ndarray, ops) -> float:
+    """Sum over ops X of the skew information Tr(rho X^2) - Tr(sqrt(rho) X sqrt(rho) X),
+    with the root taken by scipy."""
+    root = oracle_sqrtm(rho)
+    return sum(np.trace(rho @ x @ x).real - np.trace(root @ x @ root @ x).real for x in ops)
+
+
+def summed_q_total(rho: np.ndarray, basis: ObservableBasis) -> float:
+    """Total uncertainty by its definition: skew information summed over the basis."""
+    return summed_skew(rho, basis.matrices())
+
+
+def summed_q_local(rho: np.ndarray, dims: tuple[int, int], side: str, basis: ObservableBasis) -> float:
+    """Local-observable content by its definition: skew information summed over
+    the basis of the named side, embedded next to the identity on the other."""
+    n_a, n_b = dims
+    if side == "A":
+        ops = [np.kron(x, np.eye(n_b)) for x in basis.matrices()]
+    else:
+        ops = [np.kron(np.eye(n_a), x) for x in basis.matrices()]
+    return summed_skew(rho, ops)
 
 
 @pytest.fixture

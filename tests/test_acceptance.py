@@ -15,7 +15,6 @@ from skewinfo import (
     DensityMatrix,
     Observable,
     OptimizerOptions,
-    gell_mann_basis,
     ginibre_state,
     haar_unitary,
     kron,
@@ -35,10 +34,16 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
-from skewinfo.states import ObservableBasis
 from skewinfo.steering import MeasurementBasis
 
-from conftest import bell_pair, oracle_q_local, oracle_q_total
+from conftest import (
+    bell_pair,
+    gell_mann_basis,
+    oracle_q_local,
+    oracle_q_total,
+    summed_q_local,
+    summed_q_total,
+)
 
 PM_ONE = np.array([-1.0, 1.0])
 DIM_CONFIGS = ((2, 2), (2, 3), (3, 2))
@@ -138,30 +143,30 @@ def test_criterion_2_convexity_and_monotonicity():
 def test_criterion_3_oracle_equivalence():
     budget = Budget(20.0)
     rng = stream(1003, 0)
+    # the package's closed forms against scipy's closed forms and against
+    # the defining sums over Gell-Mann and Haar-rotated bases
     for n in (2, 3, 4):
         basis = gell_mann_basis(n)
         for _ in range(200):
             rho = ginibre_state(n, rng=rng)
-            assert abs(q_total(rho, basis) - oracle_q_total(rho.matrix)) <= 1e-8
+            value = q_total(rho)
+            assert abs(value - oracle_q_total(rho.matrix)) <= 1e-8
+            assert abs(value - summed_q_total(rho.matrix, basis)) <= 1e-8
     for n_a, n_b in DIM_CONFIGS:
-        basis_a = gell_mann_basis(n_a)
-        basis_b = gell_mann_basis(n_b)
+        bases = {"A": gell_mann_basis(n_a), "B": gell_mann_basis(n_b)}
         for _ in range(200):
             rho = ginibre_state(n_a * n_b, rng=rng)
             rho_ab = BipartiteState(rho, n_a, n_b)
-            assert abs(
-                q_local(rho_ab, "A", basis_a) - oracle_q_local(rho.matrix, (n_a, n_b), "A")
-            ) <= 1e-8
-            assert abs(
-                q_local(rho_ab, "B", basis_b) - oracle_q_local(rho.matrix, (n_a, n_b), "B")
-            ) <= 1e-8
+            for side, basis in bases.items():
+                value = q_local(rho_ab, side)
+                assert abs(value - oracle_q_local(rho.matrix, (n_a, n_b), side)) <= 1e-8
+                assert abs(value - summed_q_local(rho.matrix, (n_a, n_b), side, basis)) <= 1e-8
     for n in (2, 3):
         basis = gell_mann_basis(n)
         for _ in range(50):
-            u = haar_unitary(n, rng)
-            rotated = ObservableBasis([Observable(u @ o.matrix @ u.conj().T) for o in basis.elements])
+            rotated = basis.rotated(haar_unitary(n, rng))
             rho = ginibre_state(n, rng=rng)
-            assert abs(q_total(rho, basis) - q_total(rho, rotated)) <= 1e-8
+            assert abs(q_total(rho) - summed_q_total(rho.matrix, rotated)) <= 1e-8
     _verdict(3, "closed-form and basis-independence oracles", budget)
 
 
@@ -255,12 +260,9 @@ def test_criterion_8_averaged_bound():
     assert report.failed == 0
 
     bell = bell_pair()
-    basis_b = gell_mann_basis(2)
-    rhs = q_local(bell, "B", basis_b)
+    rhs = q_local(bell, "B")
     rng = stream(8001, 0)
-    lhs = max(
-        steered_q_sum(bell, MeasurementBasis(haar_unitary(2, rng)), basis_b) for _ in range(20)
-    )
+    lhs = max(steered_q_sum(bell, MeasurementBasis(haar_unitary(2, rng))) for _ in range(20))
     assert abs(lhs - 1.0) <= 1e-6
     assert abs(rhs - 1.5) <= 1e-6
     _verdict(8, "averaged bound and Bell spot values", budget)

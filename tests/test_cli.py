@@ -35,7 +35,7 @@ def test_parse_defaults():
     assert (config.n_a, config.n_b) == (2, 2)
     assert config.trials == 1000
     assert config.master_seed == 42
-    assert config.restarts == 16
+    assert config.restarts is None  # each subcommand picks its own budget
     assert config.tol == 1e-7
     assert config.kraus_count == 2
     assert config.bases_per_trial == 20
@@ -152,10 +152,26 @@ def test_run_steer_prints_ensemble(tmp_path, capsys):
 
 
 def test_run_verify_claim2_exit_zero(capsys):
-    code = main("verify claim2 --trials 6 --seed 3 --restarts 2".split())
+    code = main("verify claim2 --trials 6 --seed 3 --restarts 3".split())
     out = capsys.readouterr().out
     assert code == 0
     assert "violations=0" in out
+    # --restarts overrides only the restart count of the harness budget
+    assert "config.opt_restarts=3" in out
+    assert "config.opt_max_iters=150" in out
+
+
+def test_run_verify_defaults_to_harness_budget(capsys):
+    assert main("verify claim1 --trials 2 --seed 3".split()) == 0
+    out = capsys.readouterr().out
+    assert "config.opt_restarts=2" in out
+    assert "config.opt_max_iters=150" in out
+
+
+def test_run_verify_rejects_bad_uq_threads(monkeypatch, capsys):
+    monkeypatch.setenv("UQ_THREADS", "abc")
+    assert main("verify avg --trials 2".split()) == 2
+    assert "UQ_THREADS" in capsys.readouterr().err
 
 
 def test_run_verify_writes_report(tmp_path, capsys):

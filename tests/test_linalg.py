@@ -15,7 +15,7 @@ from skewinfo import (
     stream,
     trace_inner,
 )
-from skewinfo.linalg import hermiticity_residual
+from skewinfo.linalg import PSD_TOL, hermiticity_residual
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -111,6 +111,44 @@ def test_sqrtm_clamps_noise_eigenvalues():
 def test_sqrtm_rejects_negative():
     with pytest.raises(NotPSD):
         sqrtm_psd(np.diag([1.0, -1e-6]))
+
+
+def test_sqrtm_stack_matches_per_matrix():
+    rng = stream(1, 3)
+    for n in (2, 3, 6):
+        stack = np.stack([random_psd(n, rng) for _ in range(4)])
+        stack[1] = np.outer(stack[1][:, 0], stack[1][:, 0].conj())  # a rank-1 member
+        roots = sqrtm_psd(stack)
+        assert roots.shape == stack.shape
+        for member, root in zip(stack, roots):
+            np.testing.assert_allclose(root, sqrtm_psd(member), atol=1e-14)
+    nested = np.stack([stack[:2], stack[2:]])  # (2, 2, n, n)
+    np.testing.assert_allclose(sqrtm_psd(nested), roots.reshape(nested.shape), atol=1e-14)
+
+
+def test_sqrtm_stack_rejects_any_bad_member():
+    good = np.eye(2) / 2
+    with pytest.raises(NotPSD):
+        sqrtm_psd(np.stack([good, np.diag([1.0, -2 * PSD_TOL]), good]))
+    with pytest.raises(NotHermitian):
+        sqrtm_psd(np.stack([good, np.array([[0.5, 0.1], [0.0, 0.5]])]))
+    with pytest.raises(DimensionMismatch):
+        sqrtm_psd(np.zeros((3, 2, 3)))
+
+
+def test_sqrtm_stack_noise_floor_per_member():
+    # the rank-1 member's noise eigenvalues are zeroed by its own floor;
+    # the tiny but genuine eigenvalue of the second member survives, though
+    # it lies below the floor the large third member would set
+    rng = stream(1, 4)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    proj = np.outer(v, v.conj())
+    tiny = np.diag([1e-3, 1e-13, 0.5])
+    roots = sqrtm_psd(np.stack([proj, tiny, 1e6 * np.eye(3)]))
+    np.testing.assert_allclose(roots[0], proj, atol=1e-12)
+    np.testing.assert_allclose(roots[1], np.diag(np.sqrt([1e-3, 1e-13, 0.5])), atol=1e-15)
+    np.testing.assert_allclose(roots[2], 1e3 * np.eye(3), atol=1e-9)
 
 
 def test_kron_scalar_identity():

@@ -10,7 +10,6 @@ from skewinfo import (
     Observable,
     commuting_kraus_channel,
     apply_channel,
-    gell_mann_basis,
     ginibre_state,
     haar_unitary,
     kron,
@@ -22,9 +21,16 @@ from skewinfo import (
     variance,
 )
 from skewinfo.metrics import LocalSkewObjective
-from skewinfo.states import ObservableBasis
 
-from conftest import SIGMA_X, SIGMA_Z, bell_pair, oracle_q_local, oracle_q_total
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    bell_pair,
+    gell_mann_basis,
+    oracle_q_local,
+    oracle_q_total,
+    summed_q_total,
+)
 
 
 def random_observable(n, rng, scale=1.0):
@@ -150,18 +156,18 @@ def test_channel_monotonicity_with_commuting_kraus():
 
 def test_q_total_maximally_mixed_vanishes():
     rho = DensityMatrix(np.eye(3) / 3)
-    assert q_total(rho, gell_mann_basis(3)) == pytest.approx(0.0, abs=1e-12)
+    assert q_total(rho) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_q_total_pure_qubit_is_one():
     rng = stream(21, 7)
     rho = ginibre_state(2, rank=1, rng=rng)
-    assert q_total(rho, gell_mann_basis(2)) == pytest.approx(1.0, abs=1e-9)
+    assert q_total(rho) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_q_total_diagonal_example():
     rho = DensityMatrix(np.diag([0.9, 0.1]))
-    assert q_total(rho, gell_mann_basis(2)) == pytest.approx(0.4, abs=1e-12)
+    assert q_total(rho) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_q_total_matches_closed_form():
@@ -169,22 +175,18 @@ def test_q_total_matches_closed_form():
     for n in (2, 3, 4):
         for _ in range(25):
             rho = ginibre_state(n, rng=rng)
-            assert q_total(rho, gell_mann_basis(n)) == pytest.approx(
-                oracle_q_total(rho.matrix), abs=1e-8
-            )
+            assert q_total(rho) == pytest.approx(oracle_q_total(rho.matrix), abs=1e-8)
 
 
 def test_q_total_basis_independent():
+    # the closed form equals the defining sum over any rotated basis
     rng = stream(21, 9)
     for n in (2, 3):
         basis = gell_mann_basis(n)
         for _ in range(10):
-            u = haar_unitary(n, rng)
-            rotated = ObservableBasis(
-                [Observable(u @ o.matrix @ u.conj().T) for o in basis.elements]
-            )
+            rotated = basis.rotated(haar_unitary(n, rng))
             rho = ginibre_state(n, rng=rng)
-            assert abs(q_total(rho, basis) - q_total(rho, rotated)) < 1e-8
+            assert abs(q_total(rho) - summed_q_total(rho.matrix, rotated)) < 1e-8
 
 
 def test_q_local_product_state_reduces_to_q_total():
@@ -193,18 +195,17 @@ def test_q_local_product_state_reduces_to_q_total():
         rho_a = ginibre_state(2, rng=rng)
         tau_b = ginibre_state(2, rng=rng)
         joint = BipartiteState(DensityMatrix(kron(rho_a.matrix, tau_b.matrix)), 2, 2)
-        basis_b = gell_mann_basis(2)
-        assert q_local(joint, "B", basis_b) == pytest.approx(q_total(tau_b, basis_b), abs=1e-9)
+        assert q_local(joint, "B") == pytest.approx(q_total(tau_b), abs=1e-9)
 
 
 def test_q_local_bell_state():
-    assert q_local(bell_pair(), "B", gell_mann_basis(2)) == pytest.approx(1.5, abs=1e-9)
+    assert q_local(bell_pair(), "B") == pytest.approx(1.5, abs=1e-9)
 
 
 def test_q_local_maximally_mixed_vanishes():
     rho = BipartiteState(DensityMatrix(np.eye(4) / 4), 2, 2)
     for side in ("A", "B"):
-        assert q_local(rho, side, gell_mann_basis(2)) == pytest.approx(0.0, abs=1e-12)
+        assert q_local(rho, side) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_q_local_matches_closed_form():
@@ -213,8 +214,8 @@ def test_q_local_matches_closed_form():
         for _ in range(20):
             rho = ginibre_state(n_a * n_b, rng=rng)
             rho_ab = BipartiteState(rho, n_a, n_b)
-            for side, n_s in (("A", n_a), ("B", n_b)):
-                assert q_local(rho_ab, side, gell_mann_basis(n_s)) == pytest.approx(
+            for side in ("A", "B"):
+                assert q_local(rho_ab, side) == pytest.approx(
                     oracle_q_local(rho.matrix, (n_a, n_b), side), abs=1e-8
                 )
 

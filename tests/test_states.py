@@ -1,4 +1,4 @@
-"""Domain type validation, channel application, and the operator basis."""
+"""Domain type validation, channel application, and the test oracle's operator basis."""
 
 import numpy as np
 import pytest
@@ -13,12 +13,10 @@ from skewinfo import (
     KrausChannel,
     NondegenerateObservable,
     Observable,
-    ObservableBasis,
     apply_channel,
-    gell_mann_basis,
 )
 
-from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, ObservableBasis, gell_mann_basis
 
 
 def test_density_matrix_accepts_valid():
@@ -163,6 +161,4 @@ def test_observable_basis_rejects_nonorthonormal():
 def test_rotated_basis_still_valid(rng):
     from skewinfo import haar_unitary
 
-    u = haar_unitary(3, rng)
-    rotated = [Observable(u @ o.matrix @ u.conj().T) for o in gell_mann_basis(3).elements]
-    ObservableBasis(rotated)  # passes orthonormality + completeness checks
+    gell_mann_basis(3).rotated(haar_unitary(3, rng))  # passes orthonormality + completeness checks

@@ -12,7 +12,6 @@ from skewinfo import (
     Observable,
     OptimizerOptions,
     average_steering_induced_q,
-    gell_mann_basis,
     ginibre_state,
     haar_unitary,
     kron,
@@ -27,7 +26,10 @@ from skewinfo import (
     stream,
 )
 
-from conftest import SIGMA_Z
+from skewinfo import steering
+from skewinfo.optim import UnitarySearchResult
+
+from conftest import SIGMA_Z, gell_mann_basis, summed_q_total
 
 Z_BASIS = MeasurementBasis(np.eye(2, dtype=complex))
 X_BASIS = MeasurementBasis(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
@@ -138,11 +140,49 @@ def test_per_basis_core_lemma(rng):
 def test_per_basis_averaged_lemma(rng):
     for n_a, n_b in ((2, 2), (3, 2)):
         state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
-        basis_b = gell_mann_basis(n_b)
-        bound = q_local(state, "B", basis_b)
+        bound = q_local(state, "B")
         for _ in range(25):
             theta = MeasurementBasis(haar_unitary(n_a, rng))
-            assert steered_q_sum(state, theta, basis_b) <= bound + 1e-8
+            assert steered_q_sum(state, theta) <= bound + 1e-8
+
+
+def test_steered_q_sum_matches_summed_oracle(rng):
+    # the closed form equals the skew information of each conditional state
+    # summed over a Gell-Mann basis of B, weighted by the outcome probability
+    for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
+        basis_b = gell_mann_basis(n_b)
+        state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
+        for _ in range(10):
+            theta = MeasurementBasis(haar_unitary(n_a, rng))
+            expected = sum(
+                p * summed_q_total(rho_i.matrix, basis_b) for p, rho_i in steer(state, theta).outcomes
+            )
+            assert steered_q_sum(state, theta) == pytest.approx(expected, abs=1e-10)
+
+
+def _search_cost(search, monkeypatch, *args):
+    """The cost a steering maximization hands to the unitary search."""
+    captured = []
+
+    def capture(cost, n, opts, rng=None):
+        captured.append(cost)
+        return UnitarySearchResult(0.0, np.eye(n, dtype=complex), 1, True)
+
+    monkeypatch.setattr(steering, "minimize_over_unitaries", capture)
+    search(*args)
+    return captured[0]
+
+
+def test_steering_cost_matches_steered_sum_on_pure_state(rng, monkeypatch):
+    # rank-1 joint states give rank-1 conditionals, whose roots need the
+    # kernel's noise floor: an unfloored root is off by ~1e-9
+    for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
+        state = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
+        k_b = random_nondegenerate_observable(n_b, rng=rng)
+        cost = _search_cost(steering_induced_skew, monkeypatch, state, k_b)
+        for _ in range(10):
+            u = haar_unitary(n_a, rng)
+            assert abs(-cost(u) - steered_skew_sum(state, MeasurementBasis(u), k_b)) <= 1e-12
 
 
 def test_steering_induced_skew_product_saturates(rng):
@@ -169,22 +209,20 @@ def test_steering_induced_skew_below_joint_skew(rng):
 
 def test_average_steering_q_product_state(rng):
     state, tau_b = product_state(2, 2, rng)
-    basis_b = gell_mann_basis(2)
-    result = average_steering_induced_q(state, basis_b, opts=FAST, rng=rng)
-    assert result.value == pytest.approx(q_total(tau_b, basis_b), abs=1e-8)
+    result = average_steering_induced_q(state, opts=FAST, rng=rng)
+    assert result.value == pytest.approx(q_total(tau_b), abs=1e-8)
 
 
 def test_average_steering_q_bell(bell):
-    result = average_steering_induced_q(bell, gell_mann_basis(2), opts=FAST, rng=stream(41, 2))
+    result = average_steering_induced_q(bell, opts=FAST, rng=stream(41, 2))
     assert result.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_average_steering_q_below_q_local(rng):
     for _ in range(5):
         state = BipartiteState(ginibre_state(4, rng=rng), 2, 2)
-        basis_b = gell_mann_basis(2)
-        result = average_steering_induced_q(state, basis_b, opts=FAST, rng=rng)
-        assert result.value <= q_local(state, "B", basis_b) + 1e-8
+        result = average_steering_induced_q(state, opts=FAST, rng=rng)
+        assert result.value <= q_local(state, "B") + 1e-8
 
 
 def test_maximizer_is_a_valid_basis(rng):

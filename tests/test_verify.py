@@ -11,6 +11,7 @@ from skewinfo import (
     DensityMatrix,
     OptimizerOptions,
     TrialRecord,
+    UsageError,
     VerificationReport,
     ginibre_state,
     kron,
@@ -26,7 +27,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
-from skewinfo.verify import _claim1_trial, HARNESS_OPTS
+from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_trial, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
 
@@ -86,8 +87,10 @@ def test_violated_flag_matches_margin_definition():
 
 
 def test_failed_trial_becomes_diagnostic_record():
-    record, mono_ok, err = _claim1_trial((3, 0, 2, 2, 0, 1e-7, HARNESS_OPTS, False))
+    job = ("claim1", _claim1_body, (2, 2, 0, HARNESS_OPTS), (2, 2), 1e-7, False, 3, 0)
+    record, mono_ok, err = _run_trial(job)
     assert err is not None and "kraus_count" in err
+    assert record.seed_tuple == (3, 0) and record.claim_id == "claim1"
     assert math.isnan(record.lhs) and math.isnan(record.rhs)
     assert not record.violated
     assert mono_ok
@@ -109,11 +112,17 @@ def test_workers_do_not_change_reports(tmp_path):
 
 def test_uq_threads_env_caps_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("UQ_THREADS", "1")
-    from skewinfo.verify import worker_count
-
     assert worker_count() == 1
     monkeypatch.setenv("UQ_THREADS", "3")
     assert worker_count() == 3
+    for bad in ("abc", "0", "-2", ""):
+        monkeypatch.setenv("UQ_THREADS", bad)
+        with pytest.raises(UsageError):
+            worker_count()
+        with pytest.raises(UsageError):
+            verify_avg_bound(trials=1)
+    monkeypatch.delenv("UQ_THREADS")
+    assert worker_count() == len(os.sched_getaffinity(0))
 
 
 def test_write_report_jsonl_roundtrip(tmp_path):
