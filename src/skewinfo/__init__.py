@@ -2,7 +2,7 @@
 
 Computes information-content metrics of finite-dimensional quantum
 states (skew information, variance, total and local uncertainty, local
-quantum uncertainty with a 2 x d closed form) and steering-induced
+quantum uncertainty, exact on a qubit side) and steering-induced
 quantities, and verifies the channel/steering inequalities between them
 by seeded Monte Carlo sampling with machine-readable reports.
 """

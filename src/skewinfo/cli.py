@@ -37,6 +37,7 @@ class RunConfig:
     trials: int = 1000
     spectrum: list[float] | None = None  # None means the default spectrum
     restarts: int | None = None  # None means the subcommand's default budget
+    mode: str = "random_K"  # claim2 only
     tol: float = 1e-7
     master_seed: int = 42
     kraus_count: int = 2
@@ -75,6 +76,7 @@ def build_parser() -> _Parser:
         _add_common(subs.add_parser(name, help=f"compute {name} quantities"))
     pv = subs.add_parser("verify", help="run a randomized bound verification")
     pv.add_argument("claim", choices=("claim1", "claim2", "avg"))
+    pv.add_argument("--mode", type=str, default=None, choices=("random_K", "argmin_K"))
     _add_common(pv)
     return parser
 
@@ -113,6 +115,9 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = parser.parse_args(_join_spectrum_value(argv))
     command = ns.command if ns.command != "verify" else f"verify {ns.claim}"
     spectrum = None if ns.spectrum is None else _parse_spectrum(ns.spectrum)
+    mode = getattr(ns, "mode", None)
+    if mode is not None and command != "verify claim2":
+        raise UsageError(f"--mode applies only to verify claim2, not {command}")
     config = RunConfig(
         command=command,
         n_a=ns.dim_a,
@@ -120,6 +125,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         trials=ns.trials,
         spectrum=spectrum,
         restarts=ns.restarts,
+        mode=mode or RunConfig.mode,
         tol=ns.tol,
         master_seed=ns.seed,
         kraus_count=ns.kraus,
@@ -313,6 +319,7 @@ def _run_verify(config: RunConfig) -> int:
             tol=config.tol,
             opts=opts,
             master_seed=config.master_seed,
+            mode=config.mode,
         )
     else:
         report, records = verify_mod.verify_avg_bound(

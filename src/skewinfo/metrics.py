@@ -142,15 +142,16 @@ def lqu(
 ) -> LquResult:
     """Minimize skew information over side-local observables with fixed spectrum.
 
-    Runs the restarted simplex search over eigenbases U, evaluating
+    On a 2-level side the minimum has a closed form (see ``_lqu_qubit``): the
+    value is exact, ``restarts_used`` is 0, and ``opts``, ``seeds`` and ``rng``
+    are not used (no draws are taken from ``rng``). On a larger side it runs
+    the restarted simplex search over eigenbases U, evaluating
     I(rho_AB, U diag(spectrum) U† on the chosen side). Caller-supplied
     seed observables contribute their eigenbases as the first restart
     points; the remaining restarts are Haar draws from ``rng`` (a fixed
-    internal stream when omitted, so results are reproducible).
-
-    The returned value is an upper bound on the true minimum.
+    internal stream when omitted, so results are reproducible). The
+    searched value is an upper bound on the true minimum.
     """
-    opts = opts or OptimizerOptions()
     lam = check_spectrum(spectrum)
     n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
     if lam.size != n_side:
@@ -158,7 +159,21 @@ def lqu(
     for s in seeds:
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
+    if n_side == 2:
+        return _lqu_qubit(rho_ab, lam, side)
+    return _lqu_search(rho_ab, lam, side, opts, seeds, rng)
 
+
+def _lqu_search(
+    rho_ab: BipartiteState,
+    lam: np.ndarray,
+    side: Side,
+    opts: OptimizerOptions | None = None,
+    seeds: tuple[NondegenerateObservable, ...] = (),
+    rng: np.random.Generator | None = None,
+) -> LquResult:
+    """LQU by restarted simplex search over the eigenbases of the side's
+    observables with the ascending spectrum ``lam``, on a side of any size."""
     obj = LocalSkewObjective(rho_ab, side)
 
     def cost(u: np.ndarray) -> float:
@@ -167,8 +182,8 @@ def lqu(
 
     best = minimize_over_unitaries(
         cost,
-        n_side,
-        opts,
+        lam.size,
+        opts or OptimizerOptions(),
         seed_unitaries=[s.eigenbasis for s in seeds],
         rng=rng,
         floor=LQU_FLOOR,
@@ -181,6 +196,32 @@ def lqu(
     )
 
 
+def _lqu_qubit(rho_ab: BipartiteState, lam: np.ndarray, side: Side) -> LquResult:
+    """Exact LQU on a 2-level side S with ascending spectrum {a, b}.
+
+    Every such observable is K = (a+b)/2 I + (b-a)/2 n·sigma for a unit
+    vector n, and the identity part commutes with the state's root, so
+    I(rho_AB, K_S) = ((b-a)/2)^2 (1 - n^T W n) with the real symmetric
+    W_ij = Tr[sqrt(rho) sigma_i^S sqrt(rho) sigma_j^S]. The minimum is
+    ((b-a)/2)^2 (1 - lambda_max(W)) at the top eigenvector of W (Girolami,
+    Tufarelli, Adesso, PRL 110, 240402, 2013).
+    """
+    eye = np.eye(rho_ab.n_b if side == "A" else rho_ab.n_a)
+    sigma = np.stack([np.kron(p, eye) if side == "A" else np.kron(eye, p) for p in _PAULI])
+    rs = sqrtm_psd(rho_ab.matrix) @ sigma
+    w = np.einsum("iab,jba->ij", rs, rs).real
+    w_eigs, w_vecs = np.linalg.eigh(0.5 * (w + w.T))
+    # n·sigma has eigenvalues -1, +1 in ascending order, like the spectrum
+    _, basis = np.linalg.eigh(np.einsum("i,ijk->jk", w_vecs[:, -1], _PAULI))
+    half_gap = 0.5 * (lam[1] - lam[0])
+    return LquResult(
+        value=_clamp(half_gap * half_gap * (1.0 - float(w_eigs[-1]))),
+        minimizer=NondegenerateObservable(lam, basis),
+        restarts_used=0,
+        converged=True,
+    )
+
+
 def lqu_2xd(rho_ab: BipartiteState) -> float:
     """Closed-form local quantum uncertainty for 2 x d states, spectrum {-1, +1}.
 
@@ -190,14 +231,5 @@ def lqu_2xd(rho_ab: BipartiteState) -> float:
     """
     if rho_ab.n_a != 2:
         raise DimensionMismatch(f"closed form needs n_A = 2, got {rho_ab.n_a}")
-    root = sqrtm_psd(rho_ab.matrix)
-    eye_b = np.eye(rho_ab.n_b)
-    locals_ = [np.kron(p, eye_b) for p in _PAULI]
-    w = np.empty((3, 3))
-    for i in range(3):
-        left = root @ locals_[i] @ root
-        for j in range(3):
-            w[i, j] = np.sum(left * locals_[j].T).real
-    w = 0.5 * (w + w.T)
-    value = 1.0 - float(np.linalg.eigvalsh(w)[-1])
+    value = _lqu_qubit(rho_ab, np.array([-1.0, 1.0]), "A").value
     return min(max(value, 0.0), 1.0 + 1e-9)

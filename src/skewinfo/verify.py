@@ -197,10 +197,11 @@ def verify_claim1(
     channel never exceeds the input system's skew information.
 
     Per trial, samples a product input, a random nondegenerate observable
-    on A, and a random channel commuting with it; compares the optimized
-    local uncertainty of the output (seeded with the observable itself, a
-    feasible point) against the input skew information. Also spot-checks
-    the commuting-channel monotonicity of skew information per trial.
+    on A, and a random channel commuting with it; compares the local
+    uncertainty of the output (exact on a qubit side A, else searched from
+    the observable itself, a feasible point) against the input skew
+    information. Also spot-checks the commuting-channel monotonicity of
+    skew information per trial.
     """
     opts = opts or HARNESS_OPTS
     config = {

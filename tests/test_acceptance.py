@@ -34,6 +34,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
+from skewinfo.metrics import _lqu_search
 from skewinfo.steering import MeasurementBasis
 
 from conftest import (
@@ -171,25 +172,34 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_lqu_cross_oracle():
+    # the Nelder-Mead search (what lqu runs on larger sides) against the
+    # closed form that lqu takes on a qubit side
     budget = Budget(300.0)
     rng = stream(1004, 0)
     opts = OptimizerOptions(restarts=8)
     for n_b in (2, 3):
         for _ in range(100):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            numeric = lqu(state, PM_ONE, "A", opts=opts, rng=rng).value
+            numeric = _lqu_search(state, PM_ONE, "A", opts=opts, rng=rng).value
             assert abs(numeric - lqu_2xd(state)) <= 1e-6
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = product_state(2, n_b, rng)
-        assert lqu(state, PM_ONE, "A", opts=opts, rng=rng).value <= 1e-7
+        assert _lqu_search(state, PM_ONE, "A", opts=opts, rng=rng).value <= 1e-7
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = classical_quantum_state(2, n_b, rng)
-        assert lqu(state, PM_ONE, "A", opts=opts, rng=rng).value <= 1e-7
-    bell_value = lqu(bell_pair(), PM_ONE, "A", opts=opts, rng=rng).value
+        assert _lqu_search(state, PM_ONE, "A", opts=opts, rng=rng).value <= 1e-7
+    bell_value = _lqu_search(bell_pair(), PM_ONE, "A", opts=opts, rng=rng).value
     assert abs(bell_value - 1.0) <= 1e-6
-    _verdict(4, "lqu optimizer vs 2xd closed form", budget)
+    # side B with a spectrum other than {-1, +1}
+    spectrum = np.array([0.3, 2.0])
+    for n_a in (2, 3):
+        for _ in range(50):
+            state = BipartiteState(ginibre_state(2 * n_a, rng=rng), n_a, 2)
+            numeric = _lqu_search(state, spectrum, "B", opts=opts, rng=rng).value
+            assert abs(numeric - lqu(state, spectrum, "B").value) <= 1e-6
+    _verdict(4, "lqu search vs qubit-side closed form", budget)
 
 
 def test_criterion_5_claim1_harness():

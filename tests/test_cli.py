@@ -41,6 +41,7 @@ def test_parse_defaults():
     assert config.bases_per_trial == 20
     assert config.spectrum is None
     assert config.out_format == "json-lines"
+    assert config.mode == "random_K"  # as in verify_claim2
 
 
 def test_parse_degenerate_spectrum_rejected():
@@ -132,6 +133,7 @@ def test_run_lqu_bell(tmp_path, capsys):
     assert main(["lqu", "--state-file", state, "--spectrum", "-1,1", "--restarts", "4"]) == 0
     out = capsys.readouterr().out
     assert "lqu = 1.000000" in out
+    assert "restarts_used = 0" in out  # exact on a qubit side; --restarts has no effect
 
 
 def test_run_q_on_bipartite(tmp_path, capsys):
@@ -159,6 +161,22 @@ def test_run_verify_claim2_exit_zero(capsys):
     # --restarts overrides only the restart count of the harness budget
     assert "config.opt_restarts=3" in out
     assert "config.opt_max_iters=150" in out
+
+
+def test_run_verify_claim2_mode_is_echoed(capsys):
+    assert main("verify claim2 --trials 2 --seed 3 --mode argmin_K".split()) == 0
+    assert "config.mode=argmin_K" in capsys.readouterr().out
+    assert main("verify claim2 --trials 2 --seed 3".split()) == 0
+    assert "config.mode=random_K" in capsys.readouterr().out
+
+
+def test_parse_mode_rejected_outside_claim2():
+    for argv in ("verify claim1 --mode argmin_K", "verify avg --mode random_K", "lqu --mode argmin_K"):
+        with pytest.raises(UsageError):
+            parse_args(argv.split())
+    assert main("verify claim1 --trials 2 --mode argmin_K".split()) == 2
+    with pytest.raises(UsageError):
+        parse_args("verify claim2 --mode best_K".split())
 
 
 def test_run_verify_defaults_to_harness_budget(capsys):

@@ -1,7 +1,9 @@
-"""Local quantum uncertainty: optimizer vs the 2 x d closed form."""
+"""Local quantum uncertainty: the qubit-side closed form and the search."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewinfo import (
     BipartiteState,
@@ -17,6 +19,7 @@ from skewinfo import (
     skew_information,
     stream,
 )
+from skewinfo.metrics import _lqu_search
 
 
 PM_ONE = np.array([-1.0, 1.0])
@@ -83,6 +86,17 @@ def test_lqu_uses_caller_seed_as_feasible_start(rng):
     assert result.value <= seeded_value + 1e-9
 
 
+def test_lqu_search_uses_caller_seed_as_feasible_start_on_qutrit_side(rng):
+    # a qutrit side has no closed form, so this covers the seeded search
+    state = BipartiteState(ginibre_state(6, rng=rng), 3, 2)
+    spectrum = np.array([-1.0, 0.0, 1.0])
+    seed_obs = random_nondegenerate_observable(3, spectrum, rng)
+    result = lqu(state, spectrum, "A", opts=OptimizerOptions(restarts=1, max_iters=1), seeds=(seed_obs,), rng=rng)
+    seeded_value = skew_information(state.state, Observable(kron(seed_obs.matrix, np.eye(2))))
+    assert result.restarts_used == 1
+    assert result.value <= seeded_value + 1e-9
+
+
 def test_lqu_spectrum_validation(rng):
     state = BipartiteState(ginibre_state(4, rng=rng), 2, 2)
     with pytest.raises(DimensionMismatch):
@@ -119,7 +133,7 @@ def test_lqu_agrees_with_closed_form_on_random_states():
     for n_b in (2, 3):
         for _ in range(10):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            num = lqu(state, PM_ONE, "A", opts=OptimizerOptions(restarts=8), rng=rng)
+            num = _lqu_search(state, PM_ONE, "A", opts=OptimizerOptions(restarts=8), rng=rng)
             assert num.value == pytest.approx(lqu_2xd(state), abs=1e-6)
 
 
@@ -127,3 +141,32 @@ def test_lqu_reports_spectrum_alongside_value(rng):
     state = BipartiteState(ginibre_state(4, rng=rng), 2, 2)
     result = lqu(state, np.array([0.0, 2.0]), "A", rng=rng)
     np.testing.assert_allclose(result.minimizer.spectrum, [0.0, 2.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 1), (1, 2))),
+    pure=st.booleans(),
+    low=st.floats(-3.0, 3.0),
+    gap=st.floats(1e-3, 4.0),
+)
+def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
+    rng = stream(seed, 0)
+    n_a, n_b = dims
+    state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
+    spectrum = np.array([low, low + gap])
+
+    def embedded(k, side):
+        return Observable(kron(k, np.eye(n_b)) if side == "A" else kron(np.eye(n_a), k))
+
+    for side, n_side in (("A", n_a), ("B", n_b)):
+        if n_side != 2:
+            continue
+        result = lqu(state, spectrum, side, opts=OptimizerOptions(restarts=5), rng=rng)
+        assert (result.restarts_used, result.converged) == (0, True)  # no search ran
+        at_min = skew_information(state.state, embedded(result.minimizer.matrix, side))
+        assert abs(result.value - at_min) <= 1e-12
+        for _ in range(20):
+            k = random_nondegenerate_observable(2, spectrum, rng)
+            assert result.value <= skew_information(state.state, embedded(k.matrix, side)) + 1e-12
