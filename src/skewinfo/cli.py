@@ -61,8 +61,8 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--spectrum", type=str, default=None, metavar="V1,V2,...")
     p.add_argument("--restarts", type=int, default=None, metavar="R")
     p.add_argument("--tol", type=float, default=1e-7, metavar="TOL")
-    p.add_argument("--kraus", type=int, default=2, metavar="J")
-    p.add_argument("--bases", type=int, default=20, metavar="B")
+    p.add_argument("--kraus", type=int, default=None, metavar="J")
+    p.add_argument("--bases", type=int, default=None, metavar="B")
     p.add_argument("--out", type=str, default=None, metavar="PATH")
     p.add_argument("--format", type=str, default="json", choices=("json", "csv"))
     p.add_argument("--state-file", type=str, default=None, metavar="PATH")
@@ -114,10 +114,16 @@ def parse_args(argv: list[str]) -> RunConfig:
         raise UsageError(parser.format_help())
     ns = parser.parse_args(_join_spectrum_value(argv))
     command = ns.command if ns.command != "verify" else f"verify {ns.claim}"
-    spectrum = None if ns.spectrum is None else _parse_spectrum(ns.spectrum)
     mode = getattr(ns, "mode", None)
-    if mode is not None and command != "verify claim2":
-        raise UsageError(f"--mode applies only to verify claim2, not {command}")
+    for flag, value, readers in (
+        ("--mode", mode, ("verify claim2",)),
+        ("--kraus", ns.kraus, ("verify claim1",)),
+        ("--bases", ns.bases, ("verify avg",)),
+        ("--spectrum", ns.spectrum, ("skew", "lqu")),
+    ):
+        if value is not None and command not in readers:
+            raise UsageError(f"{flag} applies only to {' and '.join(readers)}, not {command}")
+    spectrum = None if ns.spectrum is None else _parse_spectrum(ns.spectrum)
     config = RunConfig(
         command=command,
         n_a=ns.dim_a,
@@ -128,8 +134,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         mode=mode or RunConfig.mode,
         tol=ns.tol,
         master_seed=ns.seed,
-        kraus_count=ns.kraus,
-        bases_per_trial=ns.bases,
+        kraus_count=RunConfig.kraus_count if ns.kraus is None else ns.kraus,
+        bases_per_trial=RunConfig.bases_per_trial if ns.bases is None else ns.bases,
         out_path=ns.out,
         out_format="csv" if ns.format == "csv" else "json-lines",
         state_file=ns.state_file,

@@ -75,13 +75,22 @@ def sqrtm_psd(m) -> np.ndarray:
     otherwise inject ~1e-8 artifacts into the root of a rank-deficient
     input.
     """
+    sw, v = psd_sqrt_eigh(m)
+    root = (v * sw[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return 0.5 * (root + root.conj().swapaxes(-1, -2))
+
+
+def psd_sqrt_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """The eigensystem of ``sqrtm_psd(m)``, with its checks and noise floor:
+    the square roots of the clamped and floored eigenvalues (ascending) and
+    the eigenvectors, for callers that work in the eigenbasis of the root.
+    """
     w, v = hermitian_eig(m)
     lowest = w[..., 0].min()
     if lowest < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
     w[w < w.shape[-1] * _EPS * np.maximum(w[..., -1:], 0.0)] = 0.0
-    root = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return 0.5 * (root + root.conj().swapaxes(-1, -2))
+    return np.sqrt(w), v
 
 
 def kron(a, b) -> np.ndarray:

@@ -114,12 +114,39 @@ class LocalSkewObjective:
         else:
             self.marginal = partial_trace(rho_ab.matrix, dims, "A")
             self.cross = np.einsum("xpyq,yrxs->pqrs", s, s)
+        # I(K) = vec(K)^T form vec(K): Tr(M K^2) pairs K_jk with K_ki
+        # through M_ij, and the cross term pairs K_qr with K_sp through C_pqrs.
+        n2 = self.n * self.n
+        form = np.einsum("ij,kl->jkli", self.marginal, np.eye(self.n)).reshape(n2, n2)
+        form -= self.cross.transpose(1, 2, 3, 0).reshape(n2, n2)
+        self.form = 0.5 * (form + form.T)
 
     def skew(self, k: np.ndarray) -> float:
-        """I(rho_AB, K embedded on this side), without clamping."""
-        t1 = np.trace(self.marginal @ k @ k).real
-        t2 = np.einsum("pqrs,qr,sp->", self.cross, k, k).real
-        return t1 - t2
+        """I(rho_AB, K embedded on this side), without clamping.
+
+        I = Tr(M K^2) - sum C_pqrs K_qr K_sp for the marginal M and the cross
+        tensor C, the quadratic form of the symmetric matrix ``form`` in vec(K).
+        """
+        vec = k.ravel()
+        return float((vec @ (self.form @ vec)).real)
+
+    def eigenbasis_cost(self, u: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray]:
+        """The skew information at K = U diag(lam) U^dagger and its Riemannian
+        gradient in U (the contract of ``optim.minimize_over_unitaries``).
+
+        With vec(B) = form vec(K), dI = Tr(D dK) for D = 2 B^T, which is
+        KM + MK - 2 A^T with A_qr = sum_ps C_pqrs K_sp (the cross term is
+        symmetric in its two K). Along U exp(t Omega), dK = U [Omega, Lambda]
+        U^dagger, so with H = U^dagger D U the derivative is
+        Tr([Lambda, H] Omega) and the gradient is [H, Lambda]:
+        H_ij (lam_j - lam_i), zero on the diagonal.
+        """
+        uh = u.conj().T
+        vec = ((u * lam) @ uh).ravel()
+        b = self.form @ vec
+        h = uh @ b.reshape(self.n, self.n).T @ u
+        h = h + h.conj().T  # U^dagger D U, made exactly Hermitian
+        return float((vec @ b).real), h * (lam[None, :] - lam[:, None])
 
 
 @dataclass
@@ -145,12 +172,13 @@ def lqu(
     On a 2-level side the minimum has a closed form (see ``_lqu_qubit``): the
     value is exact, ``restarts_used`` is 0, and ``opts``, ``seeds`` and ``rng``
     are not used (no draws are taken from ``rng``). On a larger side it runs
-    the restarted simplex search over eigenbases U, evaluating
-    I(rho_AB, U diag(spectrum) U† on the chosen side). Caller-supplied
-    seed observables contribute their eigenbases as the first restart
-    points; the remaining restarts are Haar draws from ``rng`` (a fixed
-    internal stream when omitted, so results are reproducible). The
-    searched value is an upper bound on the true minimum.
+    ``_lqu_search``, a restarted gradient descent over the eigenbases U of
+    K = U diag(spectrum) U† on the chosen side. Caller-supplied seed
+    observables contribute their eigenbases as the first restart points;
+    the remaining restarts are Haar draws from ``rng`` (a fixed internal
+    stream when omitted, so results are reproducible). The searched value
+    is an upper bound on the true minimum, never above the value at the
+    first seed.
     """
     lam = check_spectrum(spectrum)
     n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
@@ -172,16 +200,17 @@ def _lqu_search(
     seeds: tuple[NondegenerateObservable, ...] = (),
     rng: np.random.Generator | None = None,
 ) -> LquResult:
-    """LQU by restarted simplex search over the eigenbases of the side's
-    observables with the ascending spectrum ``lam``, on a side of any size."""
+    """LQU by restarted gradient descent over the eigenbases of the side's
+    observables with the ascending spectrum ``lam``, on a side of any size.
+
+    Each restart follows ``LocalSkewObjective.eigenbasis_cost`` downhill
+    along geodesics of the unitary group for at most ``opts.max_iters``
+    accepted steps; restarts stop early once the value reaches
+    ``LQU_FLOOR``.
+    """
     obj = LocalSkewObjective(rho_ab, side)
-
-    def cost(u: np.ndarray) -> float:
-        k = (u * lam) @ u.conj().T
-        return obj.skew(k)
-
     best = minimize_over_unitaries(
-        cost,
+        lambda u: obj.eigenbasis_cost(u, lam),
         lam.size,
         opts or OptimizerOptions(),
         seed_unitaries=[s.eigenbasis for s in seeds],

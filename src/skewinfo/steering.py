@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
-from .linalg import sqrtm_psd
-from .metrics import ObservableLike, _obs_matrix, _skew_with_root, skew_information
+from .linalg import psd_sqrt_eigh, sqrtm_psd
+from .metrics import ObservableLike, _obs_matrix, skew_information
 from .optim import OptimizerOptions, minimize_over_unitaries
 from .states import UNITARY_TOL, BipartiteState, DensityMatrix
 
@@ -87,18 +87,70 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     return SteeringEnsemble(outcomes, np.flatnonzero(~kept).tolist())
 
 
-def _steered_skew(rho_ab: BipartiteState, u: np.ndarray, km: np.ndarray) -> float:
-    """Steered skew-information sum for the basis given by the columns of ``u``."""
-    p, kept, m = _condition(rho_ab, u)
-    return float(np.sum(p[kept] * _skew_with_root(m, sqrtm_psd(m), km)))
-
-
 def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> float:
     """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) for the
     basis given by the columns of ``u``."""
     p, kept, m = _condition(rho_ab, u)
     tr = np.einsum("ibb->i", sqrtm_psd(m)).real
     return float(np.sum(p[kept] * (rho_ab.n_b - tr * tr)))
+
+
+def _basis_gradient(
+    rho_ab: BipartiteState, u: np.ndarray, kept: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """Riemannian gradient in ``u`` of const - sum_i h(c_i), where
+    c_i = <u_i|rho|u_i> is the unnormalized conditional state of B and
+    dh = Tr(Gamma_i dc_i) with Gamma_i the Daleckii-Krein map of W_i.
+
+    ``sw`` and ``v`` are the root eigenvalues and eigenvectors of the kept
+    normalized conditionals, and ``w`` holds W_i in that eigenbasis:
+    Gamma_i = V (W_i / (sqrt(l_j) + sqrt(l_k))) V^dagger, taken as 0 where
+    the denominator is 0. Gamma_i does not change when c_i is rescaled, so
+    the normalized states serve. Along U exp(t Omega), dc_i =
+    sum_j (Omega_ji R_ij - Omega_ij R_ji) with R_ij = <u_i|rho|u_j>, so the
+    gradient is T^dagger - T for T_ij = -Tr(Gamma_i R_ij).
+    """
+    s = sw[..., :, None] + sw[..., None, :]
+    gamma = v @ (w / np.where(s > 0.0, s, np.inf)) @ v.conj().swapaxes(-1, -2)
+    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
+    minus_t = np.zeros((rho_ab.n_a, rho_ab.n_a), dtype=np.complex128)
+    minus_t[kept] = np.einsum("ai,idb,abcd->ic", u[:, kept].conj(), gamma, r4) @ u
+    g = minus_t - minus_t.conj().T
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+def _skew_objective(rho_ab: BipartiteState, u: np.ndarray, km: np.ndarray) -> tuple[float, np.ndarray]:
+    """Steered skew-information sum for the basis given by the columns of
+    ``u``, and its Riemannian gradient.
+
+    In the eigenbasis of rho_i, with kappa = V^dagger K V and root
+    eigenvalues s, I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2.
+    With c_i unnormalized the sum is Tr(rho_B K^2) - sum_i
+    Tr(sqrt(c_i) K sqrt(c_i) K), whose derivative in c_i is the
+    Daleckii-Krein map of W = 2 K sqrt(c_i) K (see ``_basis_gradient``).
+    """
+    p, kept, m = _condition(rho_ab, u)
+    sw, v = psd_sqrt_eigh(m)
+    kappa = v.conj().swapaxes(-1, -2) @ km @ v
+    gap = sw[..., :, None] - sw[..., None, :]
+    value = 0.5 * float(np.sum(p[kept] * np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-2, -1))))
+    w = 2.0 * (kappa * sw[..., None, :]) @ kappa
+    return value, _basis_gradient(rho_ab, u, kept, sw, v, w)
+
+
+def _q_objective(rho_ab: BipartiteState, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """Steered total uncertainty (as ``_steered_q``) and its Riemannian gradient.
+
+    With c_i unnormalized the sum is n_B - sum_i (Tr sqrt(c_i))^2, whose
+    derivative in c_i is the Daleckii-Krein map of W = 2 Tr(sqrt(c_i)) I.
+    """
+    p, kept, m = _condition(rho_ab, u)
+    sw, v = psd_sqrt_eigh(m)
+    tr = sw.sum(axis=-1)
+    value = float(np.sum(p[kept] * (rho_ab.n_b - tr * tr)))
+    w = 2.0 * tr[:, None, None] * np.eye(rho_ab.n_b, dtype=np.complex128)
+    return value, _basis_gradient(rho_ab, u, kept, sw, v, w)
 
 
 def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
@@ -131,13 +183,19 @@ class SteeringSearchResult:
 
 
 def _maximize(
-    gain: Callable[[np.ndarray], float],
+    gain: Callable[[np.ndarray], tuple[float, np.ndarray]],
     n_a: int,
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
 ) -> SteeringSearchResult:
-    """Maximize ``gain`` over the unitaries whose columns are A's measurement bases."""
-    best = minimize_over_unitaries(lambda u: -gain(u), n_a, opts or OptimizerOptions(), rng=rng)
+    """Maximize ``gain`` over the unitaries whose columns are A's measurement
+    bases; ``gain`` returns its value and Riemannian gradient."""
+
+    def loss(u: np.ndarray) -> tuple[float, np.ndarray]:
+        value, g = gain(u)
+        return -value, -g
+
+    best = minimize_over_unitaries(loss, n_a, opts or OptimizerOptions(), rng=rng)
     return SteeringSearchResult(
         value=-best.value,
         maximizer=MeasurementBasis(best.unitary),
@@ -156,7 +214,7 @@ def steering_induced_skew(
     km = _obs_matrix(k_b)
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    return _maximize(lambda u: _steered_skew(rho_ab, u, km), rho_ab.n_a, opts, rng)
+    return _maximize(lambda u: _skew_objective(rho_ab, u, km), rho_ab.n_a, opts, rng)
 
 
 def average_steering_induced_q(
@@ -165,4 +223,4 @@ def average_steering_induced_q(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered total-uncertainty sum over A's measurement bases."""
-    return _maximize(lambda u: _steered_q(rho_ab, u), rho_ab.n_a, opts, rng)
+    return _maximize(lambda u: _q_objective(rho_ab, u), rho_ab.n_a, opts, rng)

@@ -172,7 +172,7 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_lqu_cross_oracle():
-    # the Nelder-Mead search (what lqu runs on larger sides) against the
+    # the gradient search (what lqu runs on larger sides) against the
     # closed form that lqu takes on a qubit side
     budget = Budget(300.0)
     rng = stream(1004, 0)

@@ -179,6 +179,38 @@ def test_parse_mode_rejected_outside_claim2():
         parse_args("verify claim2 --mode best_K".split())
 
 
+def test_parse_flags_rejected_where_no_command_reads_them():
+    # each flag below is read by the listed commands only; elsewhere it
+    # would be silently ignored, so it is a usage error
+    readers = {
+        "--kraus 3": {"verify claim1"},
+        "--bases 5": {"verify avg"},
+        "--spectrum -1,1": {"skew", "lqu"},
+    }
+    commands = ("skew", "q", "lqu", "steer", "verify claim1", "verify claim2", "verify avg")
+    for flag, allowed in readers.items():
+        for command in commands:
+            argv = f"{command} {flag}".split()
+            if command in allowed:
+                parse_args(argv)
+            else:
+                with pytest.raises(UsageError, match=flag.split()[0]):
+                    parse_args(argv)
+    assert parse_args("verify claim1 --kraus 3".split()).kraus_count == 3
+    assert parse_args("verify avg --bases 5".split()).bases_per_trial == 5
+    assert parse_args(["verify", "claim1"]).bases_per_trial == 20  # unused default, not a flag
+
+
+def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
+    state = write(tmp_path, "bell.txt", BELL)
+    assert main("verify claim2 --trials 2 --kraus 3".split()) == 2
+    assert "--kraus applies only to verify claim1" in capsys.readouterr().err
+    assert main("verify claim1 --trials 2 --bases 5".split()) == 2
+    assert main(["q", "--state-file", state, "--spectrum", "-1,1"]) == 2
+    assert main(["steer", "--state-file", state, "--spectrum", "-1,1"]) == 2
+    assert "--spectrum applies only to skew and lqu" in capsys.readouterr().err
+
+
 def test_run_verify_defaults_to_harness_budget(capsys):
     assert main("verify claim1 --trials 2 --seed 3".split()) == 0
     out = capsys.readouterr().out

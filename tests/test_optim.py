@@ -1,11 +1,21 @@
-"""The phase-free unitary chart and the objectives' phase invariance."""
+"""The gradient search on U(n): the objectives' gradients, the geodesic step,
+the search's guarantees and the objectives' phase invariance."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewinfo import (
     BipartiteState,
     DensityMatrix,
+    OptimizerOptions,
     ginibre_state,
     haar_unitary,
     lqu,
@@ -16,30 +26,133 @@ from skewinfo import (
     stream,
 )
 from skewinfo.metrics import LocalSkewObjective
-from skewinfo.optim import antihermitian_from_params, unitary_exp
-from skewinfo.steering import _steered_skew
+from skewinfo.optim import geodesic, minimize_over_unitaries
+from skewinfo.steering import _q_objective, _skew_objective
+
+DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+FD_STEP = 1e-5
+
+
+def random_antihermitian(n, rng):
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return 0.5 * (z - z.conj().T)
+
+
+def central_difference(f, u, omega):
+    """d/dt f(U exp(t Omega)) at t = 0, with the exponential taken by scipy."""
+    step = scipy.linalg.expm(FD_STEP * omega)
+    return (f(u @ step) - f(u @ step.conj().T)) / (2.0 * FD_STEP)
+
+
+def pure_steered_skew(psi, dims, u, km):
+    """Steered skew-information sum of a pure joint state: every conditional
+    state is pure, where skew information is the variance. Unlike the search
+    objective it takes no square root, so it has no eigensolver noise."""
+    total = 0.0
+    for phi in u.conj().T @ psi.reshape(dims):  # unnormalized conditionals of B
+        p = np.vdot(phi, phi).real
+        total += np.vdot(phi, km @ km @ phi).real - np.vdot(phi, km @ phi).real ** 2 / p
+    return total
+
+
+def assert_gradient(objective, n, rng, reference=None):
+    """G is antihermitian with a zero diagonal, and Re Tr(G† Omega) is the
+    derivative of ``reference`` (default: the objective's own value) along
+    U exp(t Omega) for random antihermitian Omega."""
+    reference = reference or (lambda u: objective(u)[0])
+    for _ in range(5):
+        u = haar_unitary(n, rng)
+        omega = random_antihermitian(n, rng)
+        _, g = objective(u)
+        np.testing.assert_array_equal(g, -g.conj().T)
+        np.testing.assert_array_equal(np.diag(g), np.zeros(n))
+        predicted = np.vdot(g, omega).real
+        measured = central_difference(reference, u, omega)
+        assert abs(predicted - measured) <= 1e-6 * max(1.0, abs(measured)), (predicted, measured)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+@pytest.mark.parametrize("rank", [None, 1])
+def test_lqu_gradient_matches_central_difference(dims, rank, rng):
+    n_a, n_b = dims
+    state = BipartiteState(ginibre_state(n_a * n_b, rank=rank, rng=rng), n_a, n_b)
+    for side, n_side in (("A", n_a), ("B", n_b)):
+        obj = LocalSkewObjective(state, side)
+        lam = np.sort(rng.standard_normal(n_side))
+        assert_gradient(lambda u: obj.eigenbasis_cost(u, lam), n_side, rng)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_steering_gradients_match_central_difference(dims, rng):
+    n_a, n_b = dims
+    state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
+    km = random_nondegenerate_observable(n_b, rng=rng).matrix
+    assert_gradient(lambda u: _skew_objective(state, u, km), n_a, rng)
+    assert_gradient(lambda u: _q_objective(state, u), n_a, rng)
+
+
+@pytest.mark.parametrize("dims", DIMS)
+def test_steering_gradients_on_pure_states(dims, rng):
+    # the conditionals of a pure joint state are pure, so their roots carry
+    # eigensolver noise of ~1e-8; the gradients are checked against the
+    # noise-free variance form, and the steered Q is the constant n_B - 1
+    n_a, n_b = dims
+    psi = np.linalg.eigh(ginibre_state(n_a * n_b, rank=1, rng=rng).matrix)[1][:, -1]
+    state = BipartiteState(DensityMatrix(np.outer(psi, psi.conj())), n_a, n_b)
+    km = random_nondegenerate_observable(n_b, rng=rng).matrix
+    assert_gradient(
+        lambda u: _skew_objective(state, u, km), n_a, rng, reference=lambda u: pure_steered_skew(psi, dims, u, km)
+    )
+    assert_gradient(lambda u: _q_objective(state, u), n_a, rng, reference=lambda u: n_b - 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_antihermitian_from_params_is_zero_diagonal(n, rng):
-    theta = rng.standard_normal(n * (n - 1))
-    a = antihermitian_from_params(theta, n)
-    assert a.shape == (n, n)
-    np.testing.assert_array_equal(np.diag(a), np.zeros(n))
-    np.testing.assert_array_equal(a, -a.conj().T)
-    # every parameter lands in the strict upper triangle, row by row
-    np.testing.assert_array_equal(a[np.triu_indices(n, 1)], theta[0::2] + 1j * theta[1::2])
-    u = unitary_exp(a)
-    assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-12
+def test_geodesic_is_the_exponential_step(n, rng):
+    u = haar_unitary(n, rng)
+    g = random_antihermitian(n, rng)
+    path, rate = geodesic(u, g)
+    assert rate == pytest.approx(np.abs(np.linalg.eigvals(g)).max(), abs=1e-12)
+    for t in (0.0, 0.3, 2.0):
+        np.testing.assert_allclose(path(t), u @ scipy.linalg.expm(-t * g), atol=1e-12)
+    assert np.max(np.abs(path(1.0).conj().T @ path(1.0) - np.eye(n))) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.sampled_from(((2, 2), (2, 3), (3, 2))),
+    pure=st.booleans(),
+    kind=st.sampled_from(("lqu", "skew", "q")),
+)
+def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure, kind):
+    rng = stream(seed, 0)
+    n_a, n_b = dims
+    state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
+    if kind == "lqu":
+        obj = LocalSkewObjective(state, "A")
+        lam = np.sort(rng.standard_normal(n_a))
+        objective = lambda u: obj.eigenbasis_cost(u, lam)  # noqa: E731
+    elif kind == "skew":
+        km = random_nondegenerate_observable(n_b, rng=rng).matrix
+        objective = lambda u: _skew_objective(state, u, km)  # noqa: E731
+    else:
+        objective = lambda u: _q_objective(state, u)  # noqa: E731
+    seed_u = haar_unitary(n_a, rng)
+    result = minimize_over_unitaries(
+        objective, n_a, OptimizerOptions(restarts=2, tol=1e-7, max_iters=40), seed_unitaries=[seed_u], rng=rng
+    )
+    assert abs(result.value - objective(result.unitary)[0]) <= 1e-12
+    assert result.value <= objective(seed_u)[0]
+    assert 1 <= result.restarts_used <= 2
 
 
 def random_phases(n, rng):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("dims", DIMS)
 def test_objectives_ignore_column_phases(dims, rng):
-    # the chart's precondition: U and U·D give the same value for diagonal D
+    # the searches' premise: U and U·D give the same value for diagonal D
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     for side, n_side in (("A", n_a), ("B", n_b)):
@@ -49,18 +162,18 @@ def test_objectives_ignore_column_phases(dims, rng):
             u = haar_unitary(n_side, rng)
             ud = u * random_phases(n_side, rng)
             # the search cost of the LQU: I(rho, U diag(lam) U^dagger on the side)
-            assert abs(obj.skew((u * lam) @ u.conj().T) - obj.skew((ud * lam) @ ud.conj().T)) <= 1e-12
+            assert abs(obj.eigenbasis_cost(u, lam)[0] - obj.eigenbasis_cost(ud, lam)[0]) <= 1e-12
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     for _ in range(10):
         u = haar_unitary(n_a, rng)
         ud = u * random_phases(n_a, rng)
-        assert abs(_steered_skew(state, u, km) - _steered_skew(state, ud, km)) <= 1e-12
+        assert abs(_skew_objective(state, u, km)[0] - _skew_objective(state, ud, km)[0]) <= 1e-12
 
 
 def test_one_dimensional_side_evaluates_the_only_point():
     # a 1-dim side has no basis to choose, so the searches evaluate their base
-    # points; the values are those of the n^2-parameter chart, which ran the
-    # simplex along the phase
+    # points (the gradient is 0); the pinned values are those of the earlier
+    # simplex search over all n^2 chart parameters, which moved the phase only
     rng = stream(5, 0)
     state = BipartiteState(ginibre_state(3, rng=rng), 1, 3)
     k_b = random_nondegenerate_observable(3, rng=rng)
@@ -73,3 +186,13 @@ def test_one_dimensional_side_evaluates_the_only_point():
     local = lqu(state, np.array([0.5]), "A", rng=stream(5, 2))
     assert abs(local.value) <= 1e-12  # a multiple of the identity
     assert (local.restarts_used, local.converged) == (1, True)  # the floor stops the restarts
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, skewinfo; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -161,7 +161,8 @@ def test_steered_q_sum_matches_summed_oracle(rng):
 
 
 def _search_cost(search, monkeypatch, *args):
-    """The cost a steering maximization hands to the unitary search."""
+    """The cost a steering maximization hands to the unitary search: U to
+    (value, Riemannian gradient) of the negated gain."""
     captured = []
 
     def capture(cost, n, opts, rng=None):
@@ -182,7 +183,7 @@ def test_steering_cost_matches_steered_sum_on_pure_state(rng, monkeypatch):
         cost = _search_cost(steering_induced_skew, monkeypatch, state, k_b)
         for _ in range(10):
             u = haar_unitary(n_a, rng)
-            assert abs(-cost(u) - steered_skew_sum(state, MeasurementBasis(u), k_b)) <= 1e-12
+            assert abs(-cost(u)[0] - steered_skew_sum(state, MeasurementBasis(u), k_b)) <= 1e-12
 
 
 def test_steering_induced_skew_product_saturates(rng):
