@@ -42,6 +42,7 @@ from .rand import (
     commuting_kraus_channel,
     default_spectrum,
     ginibre_state,
+    haar_unitaries,
     haar_unitary,
     random_cptp,
     random_nondegenerate_observable,
@@ -108,6 +109,7 @@ __all__ = [
     "commuting_kraus_channel",
     "default_spectrum",
     "ginibre_state",
+    "haar_unitaries",
     "haar_unitary",
     "hermitian_eig",
     "kron",

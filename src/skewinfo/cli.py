@@ -54,13 +54,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--dim-a", type=int, default=2, metavar="N")
-    p.add_argument("--dim-b", type=int, default=2, metavar="N")
-    p.add_argument("--trials", type=int, default=1000, metavar="T")
+    p.add_argument("--dim-a", type=int, default=None, metavar="N")
+    p.add_argument("--dim-b", type=int, default=None, metavar="N")
+    p.add_argument("--trials", type=int, default=None, metavar="T")
     p.add_argument("--seed", type=int, default=42, metavar="SEED")
     p.add_argument("--spectrum", type=str, default=None, metavar="V1,V2,...")
     p.add_argument("--restarts", type=int, default=None, metavar="R")
-    p.add_argument("--tol", type=float, default=1e-7, metavar="TOL")
+    p.add_argument("--tol", type=float, default=None, metavar="TOL")
     p.add_argument("--kraus", type=int, default=None, metavar="J")
     p.add_argument("--bases", type=int, default=None, metavar="B")
     p.add_argument("--out", type=str, default=None, metavar="PATH")
@@ -115,24 +115,33 @@ def parse_args(argv: list[str]) -> RunConfig:
     ns = parser.parse_args(_join_spectrum_value(argv))
     command = ns.command if ns.command != "verify" else f"verify {ns.claim}"
     mode = getattr(ns, "mode", None)
+    verifiers = ("verify claim1", "verify claim2", "verify avg")
     for flag, value, readers in (
         ("--mode", mode, ("verify claim2",)),
         ("--kraus", ns.kraus, ("verify claim1",)),
         ("--bases", ns.bases, ("verify avg",)),
         ("--spectrum", ns.spectrum, ("skew", "lqu")),
+        ("--dim-a", ns.dim_a, verifiers),
+        ("--dim-b", ns.dim_b, verifiers),
+        ("--trials", ns.trials, verifiers),
+        ("--tol", ns.tol, verifiers),
+        ("--restarts", ns.restarts, ("lqu", "verify claim1", "verify claim2")),
+        ("--basis-file", ns.basis_file, ("skew",)),
+        ("--state-file", ns.state_file, ("skew", "q", "lqu", "steer")),
     ):
         if value is not None and command not in readers:
-            raise UsageError(f"{flag} applies only to {' and '.join(readers)}, not {command}")
+            names = f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1 else readers[0]
+            raise UsageError(f"{flag} applies only to {names}, not {command}")
     spectrum = None if ns.spectrum is None else _parse_spectrum(ns.spectrum)
     config = RunConfig(
         command=command,
-        n_a=ns.dim_a,
-        n_b=ns.dim_b,
-        trials=ns.trials,
+        n_a=RunConfig.n_a if ns.dim_a is None else ns.dim_a,
+        n_b=RunConfig.n_b if ns.dim_b is None else ns.dim_b,
+        trials=RunConfig.trials if ns.trials is None else ns.trials,
         spectrum=spectrum,
         restarts=ns.restarts,
         mode=mode or RunConfig.mode,
-        tol=ns.tol,
+        tol=RunConfig.tol if ns.tol is None else ns.tol,
         master_seed=ns.seed,
         kraus_count=RunConfig.kraus_count if ns.kraus is None else ns.kraus,
         bases_per_trial=RunConfig.bases_per_trial if ns.bases is None else ns.bases,

@@ -26,14 +26,28 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the R-diagonal phases fixed."""
+def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries stacked into ``(count, n, n)``,
+    via one stacked QR with each member's R-diagonal phases fixed.
+
+    Draws the real then the imaginary Gaussian block of each member in
+    turn, so the stack equals ``count`` successive ``haar_unitary`` draws
+    and leaves ``rng`` in the same state.
+    """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    if count < 1:
+        raise DimensionMismatch(f"count must be >= 1, got {count}")
+    g = rng.standard_normal((count, 2, n, n))
+    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary: one member of :func:`haar_unitaries`."""
+    return haar_unitaries(n, 1, rng)[0]
 
 
 def ginibre_state(n: int, rank: int | None = None, rng: np.random.Generator | None = None) -> DensityMatrix:

@@ -20,6 +20,16 @@ COMPLETENESS_TOL = 1e-8
 MIN_SPECTRAL_GAP = 1e-6
 
 
+def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
+    """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is
+    unitary within ``UNITARY_TOL``; otherwise raise ``InvalidState`` with
+    the caller's ``invariant`` label and the largest residual."""
+    res = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
+    if res > UNITARY_TOL:
+        raise InvalidState(invariant, res)
+    return u
+
+
 @dataclass
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix."""
@@ -112,10 +122,7 @@ class NondegenerateObservable:
         n = self.spectrum.size
         if u.shape != (n, n):
             raise DimensionMismatch(f"eigenbasis shape {u.shape} does not match spectrum size {n}")
-        res = float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
-        if res > UNITARY_TOL:
-            raise InvalidState("unitary eigenbasis", res)
-        self.eigenbasis = u
+        self.eigenbasis = require_unitary(u, "unitary eigenbasis")
 
     @property
     def matrix(self) -> np.ndarray:

@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh, sqrtm_psd
 from .metrics import ObservableLike, _obs_matrix, skew_information
 from .optim import OptimizerOptions, minimize_over_unitaries
-from .states import UNITARY_TOL, BipartiteState, DensityMatrix
+from .states import BipartiteState, DensityMatrix, require_unitary
 
 SKIP_EPS = 1e-12
 
@@ -33,10 +33,7 @@ class MeasurementBasis:
         u = np.asarray(self.unitary, dtype=np.complex128)
         if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise DimensionMismatch(f"basis unitary must be square, got {u.shape}")
-        res = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-        if res > UNITARY_TOL:
-            raise InvalidState("orthonormal columns", res)
-        self.unitary = u
+        self.unitary = require_unitary(u, "orthonormal columns")
 
     @property
     def dim(self) -> int:
@@ -57,17 +54,19 @@ class SteeringEnsemble:
 
 
 def _condition(rho_ab: BipartiteState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure A in the columns of ``u``.
+    """Measure A in the columns of ``u``, one basis or a ``(k, n_A, n_A)``
+    stack of them.
 
-    Returns the probabilities of all outcomes, a mask of the outcomes at or
-    above ``SKIP_EPS``, and the kept outcomes' normalized, Hermitized
-    conditional states of B stacked into a ``(kept, n_B, n_B)`` array.
+    Returns the probabilities of all outcomes (``(n_A,)``, or ``(k, n_A)``
+    for a stack), the mask of the outcomes at or above ``SKIP_EPS``, and
+    the kept outcomes' normalized, Hermitized conditional states of B
+    stacked basis by basis into one ``(kept, n_B, n_B)`` array.
     """
     r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-    cond = np.einsum("ai,abcd,ci->ibd", u.conj(), r4, u)
-    p = np.einsum("ibb->i", cond).real
+    cond = np.einsum("...ai,abcd,...ci->...ibd", u.conj(), r4, u)
+    p = np.einsum("...ibb->...i", cond).real
     kept = p >= SKIP_EPS
-    m = cond[kept] / p[kept, None, None]
+    m = cond[kept] / p[kept][:, None, None]
     return p, kept, 0.5 * (m + m.conj().swapaxes(1, 2))
 
 
@@ -87,12 +86,19 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     return SteeringEnsemble(outcomes, np.flatnonzero(~kept).tolist())
 
 
-def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> float:
-    """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) for the
-    basis given by the columns of ``u``."""
+def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> np.ndarray:
+    """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) for each
+    basis of a ``(k, n_A, n_A)`` stack, given by the columns of its members.
+
+    The kept conditionals of all bases share one ``sqrtm_psd`` call; skipped
+    outcomes add exact zeros, so each value is the sum over its kept
+    outcomes alone.
+    """
     p, kept, m = _condition(rho_ab, u)
     tr = np.einsum("ibb->i", sqrtm_psd(m)).real
-    return float(np.sum(p[kept] * (rho_ab.n_b - tr * tr)))
+    terms = np.zeros(p.shape)
+    terms[kept] = p[kept] * (rho_ab.n_b - tr * tr)
+    return terms.sum(axis=-1)
 
 
 def _basis_gradient(
@@ -166,7 +172,7 @@ def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
     """Probability-weighted total uncertainty of the steered states of B."""
     if theta.dim != rho_ab.n_a:
         raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
-    return _steered_q(rho_ab, theta.unitary)
+    return float(_steered_q(rho_ab, theta.unitary[None])[0])
 
 
 @dataclass

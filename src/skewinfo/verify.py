@@ -25,12 +25,12 @@ from .rand import (
     commuting_kraus_channel,
     default_spectrum,
     ginibre_state,
-    haar_unitary,
+    haar_unitaries,
     random_nondegenerate_observable,
     stream,
 )
-from .states import BipartiteState, DensityMatrix, Observable, apply_channel
-from .steering import MeasurementBasis, steered_q_sum, steering_induced_skew
+from .states import BipartiteState, DensityMatrix, Observable, apply_channel, require_unitary
+from .steering import _steered_q, steering_induced_skew
 
 DEFAULT_VIOLATION_TOL = 1e-7
 MONOTONICITY_TOL = 1e-8
@@ -269,9 +269,8 @@ def _avg_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bo
     n_a, n_b, bases_per_trial = params
     rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     rhs = q_local(rho_ab, "B")
-    lhs = max(
-        steered_q_sum(rho_ab, MeasurementBasis(haar_unitary(n_a, rng))) for _ in range(bases_per_trial)
-    )
+    bases = require_unitary(haar_unitaries(n_a, bases_per_trial, rng), "orthonormal columns")
+    lhs = float(np.max(_steered_q(rho_ab, bases)))
     return lhs, rhs, True
 
 

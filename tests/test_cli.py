@@ -182,10 +182,18 @@ def test_parse_mode_rejected_outside_claim2():
 def test_parse_flags_rejected_where_no_command_reads_them():
     # each flag below is read by the listed commands only; elsewhere it
     # would be silently ignored, so it is a usage error
+    verifiers = {"verify claim1", "verify claim2", "verify avg"}
     readers = {
         "--kraus 3": {"verify claim1"},
         "--bases 5": {"verify avg"},
         "--spectrum -1,1": {"skew", "lqu"},
+        "--dim-a 3": verifiers,
+        "--dim-b 3": verifiers,
+        "--trials 5": verifiers,
+        "--tol 1e-6": verifiers,
+        "--restarts 3": {"lqu", "verify claim1", "verify claim2"},
+        "--basis-file u.txt": {"skew"},
+        "--state-file rho.txt": {"skew", "q", "lqu", "steer"},
     }
     commands = ("skew", "q", "lqu", "steer", "verify claim1", "verify claim2", "verify avg")
     for flag, allowed in readers.items():
@@ -199,6 +207,14 @@ def test_parse_flags_rejected_where_no_command_reads_them():
     assert parse_args("verify claim1 --kraus 3".split()).kraus_count == 3
     assert parse_args("verify avg --bases 5".split()).bases_per_trial == 5
     assert parse_args(["verify", "claim1"]).bases_per_trial == 20  # unused default, not a flag
+    config = parse_args("verify avg --dim-a 3 --dim-b 4 --trials 5 --tol 1e-6".split())
+    assert (config.n_a, config.n_b, config.trials, config.tol) == (3, 4, 5, 1e-6)
+    config = parse_args(["skew"])  # unused defaults, not flags
+    assert (config.n_a, config.n_b, config.trials, config.tol, config.restarts) == (2, 2, 1000, 1e-7, None)
+    with pytest.raises(UsageError):
+        parse_args("verify avg --trials 0".split())
+    with pytest.raises(UsageError):
+        parse_args("verify claim1 --tol -1".split())
 
 
 def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
@@ -209,6 +225,12 @@ def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
     assert main(["q", "--state-file", state, "--spectrum", "-1,1"]) == 2
     assert main(["steer", "--state-file", state, "--spectrum", "-1,1"]) == 2
     assert "--spectrum applies only to skew and lqu" in capsys.readouterr().err
+    assert main(["q", "--state-file", state, "--trials", "5"]) == 2
+    assert main(["steer", "--state-file", state, "--basis-file", state]) == 2
+    assert main(["verify", "claim1", "--trials", "2", "--state-file", state]) == 2
+    assert main("verify avg --trials 2 --restarts 3".split()) == 2
+    err = capsys.readouterr().err
+    assert "--restarts applies only to lqu, verify claim1 and verify claim2, not verify avg" in err
 
 
 def test_run_verify_defaults_to_harness_budget(capsys):

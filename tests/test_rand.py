@@ -11,6 +11,7 @@ from skewinfo import (
     commuting_kraus_channel,
     default_spectrum,
     ginibre_state,
+    haar_unitaries,
     haar_unitary,
     kron,
     random_cptp,
@@ -42,6 +43,26 @@ def test_haar_columns_normalized():
 def test_haar_seed_reproducibility():
     np.testing.assert_allclose(haar_unitary(2, stream(7, 0)), HAAR_7_0_N2, atol=1e-15)
     np.testing.assert_array_equal(haar_unitary(2, stream(7, 0)), haar_unitary(2, stream(7, 0)))
+
+
+def test_haar_unitaries_equal_sequential_draws():
+    # one stacked draw is bit-identical to k successive single draws and
+    # consumes exactly the same part of the stream
+    for n in (1, 2, 3, 4):
+        for k in (1, 2, 7, 20):
+            single, stacked = stream(29, 10 * n + k), stream(29, 10 * n + k)
+            expected = np.array([haar_unitary(n, single) for _ in range(k)])
+            got = haar_unitaries(n, k, stacked)
+            assert got.shape == (k, n, n)
+            np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(stacked.standard_normal(4), single.standard_normal(4))
+
+
+def test_haar_unitaries_rejects_bad_sizes():
+    with pytest.raises(DimensionMismatch):
+        haar_unitaries(0, 3, stream(0, 0))
+    with pytest.raises(DimensionMismatch):
+        haar_unitaries(2, 0, stream(0, 0))
 
 
 def test_streams_differ_across_trial_index():

@@ -13,6 +13,7 @@ from skewinfo import (
     OptimizerOptions,
     average_steering_induced_q,
     ginibre_state,
+    haar_unitaries,
     haar_unitary,
     kron,
     q_local,
@@ -232,3 +233,31 @@ def test_maximizer_is_a_valid_basis(rng):
     result = steering_induced_skew(state, k_b, opts=FAST, rng=rng)
     # reconstructing from the returned maximizer reproduces the value
     assert steered_skew_sum(state, result.maximizer, k_b) == pytest.approx(result.value, abs=1e-9)
+
+
+def _skipping_states_and_bases(n_a, n_b, rng):
+    """A product state whose A part is the pure |0>, with a stack of bases in
+    which different members skip different outcomes (permutations move the
+    one nonzero outcome, Haar members skip none), and a pure joint state."""
+    e0 = np.zeros((n_a, n_a), dtype=complex)
+    e0[0, 0] = 1.0
+    product = BipartiteState(DensityMatrix(kron(e0, ginibre_state(n_b, rng=rng).matrix)), n_a, n_b)
+    pure = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
+    perms = [np.eye(n_a, dtype=complex)[:, np.roll(np.arange(n_a), s)] for s in range(n_a)]
+    bases = np.concatenate([np.array(perms), haar_unitaries(n_a, 5, rng)])
+    return (product, pure, BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)), bases
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (1, 3)])
+def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
+    n_a, n_b = dims
+    rng = stream(83, 10 * n_a + n_b)
+    states, bases = _skipping_states_and_bases(n_a, n_b, rng)
+    for state in states:
+        per_basis = np.array([steered_q_sum(state, MeasurementBasis(u)) for u in bases])
+        np.testing.assert_array_equal(steering._steered_q(state, bases), per_basis)
+    if n_a > 1:
+        # the product state really skips outcomes, and not the same ones in every basis
+        _, kept, _ = steering._condition(states[0], bases)
+        assert not kept.all()
+        assert len({tuple(row) for row in kept}) > 2

@@ -27,6 +27,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
+from skewinfo import verify
 from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_trial, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
@@ -94,6 +95,22 @@ def test_failed_trial_becomes_diagnostic_record():
     assert math.isnan(record.lhs) and math.isnan(record.rhs)
     assert not record.violated
     assert mono_ok
+
+
+def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
+    # the stacked harness still checks every basis it measures in
+    real = verify.haar_unitaries
+
+    def one_bad_member(n, count, rng):
+        bases = real(n, count, rng)
+        bases[count // 2] *= 1.001
+        return bases
+
+    monkeypatch.setattr(verify, "haar_unitaries", one_bad_member)
+    report, records = verify_avg_bound(trials=3, bases_per_trial=6, master_seed=4, workers=1)
+    assert report.failed == 3 and report.violations == 0
+    assert all(math.isnan(r.lhs) for r in records)
+    assert all(msg.startswith("InvalidState: ") and "orthonormal columns" in msg for _, msg in report.failures)
 
 
 def test_workers_do_not_change_reports(tmp_path):
