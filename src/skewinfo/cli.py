@@ -57,14 +57,14 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--dim-a", type=int, default=None, metavar="N")
     p.add_argument("--dim-b", type=int, default=None, metavar="N")
     p.add_argument("--trials", type=int, default=None, metavar="T")
-    p.add_argument("--seed", type=int, default=42, metavar="SEED")
+    p.add_argument("--seed", type=int, default=None, metavar="SEED")
     p.add_argument("--spectrum", type=str, default=None, metavar="V1,V2,...")
     p.add_argument("--restarts", type=int, default=None, metavar="R")
     p.add_argument("--tol", type=float, default=None, metavar="TOL")
     p.add_argument("--kraus", type=int, default=None, metavar="J")
     p.add_argument("--bases", type=int, default=None, metavar="B")
     p.add_argument("--out", type=str, default=None, metavar="PATH")
-    p.add_argument("--format", type=str, default="json", choices=("json", "csv"))
+    p.add_argument("--format", type=str, default=None, choices=("json", "csv"))
     p.add_argument("--state-file", type=str, default=None, metavar="PATH")
     p.add_argument("--basis-file", type=str, default=None, metavar="PATH")
 
@@ -128,6 +128,8 @@ def parse_args(argv: list[str]) -> RunConfig:
         ("--restarts", ns.restarts, ("lqu", "verify claim1", "verify claim2")),
         ("--basis-file", ns.basis_file, ("skew",)),
         ("--state-file", ns.state_file, ("skew", "q", "lqu", "steer")),
+        ("--seed", ns.seed, ("lqu", "steer") + verifiers),
+        ("--format", ns.format, verifiers),
     ):
         if value is not None and command not in readers:
             names = f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1 else readers[0]
@@ -142,7 +144,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         restarts=ns.restarts,
         mode=mode or RunConfig.mode,
         tol=RunConfig.tol if ns.tol is None else ns.tol,
-        master_seed=ns.seed,
+        master_seed=RunConfig.master_seed if ns.seed is None else ns.seed,
         kraus_count=RunConfig.kraus_count if ns.kraus is None else ns.kraus,
         bases_per_trial=RunConfig.bases_per_trial if ns.bases is None else ns.bases,
         out_path=ns.out,

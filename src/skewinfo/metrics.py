@@ -172,13 +172,13 @@ def lqu(
     On a 2-level side the minimum has a closed form (see ``_lqu_qubit``): the
     value is exact, ``restarts_used`` is 0, and ``opts``, ``seeds`` and ``rng``
     are not used (no draws are taken from ``rng``). On a larger side it runs
-    ``_lqu_search``, a restarted gradient descent over the eigenbases U of
-    K = U diag(spectrum) U† on the chosen side. Caller-supplied seed
-    observables contribute their eigenbases as the first restart points;
-    the remaining restarts are Haar draws from ``rng`` (a fixed internal
-    stream when omitted, so results are reproducible). The searched value
-    is an upper bound on the true minimum, never above the value at the
-    first seed.
+    ``_lqu_search``, a restarted conjugate-gradient descent over the
+    eigenbases U of K = U diag(spectrum) U† on the chosen side.
+    Caller-supplied seed observables contribute their eigenbases as the
+    first restart points; the remaining restarts are Haar draws from ``rng``
+    (a fixed internal stream when omitted, so results are reproducible).
+    The searched value is an upper bound on the true minimum, never above
+    the value at the first seed.
     """
     lam = check_spectrum(spectrum)
     n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
@@ -200,8 +200,9 @@ def _lqu_search(
     seeds: tuple[NondegenerateObservable, ...] = (),
     rng: np.random.Generator | None = None,
 ) -> LquResult:
-    """LQU by restarted gradient descent over the eigenbases of the side's
-    observables with the ascending spectrum ``lam``, on a side of any size.
+    """LQU by restarted conjugate-gradient descent over the eigenbases of the
+    side's observables with the ascending spectrum ``lam``, on a side of any
+    size.
 
     Each restart follows ``LocalSkewObjective.eigenbasis_cost`` downhill
     along geodesics of the unitary group for at most ``opts.max_iters``

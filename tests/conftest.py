@@ -112,19 +112,21 @@ def gell_mann_basis(n: int) -> ObservableBasis:
     return ObservableBasis([Observable(m) for m in mats])
 
 
-def summed_skew(rho: np.ndarray, ops) -> float:
+def summed_skew(rho: np.ndarray, ops, root: np.ndarray | None = None) -> float:
     """Sum over ops X of the skew information Tr(rho X^2) - Tr(sqrt(rho) X sqrt(rho) X),
-    with the root taken by scipy."""
-    root = oracle_sqrtm(rho)
+    with the root taken by scipy unless the exact root is given."""
+    root = oracle_sqrtm(rho) if root is None else root
     return sum(np.trace(rho @ x @ x).real - np.trace(root @ x @ root @ x).real for x in ops)
 
 
-def summed_q_total(rho: np.ndarray, basis: ObservableBasis) -> float:
+def summed_q_total(rho: np.ndarray, basis: ObservableBasis, root: np.ndarray | None = None) -> float:
     """Total uncertainty by its definition: skew information summed over the basis."""
-    return summed_skew(rho, basis.matrices())
+    return summed_skew(rho, basis.matrices(), root)
 
 
-def summed_q_local(rho: np.ndarray, dims: tuple[int, int], side: str, basis: ObservableBasis) -> float:
+def summed_q_local(
+    rho: np.ndarray, dims: tuple[int, int], side: str, basis: ObservableBasis, root: np.ndarray | None = None
+) -> float:
     """Local-observable content by its definition: skew information summed over
     the basis of the named side, embedded next to the identity on the other."""
     n_a, n_b = dims
@@ -132,7 +134,7 @@ def summed_q_local(rho: np.ndarray, dims: tuple[int, int], side: str, basis: Obs
         ops = [np.kron(x, np.eye(n_b)) for x in basis.matrices()]
     else:
         ops = [np.kron(np.eye(n_a), x) for x in basis.matrices()]
-    return summed_skew(rho, ops)
+    return summed_skew(rho, ops, root)
 
 
 @pytest.fixture

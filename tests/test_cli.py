@@ -194,6 +194,9 @@ def test_parse_flags_rejected_where_no_command_reads_them():
         "--restarts 3": {"lqu", "verify claim1", "verify claim2"},
         "--basis-file u.txt": {"skew"},
         "--state-file rho.txt": {"skew", "q", "lqu", "steer"},
+        "--seed 7": {"lqu", "steer"} | verifiers,
+        "--format csv": verifiers,
+        "--format json": verifiers,
     }
     commands = ("skew", "q", "lqu", "steer", "verify claim1", "verify claim2", "verify avg")
     for flag, allowed in readers.items():
@@ -231,6 +234,20 @@ def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
     assert main("verify avg --trials 2 --restarts 3".split()) == 2
     err = capsys.readouterr().err
     assert "--restarts applies only to lqu, verify claim1 and verify claim2, not verify avg" in err
+
+
+def test_seed_and_format_take_their_defaults_after_the_check(tmp_path, capsys):
+    assert parse_args(["lqu"]).master_seed == 42
+    assert parse_args("steer --seed 7".split()).master_seed == 7
+    assert parse_args("verify avg --format json".split()).out_format == "json-lines"
+    assert parse_args("verify avg --format csv".split()).out_format == "csv"
+    state = write(tmp_path, "m.txt", MIXED_2)
+    assert main(["skew", "--state-file", state, "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "--seed applies only to lqu, steer, verify claim1, verify claim2 and verify avg, not skew" in err
+    assert main(["q", "--state-file", state, "--out", str(tmp_path / "q.txt"), "--format", "csv"]) == 2
+    assert "--format applies only to verify claim1, verify claim2 and verify avg, not q" in capsys.readouterr().err
+    assert not (tmp_path / "q.txt").exists()
 
 
 def test_run_verify_defaults_to_harness_budget(capsys):

@@ -1,5 +1,5 @@
 """The gradient search on U(n): the objectives' gradients, the geodesic step,
-the search's guarantees and the objectives' phase invariance."""
+the search's guarantees and quality, and the objectives' phase invariance."""
 
 import os
 import subprocess
@@ -25,6 +25,7 @@ from skewinfo import (
     steering_induced_skew,
     stream,
 )
+from skewinfo import optim
 from skewinfo.metrics import LocalSkewObjective
 from skewinfo.optim import geodesic, minimize_over_unitaries
 from skewinfo.steering import _q_objective, _skew_objective
@@ -144,6 +145,93 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     assert abs(result.value - objective(result.unitary)[0]) <= 1e-12
     assert result.value <= objective(seed_u)[0]
     assert 1 <= result.restarts_used <= 2
+
+
+def brockett(m, lam):
+    """f(U) = Re Tr(M U diag(lam) U†) and its Riemannian gradient [U†MU, diag(lam)],
+    which has a zero diagonal. Its minimum is sum(lam ascending * eig(M) descending)
+    (rearrangement inequality)."""
+
+    def objective(u):
+        a = u.conj().T @ m @ u
+        a = 0.5 * (a + a.conj().T)
+        return float(np.diag(a).real @ lam), a * lam - lam[:, None] * a
+
+    return objective
+
+
+class Recorder:
+    """Wraps an objective and the search's geodesic: records every evaluation,
+    and per step the value and gradient at the base point and the direction."""
+
+    def __init__(self, objective, monkeypatch):
+        self.objective = objective
+        self.evals = []
+        self.steps = []
+        monkeypatch.setattr(optim, "geodesic", self.geodesic)
+
+    def __call__(self, u):
+        value, g = self.objective(u)
+        self.evals.append((u, value, g))
+        return value, g
+
+    def geodesic(self, u, h):
+        _, value, g = next(e for e in reversed(self.evals) if e[0] is u)
+        if self.steps and self.steps[-1][1] is g:  # G after a conjugate direction that gained nothing
+            self.steps[-1] = (value, g, h)
+        else:
+            self.steps.append((value, g, h))
+        return geodesic(u, h)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_search_reaches_the_brockett_minimum(n, monkeypatch):
+    rng = stream(n, 7)
+    for _ in range(5):
+        mu = rng.standard_normal(n)  # Haar eigenbasis, distinct eigenvalues
+        v = haar_unitary(n, rng)
+        m = (v * mu) @ v.conj().T
+        lam = np.sort(rng.standard_normal(n))
+        minimum = lam @ np.sort(mu)[::-1]
+        rec = Recorder(brockett(m, lam), monkeypatch)
+        result = minimize_over_unitaries(rec, n, OptimizerOptions(restarts=2, tol=1e-12, max_iters=500), rng=rng)
+        assert abs(result.value - minimum) <= 1e-9
+        assert result.converged
+        # one restart from a fresh start: every accepted step lowers the value
+        rec.steps.clear()
+        value, u = optim._descend(rec, haar_unitary(n, rng), 500, 1e-14)
+        base_values = [step[0] for step in rec.steps]
+        assert all(b < a for a, b in zip(base_values, base_values[1:]))
+        assert value <= base_values[-1]
+        assert abs(value - minimum) <= 1e-9
+        # the restart ends on a steepest-descent step, never on a conjugate direction
+        _, g, h = rec.steps[-1]
+        assert h is g
+
+
+def test_conjugate_direction_resets_to_the_gradient(monkeypatch):
+    # n = 2 with M = sigma_z and lam = (-1, 1): f = -2 n_z for the Bloch vector
+    # n of U's first column, and a zero-diagonal geodesic turns n along a great
+    # circle. From 60 degrees off the minimizer the first trial step (a half
+    # turn) rises and is halved; the quarter turn overshoots to 30 degrees past
+    # it, where the gradient points back (G1 = -c G0). There PR+ gives
+    # beta > 0 and G1 + beta G0 an uphill direction, so H must restart from G1.
+    lam = np.array([-1.0, 1.0])
+    rec = Recorder(brockett(np.diag([1.0, -1.0]).astype(complex), lam), monkeypatch)
+    theta = np.pi / 3
+    u0 = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
+    value, _ = optim._descend(rec, u0, 50, 1e-14)
+
+    (v0, g0, h0), (v1, g1, h1) = rec.steps[:2]
+    assert (v0, v1) == pytest.approx((-1.0, -np.sqrt(3.0)), abs=1e-12)
+    np.testing.assert_array_equal(h0, g0)
+    beta = np.vdot(g1 - g0, g1).real / np.vdot(g0, g0).real
+    assert beta > 0.0
+    assert np.vdot(g1, g1 + beta * h0).real < 0.0  # the conjugate direction is uphill
+    np.testing.assert_array_equal(h1, g1)  # so the search walks the gradient instead
+    base_values = [step[0] for step in rec.steps]
+    assert all(b < a for a, b in zip(base_values, base_values[1:]))
+    assert value == pytest.approx(-2.0, abs=1e-9)
 
 
 def random_phases(n, rng):
