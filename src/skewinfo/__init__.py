@@ -31,7 +31,6 @@ from .linalg import (
 from .metrics import (
     LquResult,
     lqu,
-    lqu_2xd,
     q_local,
     q_total,
     skew_information,
@@ -114,7 +113,6 @@ __all__ = [
     "hermitian_eig",
     "kron",
     "lqu",
-    "lqu_2xd",
     "partial_trace",
     "q_local",
     "q_total",

@@ -303,11 +303,11 @@ def _run_steer(config: RunConfig) -> int:
         raise UsageError("steer requires a bipartite state file with a 'dims: nA nB' header")
     basis = MeasurementBasis(haar_unitary(state.n_a, stream(config.master_seed, 0)))
     ensemble = steer(state, basis)
-    lines = [f"outcomes = {len(ensemble.outcomes)}", f"skipped = {len(ensemble.skipped)}"]
-    for idx, (p, rho_i) in enumerate(ensemble.outcomes):
-        purity = np.trace(rho_i.matrix @ rho_i.matrix).real
+    lines = [f"outcomes = {len(ensemble.probabilities)}", f"skipped = {len(ensemble.skipped)}"]
+    for idx, (p, rho_i) in enumerate(zip(ensemble.probabilities, ensemble.states)):
+        purity = np.trace(rho_i @ rho_i).real
         lines.append(f"outcome {idx}: p = {p:.6f}, purity = {purity:.6f}")
-        for row in rho_i.matrix:
+        for row in rho_i:
             lines.append("  " + " ".join(f"{z.real:+.6f}{z.imag:+.6f}j" for z in row))
     _emit(lines, config)
     return 0

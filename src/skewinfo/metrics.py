@@ -28,19 +28,11 @@ LQU_FLOOR = 1e-11
 
 ObservableLike = Union[Observable, NondegenerateObservable]
 
-_PAULI = (
-    np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    np.array([[1, 0], [0, -1]], dtype=np.complex128),
-)
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 
 def _clamp(value: float) -> float:
     return 0.0 if -CLAMP_WINDOW <= value < 0.0 else value
-
-
-def _obs_matrix(x: ObservableLike) -> np.ndarray:
-    return x.matrix
 
 
 def _skew_with_root(rho: np.ndarray, root: np.ndarray, x: np.ndarray):
@@ -58,7 +50,7 @@ def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
     Zero iff sqrt(rho) and x commute; bounded above by the variance and
     equal to it on pure states. Values in [-1e-10, 0) are clamped to 0.
     """
-    xm = _obs_matrix(x)
+    xm = x.matrix
     if xm.shape[0] != rho.dim:
         raise DimensionMismatch(f"observable dim {xm.shape[0]} vs state dim {rho.dim}")
     root = sqrtm_psd(rho.matrix)
@@ -67,7 +59,7 @@ def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
 
 def variance(rho: DensityMatrix, x: ObservableLike) -> float:
     """Tr(rho X^2) - (Tr rho X)^2."""
-    xm = _obs_matrix(x)
+    xm = x.matrix
     if xm.shape[0] != rho.dim:
         raise DimensionMismatch(f"observable dim {xm.shape[0]} vs state dim {rho.dim}")
     mean = np.trace(rho.matrix @ xm).real
@@ -96,7 +88,8 @@ def q_local(rho_ab: BipartiteState, side: Side) -> float:
 
 
 class LocalSkewObjective:
-    """Fast evaluator of I(rho_AB, K ⊗ I) (or I ⊗ K) over local observables K.
+    """I(rho_AB, K ⊗ I) (or I ⊗ K) as a quadratic form in the local observable
+    K: the model behind both the LQU search and the qubit-side closed form.
 
     Precomputes the reduced state and a rank-4 contraction of the state's
     square root so each evaluation touches only side-local matrices.
@@ -169,10 +162,10 @@ def lqu(
 ) -> LquResult:
     """Minimize skew information over side-local observables with fixed spectrum.
 
-    On a 2-level side the minimum has a closed form (see ``_lqu_qubit``): the
-    value is exact, ``restarts_used`` is 0, and ``opts``, ``seeds`` and ``rng``
-    are not used (no draws are taken from ``rng``). On a larger side it runs
-    ``_lqu_search``, a restarted conjugate-gradient descent over the
+    On a 2-level side the minimum is the closed form ``_lqu_qubit`` on the
+    local skew form: the value is exact, ``restarts_used`` is 0, and ``opts``,
+    ``seeds`` and ``rng`` are unused (no draws are taken from ``rng``). On a
+    larger side it runs ``_lqu_search``, a restarted conjugate-gradient descent over the
     eigenbases U of K = U diag(spectrum) U† on the chosen side.
     Caller-supplied seed observables contribute their eigenbases as the
     first restart points; the remaining restarts are Haar draws from ``rng``
@@ -231,35 +224,22 @@ def _lqu_qubit(rho_ab: BipartiteState, lam: np.ndarray, side: Side) -> LquResult
 
     Every such observable is K = (a+b)/2 I + (b-a)/2 n·sigma for a unit
     vector n, and the identity part commutes with the state's root, so
-    I(rho_AB, K_S) = ((b-a)/2)^2 (1 - n^T W n) with the real symmetric
-    W_ij = Tr[sqrt(rho) sigma_i^S sqrt(rho) sigma_j^S]. The minimum is
-    ((b-a)/2)^2 (1 - lambda_max(W)) at the top eigenvector of W (Girolami,
-    Tufarelli, Adesso, PRL 110, 240402, 2013).
+    I(rho_AB, K_S) = ((b-a)/2)^2 n^T Q n, with Q the real symmetric block
+    Q_ij = Re vec(sigma_i)^T form vec(sigma_j) of ``LocalSkewObjective.form``
+    on the Pauli directions. The minimum is ((b-a)/2)^2 lambda_min(Q) at the
+    bottom eigenvector of Q: the closed form of Girolami, Tufarelli, Adesso
+    (PRL 110, 240402, 2013), whose W_ij = Tr[sqrt(rho) sigma_i sqrt(rho)
+    sigma_j] is 1 - Q.
     """
-    eye = np.eye(rho_ab.n_b if side == "A" else rho_ab.n_a)
-    sigma = np.stack([np.kron(p, eye) if side == "A" else np.kron(eye, p) for p in _PAULI])
-    rs = sqrtm_psd(rho_ab.matrix) @ sigma
-    w = np.einsum("iab,jba->ij", rs, rs).real
-    w_eigs, w_vecs = np.linalg.eigh(0.5 * (w + w.T))
+    paulis = _PAULI.reshape(3, 4)
+    q = (paulis @ LocalSkewObjective(rho_ab, side).form @ paulis.T).real
+    q_eigs, q_vecs = np.linalg.eigh(0.5 * (q + q.T))
     # n·sigma has eigenvalues -1, +1 in ascending order, like the spectrum
-    _, basis = np.linalg.eigh(np.einsum("i,ijk->jk", w_vecs[:, -1], _PAULI))
+    _, basis = np.linalg.eigh(np.einsum("i,ijk->jk", q_vecs[:, 0], _PAULI))
     half_gap = 0.5 * (lam[1] - lam[0])
     return LquResult(
-        value=_clamp(half_gap * half_gap * (1.0 - float(w_eigs[-1]))),
+        value=_clamp(half_gap * half_gap * float(q_eigs[0])),
         minimizer=NondegenerateObservable(lam, basis),
         restarts_used=0,
         converged=True,
     )
-
-
-def lqu_2xd(rho_ab: BipartiteState) -> float:
-    """Closed-form local quantum uncertainty for 2 x d states, spectrum {-1, +1}.
-
-    Returns 1 - lambda_max(W) with W_ij = Tr[sqrt(rho) (sigma_i ⊗ I)
-    sqrt(rho) (sigma_j ⊗ I)] over the three Pauli directions, clamped
-    to [0, 1 + 1e-9].
-    """
-    if rho_ab.n_a != 2:
-        raise DimensionMismatch(f"closed form needs n_A = 2, got {rho_ab.n_a}")
-    value = _lqu_qubit(rho_ab, np.array([-1.0, 1.0]), "A").value
-    return min(max(value, 0.0), 1.0 + 1e-9)

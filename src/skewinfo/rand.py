@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch
+from .errors import DimensionMismatch
 from .states import (
     DensityMatrix,
     KrausChannel,
@@ -112,8 +112,7 @@ def commuting_kraus_channel(
     family is exactly the commutant of K ⊗ I_B intersected with Kraus
     sets, so commutation holds by construction.
     """
-    if k_obs.spectrum.size > 1 and float(np.min(np.diff(k_obs.spectrum))) < 1e-6:
-        raise DegenerateSpectrum("observable spectrum is degenerate")
+    check_spectrum(k_obs.spectrum)
     n_a = k_obs.dim
     u = k_obs.eigenbasis
     block_sets = [random_cptp(n_b, kraus_count, rng).kraus_ops for _ in range(n_a)]

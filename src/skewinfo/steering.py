@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh, sqrtm_psd
-from .metrics import ObservableLike, _obs_matrix, skew_information
+from .metrics import ObservableLike, _clamp, _skew_with_root
 from .optim import OptimizerOptions, minimize_over_unitaries
-from .states import BipartiteState, DensityMatrix, require_unitary
+from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
 
@@ -46,10 +46,12 @@ class MeasurementBasis:
 
 @dataclass
 class SteeringEnsemble:
-    """Outcome probabilities and conditional states of B, with near-null
-    outcomes (p below the skip threshold) listed separately."""
+    """The kept outcomes' probabilities ``(kept,)`` and conditional states of B
+    ``(kept, n_B, n_B)`` in outcome order, with the indices of the near-null
+    outcomes (p below ``SKIP_EPS``) listed separately."""
 
-    outcomes: list[tuple[float, DensityMatrix]]
+    probabilities: np.ndarray
+    states: np.ndarray
     skipped: list[int]
 
 
@@ -74,7 +76,8 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     """Condition B on the outcomes of measuring A in the given basis.
 
     Outcomes with probability below ``SKIP_EPS`` are recorded as skipped
-    and contribute nothing downstream.
+    and contribute nothing downstream. The kept conditionals are
+    ``_condition``'s normalized arrays; they are not re-validated one by one.
     """
     if theta.dim != rho_ab.n_a:
         raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
@@ -82,8 +85,7 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     residual = abs(float(np.sum(p)) - 1.0)
     if residual > 1e-9:
         raise InvalidState("probability normalization", residual)
-    outcomes = [(float(p_i), DensityMatrix(m_i)) for p_i, m_i in zip(p[kept], m)]
-    return SteeringEnsemble(outcomes, np.flatnonzero(~kept).tolist())
+    return SteeringEnsemble(p[kept], m, np.flatnonzero(~kept).tolist())
 
 
 def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> np.ndarray:
@@ -160,12 +162,14 @@ def _q_objective(rho_ab: BipartiteState, u: np.ndarray) -> tuple[float, np.ndarr
 
 
 def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
-    """Probability-weighted skew information of the steered states of B."""
-    km = _obs_matrix(k_b)
+    """Probability-weighted skew information of the steered states of B, with
+    one ``sqrtm_psd`` call for all conditionals."""
+    km = k_b.matrix
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
     ensemble = steer(rho_ab, theta)
-    return sum(p * skew_information(rho_i, k_b) for p, rho_i in ensemble.outcomes)
+    skew = _skew_with_root(ensemble.states, sqrtm_psd(ensemble.states), km)
+    return _clamp(float(ensemble.probabilities @ skew))
 
 
 def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
@@ -217,7 +221,7 @@ def steering_induced_skew(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered skew-information sum over A's measurement bases."""
-    km = _obs_matrix(k_b)
+    km = k_b.matrix
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
     return _maximize(lambda u: _skew_objective(rho_ab, u, km), rho_ab.n_a, opts, rng)

@@ -137,6 +137,20 @@ def summed_q_local(
     return summed_skew(rho, ops, root)
 
 
+def oracle_lqu_qubit(
+    rho: np.ndarray, dims: tuple[int, int], side: str, spectrum: np.ndarray, root: np.ndarray | None = None
+) -> float:
+    """LQU on a 2-level side by the Girolami-Tufarelli-Adesso formula
+    ((b-a)/2)^2 (1 - lambda_max(W)), W_ij = Tr[sqrt(rho) sigma_i sqrt(rho) sigma_j]
+    with each Pauli embedded on the side; the root is scipy's unless given."""
+    n_a, n_b = dims
+    root = oracle_sqrtm(rho) if root is None else root
+    sigma = [np.kron(p, np.eye(n_b)) if side == "A" else np.kron(np.eye(n_a), p) for p in PAULIS]
+    w = np.array([[np.trace(root @ si @ root @ sj).real for sj in sigma] for si in sigma])
+    half_gap = 0.5 * (spectrum[1] - spectrum[0])
+    return half_gap * half_gap * (1.0 - np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+
+
 @pytest.fixture
 def bell() -> BipartiteState:
     return bell_pair()

@@ -19,7 +19,6 @@ from skewinfo import (
     haar_unitary,
     kron,
     lqu,
-    lqu_2xd,
     q_local,
     q_total,
     random_nondegenerate_observable,
@@ -181,7 +180,7 @@ def test_criterion_4_lqu_cross_oracle():
         for _ in range(100):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
             numeric = _lqu_search(state, PM_ONE, "A", opts=opts, rng=rng).value
-            assert abs(numeric - lqu_2xd(state)) <= 1e-6
+            assert abs(numeric - lqu(state, PM_ONE, "A").value) <= 1e-6
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = product_state(2, n_b, rng)

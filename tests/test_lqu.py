@@ -14,12 +14,13 @@ from skewinfo import (
     ginibre_state,
     kron,
     lqu,
-    lqu_2xd,
     random_nondegenerate_observable,
     skew_information,
     stream,
 )
 from skewinfo.metrics import _lqu_search
+
+from conftest import oracle_lqu_qubit
 
 
 PM_ONE = np.array([-1.0, 1.0])
@@ -110,7 +111,7 @@ def test_lqu_side_b(rng):
 
 
 def test_closed_form_bell_is_one(bell):
-    assert lqu_2xd(bell) == pytest.approx(1.0, abs=1e-12)
+    assert lqu(bell, PM_ONE, "A").value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_closed_form_product_is_zero(rng):
@@ -118,13 +119,7 @@ def test_closed_form_product_is_zero(rng):
     joint = BipartiteState(
         DensityMatrix(kron(np.diag([1.0, 0.0]), tau_b.matrix)), 2, 3
     )
-    assert lqu_2xd(joint) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_closed_form_needs_qubit_side_a(rng):
-    state = BipartiteState(ginibre_state(6, rng=rng), 3, 2)
-    with pytest.raises(DimensionMismatch):
-        lqu_2xd(state)
+    assert lqu(joint, PM_ONE, "A").value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_lqu_agrees_with_closed_form_on_random_states():
@@ -134,7 +129,7 @@ def test_lqu_agrees_with_closed_form_on_random_states():
         for _ in range(10):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
             num = _lqu_search(state, PM_ONE, "A", opts=OptimizerOptions(restarts=8), rng=rng)
-            assert num.value == pytest.approx(lqu_2xd(state), abs=1e-6)
+            assert num.value == pytest.approx(lqu(state, PM_ONE, "A").value, abs=1e-6)
 
 
 def test_lqu_reports_spectrum_alongside_value(rng):
@@ -146,7 +141,7 @@ def test_lqu_reports_spectrum_alongside_value(rng):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dims=st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 1), (1, 2))),
+    dims=st.sampled_from(((2, 2), (2, 3), (3, 2), (2, 1), (1, 2), (2, 4), (4, 2))),
     pure=st.booleans(),
     low=st.floats(-3.0, 3.0),
     gap=st.floats(1e-3, 4.0),
@@ -155,6 +150,7 @@ def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
     rng = stream(seed, 0)
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
+    root = state.matrix if pure else None  # a pure state is its own root; scipy's is off by ~1e-8
     spectrum = np.array([low, low + gap])
 
     def embedded(k, side):
@@ -165,6 +161,7 @@ def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
             continue
         result = lqu(state, spectrum, side, opts=OptimizerOptions(restarts=5), rng=rng)
         assert (result.restarts_used, result.converged) == (0, True)  # no search ran
+        assert abs(result.value - oracle_lqu_qubit(state.matrix, dims, side, spectrum, root)) <= 1e-10
         at_min = skew_information(state.state, embedded(result.minimizer.matrix, side))
         assert abs(result.value - at_min) <= 1e-12
         for _ in range(20):

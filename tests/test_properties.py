@@ -9,17 +9,27 @@ from conftest import gell_mann_basis, summed_q_local, summed_q_total
 from skewinfo import (
     BipartiteState,
     DensityMatrix,
+    MeasurementBasis,
     Observable,
+    apply_channel,
+    commuting_kraus_channel,
+    default_spectrum,
     ginibre_state,
     haar_unitaries,
     haar_unitary,
+    kron,
+    lqu,
     q_local,
     q_total,
+    random_nondegenerate_observable,
     skew_information,
+    steered_skew_sum,
     stream,
     variance,
 )
+from skewinfo.states import MIN_SPECTRAL_GAP
 from skewinfo.steering import _steered_q
+from skewinfo.verify import HARNESS_OPTS
 
 # Observables are scaled to spectral radius 1, so absolute tolerances apply.
 TOL = 1e-10
@@ -106,3 +116,44 @@ def test_q_closed_forms_equal_the_gell_mann_sums(seed, n_a, n_b, rank_frac):
     for side, n_side in (("A", n_a), ("B", n_b)):
         oracle = summed_q_local(matrix, (n_a, n_b), side, gell_mann_basis(n_side), root)
         assert abs(q_local(state, side) - oracle) <= 1e-8
+
+
+def boundary_spectrum(n, at_gap):
+    """The default spectrum, or one whose lowest gap is exactly the minimum
+    the validators accept (on a qubit that scales every value to ~1e-12)."""
+    lam = default_spectrum(n) + 1.0
+    if at_gap:
+        lam[:2] = (0.0, MIN_SPECTRAL_GAP)
+    return lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=seeds,
+    dims=st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))),
+    rank_frac=st.floats(0.0, 1.0),
+    kraus_count=st.integers(1, 3),
+    at_gap=st.booleans(),
+)
+def test_bounds_hold_on_boundary_states(seed, dims, rank_frac, kraus_count, at_gap):
+    # rank-deficient joint states, a pure rho_A, and spectra at the minimum gap
+    rng = stream(seed, 0)
+    n_a, n_b = dims
+    rho_a = ginibre_state(n_a, rank=1, rng=rng)
+    tau_b = ginibre_state(n_b, rank=1 + int(rank_frac * (n_b - 1)), rng=rng)
+    k_a = random_nondegenerate_observable(n_a, boundary_spectrum(n_a, at_gap), rng)
+    channel = commuting_kraus_channel(k_a, n_b, kraus_count, rng)
+    evolved = apply_channel(channel, DensityMatrix(kron(rho_a.matrix, tau_b.matrix)))
+    mid = skew_information(evolved, Observable(kron(k_a.matrix, np.eye(n_b))))
+    low = lqu(BipartiteState(evolved, n_a, n_b), k_a.spectrum, "A", opts=HARNESS_OPTS, seeds=(k_a,), rng=rng).value
+    assert low <= mid + 1e-8
+    assert mid <= skew_information(rho_a, k_a) + 1e-8
+
+    n = n_a * n_b
+    state = BipartiteState(ginibre_state(n, rank=1 + int(rank_frac * (n - 2)), rng=rng), n_a, n_b)
+    k_b = random_nondegenerate_observable(n_b, boundary_spectrum(n_b, at_gap), rng)
+    joint = skew_information(state.state, Observable(kron(np.eye(n_a), k_b.matrix)))
+    bases = haar_unitaries(n_a, 8, rng)
+    for u in bases:
+        assert steered_skew_sum(state, MeasurementBasis(u), k_b) <= joint + 1e-8
+    assert _steered_q(state, bases).max() <= q_local(state, "B") + 1e-8

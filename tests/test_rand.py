@@ -154,6 +154,14 @@ def test_commuting_channel_phase_case():
     assert np.max(np.abs(e - np.diag(np.diagonal(e)))) < 1e-12
 
 
+@pytest.mark.parametrize("spectrum", [[0.0, 5e-7, 1.0], [1.0, 0.0, -1.0]])
+def test_commuting_channel_rejects_spectrum_degenerated_after_construction(rng, spectrum):
+    k = random_nondegenerate_observable(3, rng=rng)
+    k.spectrum = np.array(spectrum)  # a gap below the minimum, or a descending order
+    with pytest.raises(DegenerateSpectrum):
+        commuting_kraus_channel(k, 2, 2, rng)
+
+
 def test_commuting_channel_commutes_and_complete():
     # exact commutation on 100+ random instances across small dims
     count = 0

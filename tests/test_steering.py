@@ -20,6 +20,7 @@ from skewinfo import (
     q_total,
     random_nondegenerate_observable,
     skew_information,
+    sqrtm_psd,
     steer,
     steered_q_sum,
     steered_skew_sum,
@@ -61,17 +62,16 @@ def test_measurement_basis_projectors_sum_to_identity(rng):
 def test_steer_bell_in_computational_basis(bell):
     ensemble = steer(bell, Z_BASIS)
     assert ensemble.skipped == []
-    probs = [p for p, _ in ensemble.outcomes]
-    np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(ensemble.outcomes[0][1].matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    np.testing.assert_allclose(ensemble.outcomes[1][1].matrix, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(ensemble.probabilities, [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(ensemble.states[0], np.diag([1.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(ensemble.states[1], np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_steer_product_state_conditions_to_marginal(rng):
     state, tau_b = product_state(2, 2, rng)
     for basis in (Z_BASIS, X_BASIS, MeasurementBasis(haar_unitary(2, rng))):
-        for _, rho_i in steer(state, basis).outcomes:
-            np.testing.assert_allclose(rho_i.matrix, tau_b.matrix, atol=1e-10)
+        for rho_i in steer(state, basis).states:
+            np.testing.assert_allclose(rho_i, tau_b.matrix, atol=1e-10)
 
 
 def test_steer_probabilities_sum_to_one(rng):
@@ -79,7 +79,7 @@ def test_steer_probabilities_sum_to_one(rng):
         state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
         for _ in range(10):
             ensemble = steer(state, MeasurementBasis(haar_unitary(n_a, rng)))
-            assert sum(p for p, _ in ensemble.outcomes) == pytest.approx(1.0, abs=1e-9)
+            assert sum(ensemble.probabilities) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_steer_skips_null_outcomes():
@@ -89,8 +89,8 @@ def test_steer_skips_null_outcomes():
     rho[:2, :2] = np.diag([0.5, 0.5])
     ensemble = steer(BipartiteState(DensityMatrix(rho), 2, 2), Z_BASIS)
     assert ensemble.skipped == [1]
-    assert len(ensemble.outcomes) == 1
-    assert ensemble.outcomes[0][0] == pytest.approx(1.0, abs=1e-12)
+    assert len(ensemble.probabilities) == len(ensemble.states) == 1
+    assert ensemble.probabilities[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_steer_dimension_mismatch(bell):
@@ -105,10 +105,8 @@ def test_steer_column_permutation_permutes_outcomes(rng):
     base = steer(state, MeasurementBasis(u))
     permuted = steer(state, MeasurementBasis(u[:, perm]))
     for new_idx, old_idx in enumerate(perm):
-        p_old, rho_old = base.outcomes[old_idx]
-        p_new, rho_new = permuted.outcomes[new_idx]
-        assert p_new == pytest.approx(p_old, abs=1e-12)
-        np.testing.assert_allclose(rho_new.matrix, rho_old.matrix, atol=1e-12)
+        assert permuted.probabilities[new_idx] == pytest.approx(base.probabilities[old_idx], abs=1e-12)
+        np.testing.assert_allclose(permuted.states[new_idx], base.states[old_idx], atol=1e-12)
 
 
 def test_steered_skew_sum_product_state(rng):
@@ -155,8 +153,9 @@ def test_steered_q_sum_matches_summed_oracle(rng):
         state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
         for _ in range(10):
             theta = MeasurementBasis(haar_unitary(n_a, rng))
+            ensemble = steer(state, theta)
             expected = sum(
-                p * summed_q_total(rho_i.matrix, basis_b) for p, rho_i in steer(state, theta).outcomes
+                p * summed_q_total(rho_i, basis_b) for p, rho_i in zip(ensemble.probabilities, ensemble.states)
             )
             assert steered_q_sum(state, theta) == pytest.approx(expected, abs=1e-10)
 
@@ -261,3 +260,27 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
         _, kept, _ = steering._condition(states[0], bases)
         assert not kept.all()
         assert len({tuple(row) for row in kept}) > 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_steered_skew_sum_equals_per_outcome_oracle(dims, monkeypatch):
+    # the oracle validates each conditional as a DensityMatrix and takes its
+    # skew information one outcome at a time; the sum roots them all at once
+    n_a, n_b = dims
+    rng = stream(89, 10 * n_a + n_b)
+    states, bases = _skipping_states_and_bases(n_a, n_b, rng)
+    k_b = random_nondegenerate_observable(n_b, rng=rng)
+    roots = []
+    monkeypatch.setattr(steering, "sqrtm_psd", lambda m: roots.append(m) or sqrtm_psd(m))
+    for state in states:
+        for u in bases:
+            theta = MeasurementBasis(u)
+            ensemble = steer(state, theta)
+            expected = sum(
+                p * skew_information(DensityMatrix(rho_i), k_b)
+                for p, rho_i in zip(ensemble.probabilities, ensemble.states)
+            )
+            roots.clear()
+            assert abs(steered_skew_sum(state, theta, k_b) - expected) <= 1e-12
+            assert len(roots) == 1
+    assert steer(states[0], MeasurementBasis(bases[0])).skipped == list(range(1, n_a))
