@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import Side, partial_trace, sqrtm_psd
-from .optim import OptimizerOptions, minimize_over_unitaries
+from .optim import OptimizerOptions, Steps, problem, solve
 from .states import (
     BipartiteState,
     DensityMatrix,
@@ -123,23 +123,35 @@ class LocalSkewObjective:
         vec = k.ravel()
         return float((vec @ (self.form @ vec)).real)
 
-    def eigenbasis_cost(self, u: np.ndarray, lam: np.ndarray) -> tuple[float, np.ndarray]:
+    def eigenbasis_cost(self, u: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The skew information at K = U diag(lam) U^dagger and its Riemannian
-        gradient in U (the contract of ``optim.minimize_over_unitaries``).
+        gradient in U, for one U or a stack of them (see ``_eigenbasis_cost``)."""
+        return _eigenbasis_cost(u, self.form, lam)
 
-        With vec(B) = form vec(K), dI = Tr(D dK) for D = 2 B^T, which is
-        KM + MK - 2 A^T with A_qr = sum_ps C_pqrs K_sp (the cross term is
-        symmetric in its two K). Along U exp(t Omega), dK = U [Omega, Lambda]
-        U^dagger, so with H = U^dagger D U the derivative is
-        Tr([Lambda, H] Omega) and the gradient is [H, Lambda]:
-        H_ij (lam_j - lam_i), zero on the diagonal.
-        """
-        uh = u.conj().T
-        vec = ((u * lam) @ uh).ravel()
-        b = self.form @ vec
-        h = uh @ b.reshape(self.n, self.n).T @ u
-        h = h + h.conj().T  # U^dagger D U, made exactly Hermitian
-        return float((vec @ b).real), h * (lam[None, :] - lam[:, None])
+
+def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The skew information at K = U diag(lam) U^dagger under the quadratic
+    form ``LocalSkewObjective.form`` and its Riemannian gradient in U (the
+    cost contract of ``optim.search``), for one U, or member by member for
+    an ``(m, n, n)`` stack of U with ``(m, n^2, n^2)`` forms and ``(m, n)``
+    spectra (or one form and spectrum shared by every member).
+
+    With vec(B) = form vec(K), dI = Tr(D dK) for D = 2 B^T, which is
+    KM + MK - 2 A^T with A_qr = sum_ps C_pqrs K_sp (the cross term is
+    symmetric in its two K). Along U exp(t Omega), dK = U [Omega, Lambda]
+    U^dagger, so with H = U^dagger D U the derivative is
+    Tr([Lambda, H] Omega) and the gradient is [H, Lambda]:
+    H_ij (lam_j - lam_i), zero on the diagonal.
+    """
+    n = u.shape[-1]
+    lam = lam[..., None, :]
+    uh = u.conj().swapaxes(-1, -2)
+    vec = ((u * lam) @ uh).reshape(*u.shape[:-2], n * n, 1)
+    b = form @ vec
+    h = uh @ b.reshape(u.shape).swapaxes(-1, -2) @ u
+    h = h + h.conj().swapaxes(-1, -2)  # U^dagger D U, made exactly Hermitian
+    value = (vec.swapaxes(-1, -2) @ b)[..., 0, 0].real
+    return value, h * (lam - lam.swapaxes(-1, -2))
 
 
 @dataclass
@@ -165,7 +177,7 @@ def lqu(
     On a 2-level side the minimum is the closed form ``_lqu_qubit`` on the
     local skew form: the value is exact, ``restarts_used`` is 0, and ``opts``,
     ``seeds`` and ``rng`` are unused (no draws are taken from ``rng``). On a
-    larger side it runs ``_lqu_search``, a restarted conjugate-gradient descent over the
+    larger side it runs a restarted conjugate-gradient descent over the
     eigenbases U of K = U diag(spectrum) U† on the chosen side.
     Caller-supplied seed observables contribute their eigenbases as the
     first restart points; the remaining restarts are Haar draws from ``rng``
@@ -173,6 +185,18 @@ def lqu(
     The searched value is an upper bound on the true minimum, never above
     the value at the first seed.
     """
+    return solve(_lqu_steps(rho_ab, spectrum, side, opts, seeds, rng))
+
+
+def _lqu_steps(
+    rho_ab: BipartiteState,
+    spectrum: np.ndarray,
+    side: Side,
+    opts: OptimizerOptions | None,
+    seeds: tuple[NondegenerateObservable, ...],
+    rng: np.random.Generator | None,
+) -> Steps[LquResult]:
+    """``lqu`` as steps that yield its search problem, if it has one."""
     lam = check_spectrum(spectrum)
     n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
     if lam.size != n_side:
@@ -182,7 +206,7 @@ def lqu(
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
     if n_side == 2:
         return _lqu_qubit(rho_ab, lam, side)
-    return _lqu_search(rho_ab, lam, side, opts, seeds, rng)
+    return (yield from _lqu_search_steps(rho_ab, lam, side, opts, seeds, rng))
 
 
 def _lqu_search(
@@ -197,14 +221,25 @@ def _lqu_search(
     side's observables with the ascending spectrum ``lam``, on a side of any
     size.
 
-    Each restart follows ``LocalSkewObjective.eigenbasis_cost`` downhill
-    along geodesics of the unitary group for at most ``opts.max_iters``
-    accepted steps; restarts stop early once the value reaches
-    ``LQU_FLOOR``.
+    Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
+    the unitary group for at most ``opts.max_iters`` accepted steps;
+    restarts stop early once the value reaches ``LQU_FLOOR``.
     """
-    obj = LocalSkewObjective(rho_ab, side)
-    best = minimize_over_unitaries(
-        lambda u: obj.eigenbasis_cost(u, lam),
+    return solve(_lqu_search_steps(rho_ab, lam, side, opts, seeds, rng))
+
+
+def _lqu_search_steps(
+    rho_ab: BipartiteState,
+    lam: np.ndarray,
+    side: Side,
+    opts: OptimizerOptions | None,
+    seeds: tuple[NondegenerateObservable, ...],
+    rng: np.random.Generator | None,
+) -> Steps[LquResult]:
+    form = LocalSkewObjective(rho_ab, side).form
+    best = yield problem(
+        _eigenbasis_cost,
+        (form, lam),
         lam.size,
         opts or OptimizerOptions(),
         seed_unitaries=[s.eigenbasis for s in seeds],

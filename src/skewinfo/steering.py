@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh, sqrtm_psd
 from .metrics import ObservableLike, _clamp, _skew_with_root
-from .optim import OptimizerOptions, minimize_over_unitaries
+from .optim import OptimizerOptions, Steps, problem, solve
 from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
@@ -55,17 +55,22 @@ class SteeringEnsemble:
     skipped: list[int]
 
 
-def _condition(rho_ab: BipartiteState, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure A in the columns of ``u``, one basis or a ``(k, n_A, n_A)``
-    stack of them.
+def _tensor(rho_ab: BipartiteState) -> np.ndarray:
+    """The joint state as the tensor r4[a, b, c, d] = <a b|rho|c d>."""
+    return rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
+
+
+def _condition(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Measure A of the state tensor ``r4`` (see ``_tensor``) in the columns
+    of ``u``: one basis, a ``(k, n_A, n_A)`` stack of bases of one state, or
+    member by member for a ``(k, ...)`` stack of states too.
 
     Returns the probabilities of all outcomes (``(n_A,)``, or ``(k, n_A)``
     for a stack), the mask of the outcomes at or above ``SKIP_EPS``, and
     the kept outcomes' normalized, Hermitized conditional states of B
     stacked basis by basis into one ``(kept, n_B, n_B)`` array.
     """
-    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-    cond = np.einsum("...ai,abcd,...ci->...ibd", u.conj(), r4, u)
+    cond = np.einsum("...ai,...abcd,...ci->...ibd", u.conj(), r4, u)
     p = np.einsum("...ibb->...i", cond).real
     kept = p >= SKIP_EPS
     m = cond[kept] / p[kept][:, None, None]
@@ -81,7 +86,7 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     """
     if theta.dim != rho_ab.n_a:
         raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
-    p, kept, m = _condition(rho_ab, theta.unitary)
+    p, kept, m = _condition(_tensor(rho_ab), theta.unitary)
     residual = abs(float(np.sum(p)) - 1.0)
     if residual > 1e-9:
         raise InvalidState("probability normalization", residual)
@@ -96,19 +101,28 @@ def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> np.ndarray:
     outcomes add exact zeros, so each value is the sum over its kept
     outcomes alone.
     """
-    p, kept, m = _condition(rho_ab, u)
+    p, kept, m = _condition(_tensor(rho_ab), u)
     tr = np.einsum("ibb->i", sqrtm_psd(m)).real
     terms = np.zeros(p.shape)
     terms[kept] = p[kept] * (rho_ab.n_b - tr * tr)
     return terms.sum(axis=-1)
 
 
+def _per_outcome(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The kept outcomes' ``values`` scattered back to the outcome shape of
+    ``kept``, with exact zeros at the skipped outcomes."""
+    out = np.zeros(kept.shape + values.shape[1:], dtype=values.dtype)
+    out[kept] = values
+    return out
+
+
 def _basis_gradient(
-    rho_ab: BipartiteState, u: np.ndarray, kept: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray
+    r4: np.ndarray, u: np.ndarray, kept: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray
 ) -> np.ndarray:
-    """Riemannian gradient in ``u`` of const - sum_i h(c_i), where
-    c_i = <u_i|rho|u_i> is the unnormalized conditional state of B and
-    dh = Tr(Gamma_i dc_i) with Gamma_i the Daleckii-Krein map of W_i.
+    """Riemannian gradient in ``u`` (one basis, or a stack as in
+    ``_condition``) of const - sum_i h(c_i), where c_i = <u_i|rho|u_i> is the
+    unnormalized conditional state of B and dh = Tr(Gamma_i dc_i) with
+    Gamma_i the Daleckii-Krein map of W_i.
 
     ``sw`` and ``v`` are the root eigenvalues and eigenvectors of the kept
     normalized conditionals, and ``w`` holds W_i in that eigenbasis:
@@ -116,21 +130,23 @@ def _basis_gradient(
     the denominator is 0. Gamma_i does not change when c_i is rescaled, so
     the normalized states serve. Along U exp(t Omega), dc_i =
     sum_j (Omega_ji R_ij - Omega_ij R_ji) with R_ij = <u_i|rho|u_j>, so the
-    gradient is T^dagger - T for T_ij = -Tr(Gamma_i R_ij).
+    gradient is T^dagger - T for T_ij = -Tr(Gamma_i R_ij); skipped outcomes
+    have Gamma_i = 0.
     """
     s = sw[..., :, None] + sw[..., None, :]
-    gamma = v @ (w / np.where(s > 0.0, s, np.inf)) @ v.conj().swapaxes(-1, -2)
-    r4 = rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-    minus_t = np.zeros((rho_ab.n_a, rho_ab.n_a), dtype=np.complex128)
-    minus_t[kept] = np.einsum("ai,idb,abcd->ic", u[:, kept].conj(), gamma, r4) @ u
-    g = minus_t - minus_t.conj().T
-    np.fill_diagonal(g, 0.0)
+    gamma = _per_outcome(kept, v @ (w / np.where(s > 0.0, s, np.inf)) @ v.conj().swapaxes(-1, -2))
+    minus_t = np.einsum("...ai,...idb,...abcd->...ic", u.conj(), gamma, r4) @ u
+    g = minus_t - minus_t.conj().swapaxes(-1, -2)
+    diag = np.arange(g.shape[-1])
+    g[..., diag, diag] = 0.0
     return g
 
 
-def _skew_objective(rho_ab: BipartiteState, u: np.ndarray, km: np.ndarray) -> tuple[float, np.ndarray]:
+def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Steered skew-information sum for the basis given by the columns of
-    ``u``, and its Riemannian gradient.
+    ``u``, and its Riemannian gradient: for one basis of the state tensor
+    ``r4`` with observable ``km`` on B, or member by member for stacks of
+    any of the three (the cost contract of ``optim.search``).
 
     In the eigenbasis of rho_i, with kappa = V^dagger K V and root
     eigenvalues s, I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2.
@@ -138,27 +154,42 @@ def _skew_objective(rho_ab: BipartiteState, u: np.ndarray, km: np.ndarray) -> tu
     Tr(sqrt(c_i) K sqrt(c_i) K), whose derivative in c_i is the
     Daleckii-Krein map of W = 2 K sqrt(c_i) K (see ``_basis_gradient``).
     """
-    p, kept, m = _condition(rho_ab, u)
+    p, kept, m = _condition(r4, u)
     sw, v = psd_sqrt_eigh(m)
+    km = np.broadcast_to(km[..., None, :, :], kept.shape + km.shape[-2:])[kept]  # K of each kept outcome
     kappa = v.conj().swapaxes(-1, -2) @ km @ v
     gap = sw[..., :, None] - sw[..., None, :]
-    value = 0.5 * float(np.sum(p[kept] * np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-2, -1))))
+    skew = np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-2, -1))
+    value = 0.5 * np.sum(p * _per_outcome(kept, skew), axis=-1)
     w = 2.0 * (kappa * sw[..., None, :]) @ kappa
-    return value, _basis_gradient(rho_ab, u, kept, sw, v, w)
+    return value, _basis_gradient(r4, u, kept, sw, v, w)
 
 
-def _q_objective(rho_ab: BipartiteState, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """Steered total uncertainty (as ``_steered_q``) and its Riemannian gradient.
+def _q_objective(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Steered total uncertainty (as ``_steered_q``) and its Riemannian
+    gradient, for one basis or member by member for stacks (as
+    ``_skew_objective``).
 
     With c_i unnormalized the sum is n_B - sum_i (Tr sqrt(c_i))^2, whose
     derivative in c_i is the Daleckii-Krein map of W = 2 Tr(sqrt(c_i)) I.
     """
-    p, kept, m = _condition(rho_ab, u)
+    p, kept, m = _condition(r4, u)
     sw, v = psd_sqrt_eigh(m)
     tr = sw.sum(axis=-1)
-    value = float(np.sum(p[kept] * (rho_ab.n_b - tr * tr)))
-    w = 2.0 * tr[:, None, None] * np.eye(rho_ab.n_b, dtype=np.complex128)
-    return value, _basis_gradient(rho_ab, u, kept, sw, v, w)
+    n_b = r4.shape[-1]
+    value = np.sum(p * _per_outcome(kept, n_b - tr * tr), axis=-1)
+    w = 2.0 * tr[:, None, None] * np.eye(n_b, dtype=np.complex128)
+    return value, _basis_gradient(r4, u, kept, sw, v, w)
+
+
+def _skew_loss(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    value, g = _skew_objective(u, r4, km)
+    return -value, -g
+
+
+def _q_loss(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    value, g = _q_objective(u, r4)
+    return -value, -g
 
 
 def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
@@ -192,20 +223,17 @@ class SteeringSearchResult:
     converged: bool
 
 
-def _maximize(
-    gain: Callable[[np.ndarray], tuple[float, np.ndarray]],
+def _maximize_steps(
+    loss: Callable[..., tuple[np.ndarray, np.ndarray]],
+    data: tuple[np.ndarray, ...],
     n_a: int,
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
-) -> SteeringSearchResult:
-    """Maximize ``gain`` over the unitaries whose columns are A's measurement
-    bases; ``gain`` returns its value and Riemannian gradient."""
-
-    def loss(u: np.ndarray) -> tuple[float, np.ndarray]:
-        value, g = gain(u)
-        return -value, -g
-
-    best = minimize_over_unitaries(loss, n_a, opts or OptimizerOptions(), rng=rng)
+) -> Steps[SteeringSearchResult]:
+    """Maximize a gain over the unitaries whose columns are A's measurement
+    bases, by yielding the search problem of ``loss(U, *data)``, the
+    negated gain and its Riemannian gradient."""
+    best = yield problem(loss, data, n_a, opts or OptimizerOptions(), rng=rng)
     return SteeringSearchResult(
         value=-best.value,
         maximizer=MeasurementBasis(best.unitary),
@@ -221,10 +249,20 @@ def steering_induced_skew(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered skew-information sum over A's measurement bases."""
+    return solve(_steering_induced_skew_steps(rho_ab, k_b, opts, rng))
+
+
+def _steering_induced_skew_steps(
+    rho_ab: BipartiteState,
+    k_b: ObservableLike,
+    opts: OptimizerOptions | None,
+    rng: np.random.Generator | None,
+) -> Steps[SteeringSearchResult]:
+    """``steering_induced_skew`` as steps that yield its search problem."""
     km = k_b.matrix
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    return _maximize(lambda u: _skew_objective(rho_ab, u, km), rho_ab.n_a, opts, rng)
+    return (yield from _maximize_steps(_skew_loss, (_tensor(rho_ab), km), rho_ab.n_a, opts, rng))
 
 
 def average_steering_induced_q(
@@ -233,4 +271,4 @@ def average_steering_induced_q(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered total-uncertainty sum over A's measurement bases."""
-    return _maximize(lambda u: _q_objective(rho_ab, u), rho_ab.n_a, opts, rng)
+    return solve(_maximize_steps(_q_loss, (_tensor(rho_ab),), rho_ab.n_a, opts, rng))

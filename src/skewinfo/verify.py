@@ -3,13 +3,16 @@
 Each harness samples independent trials keyed by (master_seed,
 trial_index), checks one inequality per trial, and aggregates a
 deterministic report: identical seed and configuration produce
-byte-identical output regardless of worker count.
+byte-identical output regardless of worker count. The trials run in
+chunks whose unitary searches are stacked into one search; a trial's
+record does not depend on the other trials of its chunk.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import UsageError
 from .linalg import kron
-from .metrics import lqu, q_local, skew_information
-from .optim import OptimizerOptions
+from .metrics import _lqu_steps, q_local, skew_information
+from .optim import OptimizerOptions, Steps, UnitaryProblem, UnitarySearchResult, search
 from .rand import (
     commuting_kraus_channel,
     default_spectrum,
@@ -30,7 +33,7 @@ from .rand import (
     stream,
 )
 from .states import BipartiteState, DensityMatrix, Observable, apply_channel, require_unitary
-from .steering import _steered_q, steering_induced_skew
+from .steering import _steered_q, _steering_induced_skew_steps
 
 DEFAULT_VIOLATION_TOL = 1e-7
 MONOTONICITY_TOL = 1e-8
@@ -40,6 +43,11 @@ MONOTONICITY_TOL = 1e-8
 # seeded minimizations start from feasible points), so a small budget
 # only loosens margins, never fabricates violations.
 HARNESS_OPTS = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
+
+# Trials per chunk. The trials of a chunk run side by side with their
+# searches stacked, which spreads NumPy's per-call overhead on small
+# matrices over the whole chunk.
+_CHUNK_TRIALS = 32
 
 Claim2Mode = Literal["argmin_K", "random_K"]
 
@@ -95,35 +103,94 @@ def worker_count() -> int:
     return n
 
 
-def _run_trial(job: tuple) -> tuple[TrialRecord, bool, str | None]:
-    """Run one trial body on the (master_seed, trial_index) stream.
+def _failure(exc: Exception) -> tuple[float, float, bool, str]:
+    return math.nan, math.nan, True, f"{type(exc).__name__}: {exc}"
 
-    The body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``; an
-    exception it raises becomes a record with NaN sides and an error message.
+
+def _run_bodies(
+    body: Callable, params: tuple, master_seed: int, indices: tuple[int, ...]
+) -> tuple[list[tuple], list[float]]:
+    """Run the trial bodies of ``indices`` side by side, each on its own
+    (master_seed, trial_index) stream.
+
+    A body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``, or is
+    a generator that yields its unitary searches and returns that triple;
+    the searches the bodies are waiting on are solved together by one
+    ``optim.search`` call. Returns ``(lhs, rhs, monotonicity_ok, error)``
+    per trial, and each trial's wall time in seconds: the time its own body
+    ran, plus an equal share of every stacked search it waited on. An
+    exception raised in a body fails that trial alone, with NaN sides and
+    the error message; one raised by a stacked search propagates, since it
+    cannot be told apart from the search's other trials.
     """
-    claim_id, body, params, dims, tol, timing, master_seed, t = job
+    done: dict[int, tuple] = {}
+    spent = dict.fromkeys(indices, 0.0)
+    waiting: list[tuple[int, Generator, UnitaryProblem]] = []
+
+    def advance(t: int, steps: Generator, result: UnitarySearchResult | None) -> None:
+        try:
+            waiting.append((t, steps, steps.send(result)))
+        except StopIteration as stop:
+            done[t] = (*stop.value, None)
+        except Exception as exc:  # aborted trial becomes a diagnostic record
+            done[t] = _failure(exc)
+
+    for t in indices:
+        start = perf_counter()
+        try:
+            out = body(stream(master_seed, t), params)
+        except Exception as exc:
+            done[t] = _failure(exc)
+        else:
+            if isinstance(out, Generator):
+                advance(t, out, None)
+            else:
+                done[t] = (*out, None)
+        spent[t] += perf_counter() - start
+    while waiting:
+        batch, waiting = waiting, []
+        start = perf_counter()
+        solved = search([p for _, _, p in batch])
+        share = (perf_counter() - start) / len(batch)
+        for (t, steps, _), result in zip(batch, solved):
+            start = perf_counter()
+            advance(t, steps, result)
+            spent[t] += share + perf_counter() - start
+    return [done[t] for t in indices], [spent[t] for t in indices]
+
+
+def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
+    """Run one chunk of trials (see ``_run_bodies``) into records.
+
+    When a stacked search raises, the chunk's trials are run again one at
+    a time, so only the trial at fault becomes a record with NaN sides and
+    an error message. With timing on, each record carries its trial's
+    wall time as ``_run_bodies`` attributes it.
+    """
+    claim_id, body, params, dims, tol, timing, master_seed, indices = job
     start = perf_counter()
-    error = None
     try:
-        lhs, rhs, mono_ok = body(stream(master_seed, t), params)
-    except Exception as exc:  # aborted trial becomes a diagnostic record
-        lhs = rhs = math.nan
-        mono_ok = True
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed = (perf_counter() - start) * 1e3 if timing else 0.0
-    margin = rhs - lhs
-    record = TrialRecord(
-        trial_index=t,
-        seed_tuple=(master_seed, t),
-        dims=dims,
-        claim_id=claim_id,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        violated=margin < -tol,  # False for NaN
-        wall_time_ms=elapsed,
-    )
-    return record, mono_ok, error
+        outcomes, seconds = _run_bodies(body, params, master_seed, indices)
+    except Exception as exc:
+        if len(indices) > 1:
+            return [r for t in indices for r in _run_chunk(job[:-1] + ((t,),))]
+        outcomes, seconds = [_failure(exc)], [perf_counter() - start]
+    results = []
+    for t, (lhs, rhs, mono_ok, error), sec in zip(indices, outcomes, seconds):
+        margin = rhs - lhs
+        record = TrialRecord(
+            trial_index=t,
+            seed_tuple=(master_seed, t),
+            dims=dims,
+            claim_id=claim_id,
+            lhs=lhs,
+            rhs=rhs,
+            margin=margin,
+            violated=margin < -tol,  # False for NaN
+            wall_time_ms=sec * 1e3 if timing else 0.0,
+        )
+        results.append((record, mono_ok, error))
+    return results
 
 
 def _run_trials(
@@ -136,18 +203,28 @@ def _run_trials(
     timing: bool,
 ) -> tuple[VerificationReport, list[TrialRecord]]:
     """Run ``trials`` trials of a module-level body (picklable for the pool)
-    and aggregate them into a report. Dimensions, seed and tolerance come
-    from ``config``, which the report echoes."""
+    in chunks of at most ``_CHUNK_TRIALS`` and aggregate them into a report.
+    Dimensions, seed and tolerance come from ``config``, which the report
+    echoes. A trial's record does not depend on the chunk it ran in."""
+    if workers is not None and workers < 1:
+        raise UsageError(f"workers must be a positive integer, got {workers!r}")
     dims = (config["n_a"], config["n_b"])
     tol, master_seed = config["violation_tol"], config["master_seed"]
-    jobs = [(claim_id, body, params, dims, tol, timing, master_seed, t) for t in range(trials)]
-    n_workers = worker_count() if workers is None else max(1, workers)
-    if n_workers == 1 or len(jobs) < 2 * n_workers:
-        results = [_run_trial(job) for job in jobs]
+    n_workers = worker_count() if workers is None else workers
+    # A call that fits in one chunk runs in-process: splitting it over a
+    # pool costs more in start-up and in smaller stacks than it saves.
+    in_process = n_workers == 1 or trials <= _CHUNK_TRIALS
+    size = _CHUNK_TRIALS if in_process else min(_CHUNK_TRIALS, -(-trials // n_workers))
+    jobs = [
+        (claim_id, body, params, dims, tol, timing, master_seed, tuple(range(lo, min(lo + size, trials))))
+        for lo in range(0, trials, size)
+    ]
+    if in_process:
+        chunks = [_run_chunk(job) for job in jobs]
     else:
-        chunk = max(1, len(jobs) // (4 * n_workers))
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(_run_trial, jobs, chunksize=chunk))
+            chunks = list(pool.map(_run_chunk, jobs))
+    results = [r for chunk in chunks for r in chunk]
     records = [r[0] for r in results]
     failures = [(r[0].trial_index, r[2]) for r in results if r[2] is not None]
     ok_margins = [r.margin for r in records if not math.isnan(r.margin)]
@@ -164,7 +241,7 @@ def _run_trials(
     return report, records
 
 
-def _claim1_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+def _claim1_body(rng: np.random.Generator, params: tuple) -> Steps[tuple[float, float, bool]]:
     n_a, n_b, kraus_count, opts = params
     rho_a = ginibre_state(n_a, rng=rng)
     tau_b = ginibre_state(n_b, rng=rng)
@@ -177,7 +254,7 @@ def _claim1_body(rng: np.random.Generator, params: tuple) -> tuple[float, float,
     mono_ok = skew_information(evolved, k_full) <= skew_information(sigma, k_full) + MONOTONICITY_TOL
 
     evolved_ab = BipartiteState(evolved, n_a, n_b)
-    lhs = lqu(evolved_ab, k_a.spectrum, "A", opts=opts, seeds=(k_a,), rng=rng).value
+    lhs = (yield from _lqu_steps(evolved_ab, k_a.spectrum, "A", opts, (k_a,), rng)).value
     rhs = skew_information(rho_a, k_a)
     return lhs, rhs, mono_ok
 
@@ -218,17 +295,17 @@ def verify_claim1(
     return _run_trials("claim1", _claim1_body, params, config, trials, workers, collect_timing)
 
 
-def _claim2_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+def _claim2_body(rng: np.random.Generator, params: tuple) -> Steps[tuple[float, float, bool]]:
     n_a, n_b, mode, opts = params
     rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     if mode == "argmin_K":
-        opt = lqu(rho_ab, default_spectrum(n_b), "B", opts=opts, rng=rng)
+        opt = yield from _lqu_steps(rho_ab, default_spectrum(n_b), "B", opts, (), rng)
         k_b = opt.minimizer
         rhs = opt.value
     else:
         k_b = random_nondegenerate_observable(n_b, rng=rng)
         rhs = skew_information(rho_ab.state, Observable(kron(np.eye(n_a), k_b.matrix)))
-    lhs = steering_induced_skew(rho_ab, k_b, opts=opts, rng=rng).value
+    lhs = (yield from _steering_induced_skew_steps(rho_ab, k_b, opts, rng)).value
     return lhs, rhs, True
 
 

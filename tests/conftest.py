@@ -19,9 +19,17 @@ def bell_pair() -> BipartiteState:
     return BipartiteState(DensityMatrix(np.outer(v, v.conj())), 2, 2)
 
 
+# Eigenvalues of a unit-trace state below this are taken as exact zeros.
+ORACLE_NULL = 1e-13
+
+
 def oracle_sqrtm(m: np.ndarray) -> np.ndarray:
-    """State square root through scipy, independent of the package kernel."""
-    root = scipy.linalg.sqrtm(m)
+    """State square root from scipy's Hermitian eigensolver, independent of
+    the package kernel. Eigenvalues below ``ORACLE_NULL`` are the solver's
+    noise around the zeros of a rank-deficient state (about 1e-16) and are
+    set to 0: their square roots (about 1e-8) would swamp a 1e-12 check."""
+    w, v = scipy.linalg.eigh(m)
+    root = (v * np.sqrt(np.where(w < ORACLE_NULL, 0.0, w))) @ v.conj().T
     return 0.5 * (root + root.conj().T)
 
 
@@ -112,21 +120,19 @@ def gell_mann_basis(n: int) -> ObservableBasis:
     return ObservableBasis([Observable(m) for m in mats])
 
 
-def summed_skew(rho: np.ndarray, ops, root: np.ndarray | None = None) -> float:
+def summed_skew(rho: np.ndarray, ops) -> float:
     """Sum over ops X of the skew information Tr(rho X^2) - Tr(sqrt(rho) X sqrt(rho) X),
-    with the root taken by scipy unless the exact root is given."""
-    root = oracle_sqrtm(rho) if root is None else root
+    with the oracle root."""
+    root = oracle_sqrtm(rho)
     return sum(np.trace(rho @ x @ x).real - np.trace(root @ x @ root @ x).real for x in ops)
 
 
-def summed_q_total(rho: np.ndarray, basis: ObservableBasis, root: np.ndarray | None = None) -> float:
+def summed_q_total(rho: np.ndarray, basis: ObservableBasis) -> float:
     """Total uncertainty by its definition: skew information summed over the basis."""
-    return summed_skew(rho, basis.matrices(), root)
+    return summed_skew(rho, basis.matrices())
 
 
-def summed_q_local(
-    rho: np.ndarray, dims: tuple[int, int], side: str, basis: ObservableBasis, root: np.ndarray | None = None
-) -> float:
+def summed_q_local(rho: np.ndarray, dims: tuple[int, int], side: str, basis: ObservableBasis) -> float:
     """Local-observable content by its definition: skew information summed over
     the basis of the named side, embedded next to the identity on the other."""
     n_a, n_b = dims
@@ -134,17 +140,15 @@ def summed_q_local(
         ops = [np.kron(x, np.eye(n_b)) for x in basis.matrices()]
     else:
         ops = [np.kron(np.eye(n_a), x) for x in basis.matrices()]
-    return summed_skew(rho, ops, root)
+    return summed_skew(rho, ops)
 
 
-def oracle_lqu_qubit(
-    rho: np.ndarray, dims: tuple[int, int], side: str, spectrum: np.ndarray, root: np.ndarray | None = None
-) -> float:
+def oracle_lqu_qubit(rho: np.ndarray, dims: tuple[int, int], side: str, spectrum: np.ndarray) -> float:
     """LQU on a 2-level side by the Girolami-Tufarelli-Adesso formula
     ((b-a)/2)^2 (1 - lambda_max(W)), W_ij = Tr[sqrt(rho) sigma_i sqrt(rho) sigma_j]
-    with each Pauli embedded on the side; the root is scipy's unless given."""
+    with each Pauli embedded on the side and the oracle root."""
     n_a, n_b = dims
-    root = oracle_sqrtm(rho) if root is None else root
+    root = oracle_sqrtm(rho)
     sigma = [np.kron(p, np.eye(n_b)) if side == "A" else np.kron(np.eye(n_a), p) for p in PAULIS]
     w = np.array([[np.trace(root @ si @ root @ sj).real for sj in sigma] for si in sigma])
     half_gap = 0.5 * (spectrum[1] - spectrum[0])

@@ -289,16 +289,20 @@ def test_criterion_9_worker_determinism(tmp_path):
             blob += fh.read()
         return blob
 
+    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 40
+    # trials run in-process in chunks of 32 and 8 with one worker, and in a
+    # pool in chunks of 20 or 10 with two or four
     runs = {
-        "claim1": lambda w: verify_claim1(trials=30, master_seed=90, workers=w),
-        "claim2": lambda w: verify_claim2(trials=30, master_seed=91, workers=w),
-        "avg": lambda w: verify_avg_bound(trials=30, master_seed=92, workers=w),
+        "claim1": lambda w: verify_claim1(trials=40, master_seed=90, workers=w),
+        "claim1_3x2": lambda w: verify_claim1(n_a=3, n_b=2, trials=40, master_seed=93, workers=w),
+        "claim2": lambda w: verify_claim2(trials=40, master_seed=91, workers=w),
+        "claim2_argmin": lambda w: verify_claim2(trials=40, master_seed=94, mode="argmin_K", workers=w),
+        "avg": lambda w: verify_avg_bound(trials=40, master_seed=92, workers=w),
     }
     for name, runner in runs.items():
-        solo_out = runner(1)
-        multi_out = runner(4)
+        outs = {w: runner(w) for w in (1, 2, 4)}
         for fmt, suffix in (("json-lines", "jsonl"), ("csv", "csv")):
-            solo = render(*solo_out, f"{name}-w1.{suffix}", fmt)
-            multi = render(*multi_out, f"{name}-w4.{suffix}", fmt)
-            assert solo == multi, (name, fmt)
+            solo = render(*outs[1], f"{name}-w1.{suffix}", fmt)
+            for w in (2, 4):
+                assert render(*outs[w], f"{name}-w{w}.{suffix}", fmt) == solo, (name, fmt, w)
     _verdict(9, "byte-identical reports across worker counts", budget)

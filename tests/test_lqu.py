@@ -150,7 +150,6 @@ def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
     rng = stream(seed, 0)
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
-    root = state.matrix if pure else None  # a pure state is its own root; scipy's is off by ~1e-8
     spectrum = np.array([low, low + gap])
 
     def embedded(k, side):
@@ -161,7 +160,7 @@ def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
             continue
         result = lqu(state, spectrum, side, opts=OptimizerOptions(restarts=5), rng=rng)
         assert (result.restarts_used, result.converged) == (0, True)  # no search ran
-        assert abs(result.value - oracle_lqu_qubit(state.matrix, dims, side, spectrum, root)) <= 1e-10
+        assert abs(result.value - oracle_lqu_qubit(state.matrix, dims, side, spectrum)) <= 1e-10
         at_min = skew_information(state.state, embedded(result.minimizer.matrix, side))
         assert abs(result.value - at_min) <= 1e-12
         for _ in range(20):

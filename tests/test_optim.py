@@ -26,9 +26,9 @@ from skewinfo import (
     stream,
 )
 from skewinfo import optim
-from skewinfo.metrics import LocalSkewObjective
-from skewinfo.optim import geodesic, minimize_over_unitaries
-from skewinfo.steering import _q_objective, _skew_objective
+from skewinfo.metrics import LocalSkewObjective, _eigenbasis_cost
+from skewinfo.optim import geodesic, minimize_over_unitaries, walk
+from skewinfo.steering import _q_objective, _skew_objective, _tensor
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 FD_STEP = 1e-5
@@ -88,8 +88,9 @@ def test_steering_gradients_match_central_difference(dims, rng):
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
-    assert_gradient(lambda u: _skew_objective(state, u, km), n_a, rng)
-    assert_gradient(lambda u: _q_objective(state, u), n_a, rng)
+    r4 = _tensor(state)
+    assert_gradient(lambda u: _skew_objective(u, r4, km), n_a, rng)
+    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -101,21 +102,27 @@ def test_steering_gradients_on_pure_states(dims, rng):
     psi = np.linalg.eigh(ginibre_state(n_a * n_b, rank=1, rng=rng).matrix)[1][:, -1]
     state = BipartiteState(DensityMatrix(np.outer(psi, psi.conj())), n_a, n_b)
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
+    r4 = _tensor(state)
     assert_gradient(
-        lambda u: _skew_objective(state, u, km), n_a, rng, reference=lambda u: pure_steered_skew(psi, dims, u, km)
+        lambda u: _skew_objective(u, r4, km), n_a, rng, reference=lambda u: pure_steered_skew(psi, dims, u, km)
     )
-    assert_gradient(lambda u: _q_objective(state, u), n_a, rng, reference=lambda u: n_b - 1.0)
+    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng, reference=lambda u: n_b - 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_geodesic_is_the_exponential_step(n, rng):
     u = haar_unitary(n, rng)
     g = random_antihermitian(n, rng)
-    path, rate = geodesic(u, g)
-    assert rate == pytest.approx(np.abs(np.linalg.eigvals(g)).max(), abs=1e-12)
+    uv, w, vh = geodesic(u, g)
+    assert np.abs(w).max() == pytest.approx(np.abs(np.linalg.eigvals(g)).max(), abs=1e-12)
     for t in (0.0, 0.3, 2.0):
-        np.testing.assert_allclose(path(t), u @ scipy.linalg.expm(-t * g), atol=1e-12)
-    assert np.max(np.abs(path(1.0).conj().T @ path(1.0) - np.eye(n))) <= 1e-12
+        np.testing.assert_allclose(walk(uv, w, vh, t), u @ scipy.linalg.expm(-t * g), atol=1e-12)
+    end = walk(uv, w, vh, 1.0)
+    assert np.max(np.abs(end.conj().T @ end - np.eye(n))) <= 1e-12
+    # a stack of geodesics, each walked to its own t
+    us, gs, ts = np.stack([u, u.conj().T]), np.stack([g, 2.0 * g]), np.array([0.3, 2.0])
+    for point, ui, gi, t in zip(walk(*geodesic(us, gs), ts), us, gs, ts):
+        np.testing.assert_allclose(point, ui @ scipy.linalg.expm(-t * gi), atol=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -135,9 +142,9 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
         objective = lambda u: obj.eigenbasis_cost(u, lam)  # noqa: E731
     elif kind == "skew":
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
-        objective = lambda u: _skew_objective(state, u, km)  # noqa: E731
+        objective = lambda u: _skew_objective(u, _tensor(state), km)  # noqa: E731
     else:
-        objective = lambda u: _q_objective(state, u)  # noqa: E731
+        objective = lambda u: _q_objective(u, _tensor(state))  # noqa: E731
     seed_u = haar_unitary(n_a, rng)
     result = minimize_over_unitaries(
         objective, n_a, OptimizerOptions(restarts=2, tol=1e-7, max_iters=40), seed_unitaries=[seed_u], rng=rng
@@ -149,38 +156,46 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
 
 def brockett(m, lam):
     """f(U) = Re Tr(M U diag(lam) U†) and its Riemannian gradient [U†MU, diag(lam)],
-    which has a zero diagonal. Its minimum is sum(lam ascending * eig(M) descending)
-    (rearrangement inequality)."""
+    which has a zero diagonal, for a stack of U. Its minimum is
+    sum(lam ascending * eig(M) descending) (rearrangement inequality)."""
 
     def objective(u):
-        a = u.conj().T @ m @ u
-        a = 0.5 * (a + a.conj().T)
-        return float(np.diag(a).real @ lam), a * lam - lam[:, None] * a
+        a = u.conj().swapaxes(-1, -2) @ m @ u
+        a = 0.5 * (a + a.conj().swapaxes(-1, -2))
+        return np.diagonal(a, axis1=-2, axis2=-1).real @ lam, a * lam - lam[:, None] * a
 
     return objective
 
 
 class Recorder:
-    """Wraps an objective and the search's geodesic: records every evaluation,
-    and per step the value and gradient at the base point and the direction."""
+    """Wraps an objective and the search's geodesic and walk for a one-member
+    stack: records every evaluation, every trial step length, and per step
+    the value and gradient at the base point, the direction and the base
+    point."""
 
     def __init__(self, objective, monkeypatch):
         self.objective = objective
         self.evals = []
         self.steps = []
+        self.lengths = []
         monkeypatch.setattr(optim, "geodesic", self.geodesic)
+        monkeypatch.setattr(optim, "walk", self.walk)
+
+    def walk(self, uv, w, vh, t):
+        self.lengths.append(float(t[0]))
+        return walk(uv, w, vh, t)
 
     def __call__(self, u):
         value, g = self.objective(u)
-        self.evals.append((u, value, g))
+        self.evals.append((u[0].copy(), value[0], g[0].copy()))
         return value, g
 
     def geodesic(self, u, h):
-        _, value, g = next(e for e in reversed(self.evals) if e[0] is u)
-        if self.steps and self.steps[-1][1] is g:  # G after a conjugate direction that gained nothing
-            self.steps[-1] = (value, g, h)
+        base, value, g = next(e for e in reversed(self.evals) if np.array_equal(e[0], u[0]))
+        if self.steps and np.array_equal(self.steps[-1][3], base):  # G after a conjugate direction that gained nothing
+            self.steps[-1] = (value, g, h[0].copy(), base)
         else:
-            self.steps.append((value, g, h))
+            self.steps.append((value, g, h[0].copy(), base))
         return geodesic(u, h)
 
 
@@ -193,20 +208,27 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         m = (v * mu) @ v.conj().T
         lam = np.sort(rng.standard_normal(n))
         minimum = lam @ np.sort(mu)[::-1]
-        rec = Recorder(brockett(m, lam), monkeypatch)
-        result = minimize_over_unitaries(rec, n, OptimizerOptions(restarts=2, tol=1e-12, max_iters=500), rng=rng)
+        opts = OptimizerOptions(restarts=2, tol=1e-12, max_iters=500)
+        result = minimize_over_unitaries(brockett(m, lam), n, opts, rng=rng)
         assert abs(result.value - minimum) <= 1e-9
         assert result.converged
         # one restart from a fresh start: every accepted step lowers the value
-        rec.steps.clear()
-        value, u = optim._descend(rec, haar_unitary(n, rng), 500, 1e-14)
+        with monkeypatch.context() as patch:
+            rec = Recorder(brockett(m, lam), patch)
+            (value,), (end,) = optim._descend(rec, haar_unitary(n, rng)[None], (), 500, 1e-14)
         base_values = [step[0] for step in rec.steps]
         assert all(b < a for a, b in zip(base_values, base_values[1:]))
         assert value <= base_values[-1]
         assert abs(value - minimum) <= 1e-9
-        # the restart ends on a steepest-descent step, never on a conjugate direction
-        _, g, h = rec.steps[-1]
-        assert h is g
+        # the restart ends on a steepest-descent step, never on a conjugate
+        # direction: either its last walk is along G, or G has no room left,
+        # its first-order gain at the final step being at most the stop gain
+        _, g, h, _ = rec.steps[-1]
+        if not np.array_equal(h, g):
+            arrived = np.array_equal(rec.evals[-1][0], end)  # the last trial step was accepted
+            final_step = rec.lengths[-1] * (optim._GROWTH if arrived else 0.5)
+            g_end = brockett(m, lam)(end[None])[1][0]
+            assert final_step * np.vdot(g_end, g_end).real <= 1e-14
 
 
 def test_conjugate_direction_resets_to_the_gradient(monkeypatch):
@@ -220,9 +242,9 @@ def test_conjugate_direction_resets_to_the_gradient(monkeypatch):
     rec = Recorder(brockett(np.diag([1.0, -1.0]).astype(complex), lam), monkeypatch)
     theta = np.pi / 3
     u0 = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
-    value, _ = optim._descend(rec, u0, 50, 1e-14)
+    (value,), _ = optim._descend(rec, u0[None], (), 50, 1e-14)
 
-    (v0, g0, h0), (v1, g1, h1) = rec.steps[:2]
+    (v0, g0, h0, _), (v1, g1, h1, _) = rec.steps[:2]
     assert (v0, v1) == pytest.approx((-1.0, -np.sqrt(3.0)), abs=1e-12)
     np.testing.assert_array_equal(h0, g0)
     beta = np.vdot(g1 - g0, g1).real / np.vdot(g0, g0).real
@@ -255,7 +277,38 @@ def test_objectives_ignore_column_phases(dims, rng):
     for _ in range(10):
         u = haar_unitary(n_a, rng)
         ud = u * random_phases(n_a, rng)
-        assert abs(_skew_objective(state, u, km)[0] - _skew_objective(state, ud, km)[0]) <= 1e-12
+        assert abs(_skew_objective(u, _tensor(state), km)[0] - _skew_objective(ud, _tensor(state), km)[0]) <= 1e-12
+
+
+def test_search_stacks_problems_without_changing_their_results():
+    # three LQU problems (one on a product state, whose restarts reach the
+    # floor) and a steering problem in one call: each restart's descent is
+    # bit for bit the descent it makes alone, and each result is the best
+    # of its restarts in order, up to the first that reaches the floor
+    rng = stream(61, 0)
+    lam = np.array([-1.0, 0.0, 1.0])
+    rho_a = ginibre_state(3, rng=rng).matrix
+    product = BipartiteState(DensityMatrix(np.kron(rho_a, ginibre_state(2, rng=rng).matrix)), 3, 2)
+    states = [BipartiteState(ginibre_state(6, rng=rng), 3, 2) for _ in range(2)] + [product]
+    opts = OptimizerOptions(restarts=4, tol=1e-7, max_iters=150)
+    problems = [
+        optim.problem(_eigenbasis_cost, (LocalSkewObjective(s, "A").form, lam), 3, opts, rng=rng, floor=1e-11)
+        for s in states
+    ]
+    # the product state's second restart starts at a minimizer, an
+    # eigenbasis of its A marginal, while the other restarts still descend
+    seeds = [haar_unitary(3, rng), np.linalg.eigh(rho_a)[1]]
+    problems[2] = problems[2]._replace(bases=np.concatenate([seeds, problems[2].bases[2:]]))
+    km = random_nondegenerate_observable(2, rng=rng).matrix
+    problems.append(optim.problem(_skew_objective, (_tensor(states[0]), km), 3, opts, rng=rng))
+    results = optim.search(problems)
+    assert [r.restarts_used for r in results] == [4, 4, 2, 4]  # the floor stops the product's count
+    for p, result in zip(problems, results):
+        alone = [optim.search([p._replace(bases=base[None])])[0] for base in p.bases]
+        best = min(alone[: result.restarts_used], key=lambda r: r.value)
+        assert result.value == best.value
+        np.testing.assert_array_equal(result.unitary, best.unitary)
+        assert all(r.value > 1e-11 for r in alone[: result.restarts_used - 1])
 
 
 def test_one_dimensional_side_evaluates_the_only_point():

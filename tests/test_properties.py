@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gell_mann_basis, summed_q_local, summed_q_total
+from conftest import gell_mann_basis, oracle_q_total, oracle_sqrtm, summed_q_local, summed_q_total
 from skewinfo import (
     BipartiteState,
     DensityMatrix,
@@ -95,8 +95,7 @@ def test_steered_q_of_every_basis_is_bounded_by_q_local(seed, dims, rank_frac, p
 
 def spectral_state(n, rank, rng):
     """A state V diag(p) V† with ``rank`` nonzero weights, and its root
-    V diag(sqrt p) V† taken from the construction, not from an eigensolver:
-    on rank-deficient states scipy's root is off by ~1e-8."""
+    V diag(sqrt p) V† taken from the construction, not from an eigensolver."""
     v = haar_unitary(n, rng)
     p = np.zeros(n)
     p[:rank] = rng.uniform(0.05, 1.0, rank)
@@ -105,16 +104,27 @@ def spectral_state(n, rank, rng):
 
 
 @settings(max_examples=80, deadline=None)
+@given(seed=seeds, n=st.integers(1, 9), rank_frac=st.floats(0.0, 1.0))
+def test_oracle_root_is_exact_on_pure_and_low_rank_states(seed, n, rank_frac):
+    # rank_frac = 0 draws pure states, whose zero eigenvalues come out of an
+    # eigensolver as ~1e-16 noise with ~1e-8 square roots
+    rank = 1 + int(rank_frac * (n - 1))
+    matrix, root = spectral_state(n, rank, stream(seed, 0))
+    assert np.abs(oracle_sqrtm(matrix) - root).max() <= 1e-12
+    assert abs(oracle_q_total(matrix) - (n - np.trace(root).real ** 2)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
 @given(seed=seeds, n_a=st.integers(1, 3), n_b=st.integers(1, 3), rank_frac=st.floats(0.0, 1.0))
 def test_q_closed_forms_equal_the_gell_mann_sums(seed, n_a, n_b, rank_frac):
     # rank_frac = 0 draws pure joint states
     n = n_a * n_b
-    matrix, root = spectral_state(n, 1 + int(rank_frac * (n - 1)), stream(seed, 0))
+    matrix, _ = spectral_state(n, 1 + int(rank_frac * (n - 1)), stream(seed, 0))
     rho = DensityMatrix(matrix)
     state = BipartiteState(rho, n_a, n_b)
-    assert abs(q_total(rho) - summed_q_total(matrix, gell_mann_basis(n), root)) <= 1e-8
+    assert abs(q_total(rho) - summed_q_total(matrix, gell_mann_basis(n))) <= 1e-8
     for side, n_side in (("A", n_a), ("B", n_b)):
-        oracle = summed_q_local(matrix, (n_a, n_b), side, gell_mann_basis(n_side), root)
+        oracle = summed_q_local(matrix, (n_a, n_b), side, gell_mann_basis(n_side))
         assert abs(q_local(state, side) - oracle) <= 1e-8
 
 

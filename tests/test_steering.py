@@ -28,7 +28,7 @@ from skewinfo import (
     stream,
 )
 
-from skewinfo import steering
+from skewinfo import optim, steering
 from skewinfo.optim import UnitarySearchResult
 
 from conftest import SIGMA_Z, gell_mann_basis, summed_q_total
@@ -165,13 +165,14 @@ def _search_cost(search, monkeypatch, *args):
     (value, Riemannian gradient) of the negated gain."""
     captured = []
 
-    def capture(cost, n, opts, rng=None):
-        captured.append(cost)
-        return UnitarySearchResult(0.0, np.eye(n, dtype=complex), 1, True)
+    def capture(problems):
+        captured.extend(problems)
+        return [UnitarySearchResult(0.0, np.eye(p.bases.shape[-1], dtype=complex), 1, True) for p in problems]
 
-    monkeypatch.setattr(steering, "minimize_over_unitaries", capture)
+    monkeypatch.setattr(optim, "search", capture)
     search(*args)
-    return captured[0]
+    (problem,) = captured
+    return lambda u: problem.cost(u, *problem.data)
 
 
 def test_steering_cost_matches_steered_sum_on_pure_state(rng, monkeypatch):
@@ -257,7 +258,7 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
         np.testing.assert_array_equal(steering._steered_q(state, bases), per_basis)
     if n_a > 1:
         # the product state really skips outcomes, and not the same ones in every basis
-        _, kept, _ = steering._condition(states[0], bases)
+        _, kept, _ = steering._condition(steering._tensor(states[0]), bases)
         assert not kept.all()
         assert len({tuple(row) for row in kept}) > 2
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from skewinfo import (
     write_report,
 )
 from skewinfo import verify
-from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_trial, worker_count
+from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
 
@@ -88,13 +89,46 @@ def test_violated_flag_matches_margin_definition():
 
 
 def test_failed_trial_becomes_diagnostic_record():
-    job = ("claim1", _claim1_body, (2, 2, 0, HARNESS_OPTS), (2, 2), 1e-7, False, 3, 0)
-    record, mono_ok, err = _run_trial(job)
-    assert err is not None and "kraus_count" in err
-    assert record.seed_tuple == (3, 0) and record.claim_id == "claim1"
-    assert math.isnan(record.lhs) and math.isnan(record.rhs)
-    assert not record.violated
-    assert mono_ok
+    job = ("claim1", _claim1_body, (2, 2, 0, HARNESS_OPTS), (2, 2), 1e-7, False, 3, (0, 1, 2))
+    results = _run_chunk(job)
+    assert [record.trial_index for record, _, _ in results] == [0, 1, 2]
+    for record, mono_ok, err in results:
+        assert err is not None and "kraus_count" in err
+        assert record.seed_tuple == (3, record.trial_index) and record.claim_id == "claim1"
+        assert math.isnan(record.lhs) and math.isnan(record.rhs)
+        assert not record.violated
+        assert mono_ok
+
+
+def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
+    # one trial of a six-trial chunk hands the stacked steering search an
+    # indefinite joint state, so the search raises NotPSD for the whole
+    # chunk; rerun one at a time, only that trial fails
+    clean_report, clean = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
+    real = verify._steering_induced_skew_steps
+    indefinite = np.diag([0.7, -0.1, 0.5, -0.1]).astype(complex).reshape(2, 2, 2, 2)
+
+    def faulty(rho_ab, k_b, opts, rng):
+        steps = real(rho_ab, k_b, opts, rng)
+        if rng.bit_generator.state["state"]["key"][1] != 3:  # the stream of trial 3
+            return (yield from steps)
+        problem = next(steps)
+        return steps.send((yield problem._replace(data=(indefinite, problem.data[1]))))
+
+    monkeypatch.setattr(verify, "_steering_induced_skew_steps", faulty)
+    report, records = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
+    assert report.failed == 1 and report.violations == 0
+    ((index, message),) = report.failures
+    assert index == 3 and message.startswith("NotPSD: minimum eigenvalue")
+    assert math.isnan(records[3].lhs) and math.isnan(records[3].rhs) and not records[3].violated
+    assert records[:3] + records[4:] == clean[:3] + clean[4:]
+    assert clean_report.failed == 0
+
+
+def test_workers_below_one_are_rejected():
+    for bad in (0, -3):
+        with pytest.raises(UsageError):
+            verify_avg_bound(trials=2, workers=bad)
 
 
 def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
@@ -113,18 +147,43 @@ def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
     assert all(msg.startswith("InvalidState: ") and "orthonormal columns" in msg for _, msg in report.failures)
 
 
+def render(report, records, path):
+    """The bytes of a written report: the records, then the summary."""
+    write_report(report, records, path, "json-lines")
+    with open(path, "rb") as fh:
+        body = fh.read()
+    with open(path + ".summary", "rb") as fh:
+        return body + fh.read()
+
+
 def test_workers_do_not_change_reports(tmp_path):
-    blobs = []
-    for workers in (1, 2):
-        report, records = verify_claim2(trials=8, master_seed=13, opts=QUICK, workers=workers)
-        path = str(tmp_path / f"w{workers}.jsonl")
-        write_report(report, records, path, "json-lines")
-        with open(path, "rb") as fh:
-            body = fh.read()
-        with open(path + ".summary", "rb") as fh:
-            body += fh.read()
-        blobs.append(body)
-    assert blobs[0] == blobs[1]
+    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 40
+    # trials run in-process in chunks of 32 and 8 with one worker, and in
+    # a pool in chunks of 20 or 10 with two or four
+    runs = {
+        "claim1": lambda w: verify_claim1(n_a=3, n_b=2, trials=40, master_seed=13, opts=QUICK, workers=w),
+        "claim2": lambda w: verify_claim2(trials=40, master_seed=13, opts=QUICK, mode="argmin_K", workers=w),
+        "random": lambda w: verify_claim2(trials=40, master_seed=13, opts=QUICK, workers=w),
+    }
+    for name, run in runs.items():
+        blobs = {render(*run(w), str(tmp_path / f"{name}-w{w}.jsonl")) for w in (1, 2, 4)}
+        assert len(blobs) == 1, name
+
+
+def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
+    # trials 0-4 run in a chunk of 5, then in the first chunk of a 37-trial
+    # call; claim2 at 2x3 stacks an LQU search and then a steering search
+    runs = {
+        "claim1": lambda n: verify_claim1(n_a=3, n_b=2, kraus_count=3, trials=n, master_seed=17, workers=1),
+        "claim2": lambda n: verify_claim2(trials=n, master_seed=17, mode="argmin_K", workers=1),
+        "claim2_2x3": lambda n: verify_claim2(n_b=3, trials=n, master_seed=17, mode="argmin_K", workers=1),
+        "avg": lambda n: verify_avg_bound(n_a=3, n_b=3, trials=n, master_seed=17, workers=1),
+    }
+    for name, run in runs.items():
+        short = render(*run(5), str(tmp_path / f"{name}-5.jsonl"))
+        long = render(*run(37), str(tmp_path / f"{name}-37.jsonl"))
+        records = short.split(b"\n")[:5]
+        assert records == long.split(b"\n")[:5], name
 
 
 def test_uq_threads_env_caps_workers(tmp_path, monkeypatch):
@@ -219,3 +278,9 @@ def test_wall_time_zero_by_default_measured_on_request():
         trials=3, bases_per_trial=2, master_seed=1, workers=1, collect_timing=True
     )
     assert all(t.wall_time_ms > 0.0 for t in timed)
+    # trials whose searches run stacked share the search time and keep their own
+    start = time.perf_counter()
+    _, stacked = verify_claim2(trials=6, master_seed=1, mode="argmin_K", workers=1, collect_timing=True)
+    call_ms = (time.perf_counter() - start) * 1e3
+    assert all(t.wall_time_ms > 0.0 for t in stacked)
+    assert sum(t.wall_time_ms for t in stacked) <= call_ms
