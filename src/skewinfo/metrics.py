@@ -114,20 +114,6 @@ class LocalSkewObjective:
         form -= self.cross.transpose(1, 2, 3, 0).reshape(n2, n2)
         self.form = 0.5 * (form + form.T)
 
-    def skew(self, k: np.ndarray) -> float:
-        """I(rho_AB, K embedded on this side), without clamping.
-
-        I = Tr(M K^2) - sum C_pqrs K_qr K_sp for the marginal M and the cross
-        tensor C, the quadratic form of the symmetric matrix ``form`` in vec(K).
-        """
-        vec = k.ravel()
-        return float((vec @ (self.form @ vec)).real)
-
-    def eigenbasis_cost(self, u: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The skew information at K = U diag(lam) U^dagger and its Riemannian
-        gradient in U, for one U or a stack of them (see ``_eigenbasis_cost``)."""
-        return _eigenbasis_cost(u, self.form, lam)
-
 
 def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The skew information at K = U diag(lam) U^dagger under the quadratic

@@ -42,9 +42,6 @@ _GROWTH = 1.25
 # Koivunen 2008): the first trial spans one period.
 _FIRST_ANGLE = np.pi / 2
 
-Objective = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
 @dataclass(frozen=True)
 class OptimizerOptions:
     restarts: int = 16
@@ -297,22 +294,6 @@ def _search_stack(problems: list[UnitaryProblem]) -> list[UnitarySearchResult]:
             converged = bool(ordered[1] - ordered[0] <= 10.0 * p.opts.tol)
         results.append(UnitarySearchResult(float(best_val), best_u, used, converged))
     return results
-
-
-def minimize_over_unitaries(
-    objective: Objective,
-    n: int,
-    opts: OptimizerOptions,
-    seed_unitaries: Sequence[np.ndarray] = (),
-    rng: np.random.Generator | None = None,
-    floor: float | None = None,
-) -> UnitarySearchResult:
-    """Minimize a function of an n x n unitary by restarted conjugate-gradient
-    descent: the one-problem case of :func:`search`, whose restarts
-    (seeds first, then Haar draws from ``rng``, see :func:`problem`)
-    descend as one stack. ``objective`` maps a ``(m, n, n)`` stack of
-    unitaries to its values and Riemannian gradients."""
-    return search([problem(objective, (), n, opts, seed_unitaries, rng, floor)])[0]
 
 
 R = TypeVar("R")

@@ -115,12 +115,11 @@ def commuting_kraus_channel(
     check_spectrum(k_obs.spectrum)
     n_a = k_obs.dim
     u = k_obs.eigenbasis
-    block_sets = [random_cptp(n_b, kraus_count, rng).kraus_ops for _ in range(n_a)]
-    ops = []
-    for j in range(kraus_count):
-        e = np.zeros((n_a * n_b, n_a * n_b), dtype=np.complex128)
-        for k in range(n_a):
-            proj = np.outer(u[:, k], u[:, k].conj())
-            e += np.kron(proj, block_sets[k][j])
-        ops.append(e)
-    return KrausChannel(ops)
+    blocks = np.array([random_cptp(n_b, kraus_count, rng).kraus_ops for _ in range(n_a)])
+    projs = u.T[:, :, None] * u.T.conj()[:, None, :]  # |u_k><u_k|, (k, a, c)
+    # terms[k, j] = |u_k><u_k| ⊗ B_j^(k), entry (a b, c d) = P_k[a, c] B_j^(k)[b, d]
+    terms = projs[:, None, :, None, :, None] * blocks[:, :, None, :, None, :]
+    ops = np.zeros((kraus_count, n_a * n_b, n_a * n_b), dtype=np.complex128)
+    for term in terms.reshape(n_a, kraus_count, n_a * n_b, n_a * n_b):
+        ops += term  # from zero in ascending k: an einsum would reorder the additions
+    return KrausChannel(list(ops))

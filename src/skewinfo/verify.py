@@ -14,9 +14,9 @@ import math
 import os
 from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Callable, Literal
+from typing import Any, Callable, Literal, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -50,18 +50,6 @@ HARNESS_OPTS = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
 _CHUNK_TRIALS = 32
 
 Claim2Mode = Literal["argmin_K", "random_K"]
-
-RECORD_FIELDS = (
-    "trial_index",
-    "seed_tuple",
-    "dims",
-    "claim_id",
-    "lhs",
-    "rhs",
-    "margin",
-    "violated",
-    "wall_time_ms",
-)
 
 
 @dataclass
@@ -250,12 +238,13 @@ def _claim1_body(rng: np.random.Generator, params: tuple) -> Steps[tuple[float, 
     sigma = DensityMatrix(kron(rho_a.matrix, tau_b.matrix))
     evolved = apply_channel(channel, sigma)
 
+    rhs = skew_information(rho_a, k_a)
+    # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs
     k_full = Observable(kron(k_a.matrix, np.eye(n_b)))
-    mono_ok = skew_information(evolved, k_full) <= skew_information(sigma, k_full) + MONOTONICITY_TOL
+    mono_ok = skew_information(evolved, k_full) <= rhs + MONOTONICITY_TOL
 
     evolved_ab = BipartiteState(evolved, n_a, n_b)
     lhs = (yield from _lqu_steps(evolved_ab, k_a.spectrum, "A", opts, (k_a,), rng)).value
-    rhs = skew_information(rho_a, k_a)
     return lhs, rhs, mono_ok
 
 
@@ -379,45 +368,42 @@ def _fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_float_json(x: float) -> str:
-    return "null" if math.isnan(x) else _fmt_float(x)
+def _bool_text(b: bool) -> str:
+    return "true" if b else "false"
 
 
-def _record_jsonl(r: TrialRecord) -> str:
-    return (
-        '{"trial_index": %d, "seed_tuple": [%d, %d], "dims": [%d, %d], '
-        '"claim_id": "%s", "lhs": %s, "rhs": %s, "margin": %s, '
-        '"violated": %s, "wall_time_ms": %s}'
-        % (
-            r.trial_index,
-            r.seed_tuple[0],
-            r.seed_tuple[1],
-            r.dims[0],
-            r.dims[1],
-            r.claim_id,
-            _fmt_float_json(r.lhs),
-            _fmt_float_json(r.rhs),
-            _fmt_float_json(r.margin),
-            "true" if r.violated else "false",
-            _fmt_float_json(r.wall_time_ms),
-        )
-    )
+def _int_pair(cell: str) -> tuple[int, int]:
+    a, b = cell.split(":")
+    return int(a), int(b)
 
 
-def _record_csv(r: TrialRecord) -> str:
-    return ",".join(
-        (
-            str(r.trial_index),
-            f"{r.seed_tuple[0]}:{r.seed_tuple[1]}",
-            f"{r.dims[0]}:{r.dims[1]}",
-            r.claim_id,
-            _fmt_float(r.lhs),
-            _fmt_float(r.rhs),
-            _fmt_float(r.margin),
-            "true" if r.violated else "false",
-            _fmt_float(r.wall_time_ms),
-        )
-    )
+class _Codec(NamedTuple):
+    """How one declared field type is written and read in each format:
+    JSON text, CSV cell, and readers of what ``json.loads`` returns and of
+    a CSV cell. Floats carry 17 significant digits; NaN is JSON null."""
+
+    to_json: Callable[[Any], str]
+    to_csv: Callable[[Any], str]
+    from_json: Callable[[Any], Any]
+    from_csv: Callable[[str], Any]
+
+
+_CODECS = {
+    int: _Codec("%d".__mod__, "%d".__mod__, int, int),
+    str: _Codec('"%s"'.__mod__, str, str, str),
+    bool: _Codec(_bool_text, _bool_text, bool, "true".__eq__),
+    float: _Codec(
+        lambda x: "null" if math.isnan(x) else _fmt_float(x),
+        _fmt_float,
+        lambda v: math.nan if v is None else float(v),
+        float,
+    ),
+    tuple[int, int]: _Codec("[%d, %d]".__mod__, "%d:%d".__mod__, tuple, _int_pair),
+}
+_HINTS = get_type_hints(TrialRecord)
+# The record schema: TrialRecord's fields in order, each with its codec.
+_SCHEMA = tuple((f.name, _CODECS[_HINTS[f.name]]) for f in fields(TrialRecord))
+RECORD_FIELDS = tuple(name for name, _ in _SCHEMA)
 
 
 def summary_text(report: VerificationReport) -> str:
@@ -446,10 +432,12 @@ def write_report(
     ``path + '.summary'``. Floats carry 17 significant digits, so records
     round-trip exactly through :func:`read_records`."""
     if fmt == "csv":
-        body = ",".join(RECORD_FIELDS) + "\n"
-        body += "".join(_record_csv(r) + "\n" for r in records)
+        rows = [RECORD_FIELDS] + [[c.to_csv(getattr(r, n)) for n, c in _SCHEMA] for r in records]
+        body = "".join(",".join(row) + "\n" for row in rows)
     elif fmt == "json-lines":
-        body = "".join(_record_jsonl(r) + "\n" for r in records)
+        body = "".join(
+            "{" + ", ".join(f'"{n}": {c.to_json(getattr(r, n))}' for n, c in _SCHEMA) + "}\n" for r in records
+        )
     else:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -459,46 +447,16 @@ def write_report(
 
 
 def read_records(path: str, fmt: Literal["json-lines", "csv"] = "json-lines") -> list[TrialRecord]:
-    """Parse a records file written by :func:`write_report`."""
+    """Parse a records file written by :func:`write_report`; every field
+    reads back as its declared type."""
     import json
 
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().split("\n") if ln]
     if fmt == "csv":
-        for line in lines[1:]:
-            cells = line.split(",")
-            seed = tuple(int(v) for v in cells[1].split(":"))
-            dims = tuple(int(v) for v in cells[2].split(":"))
-            records.append(
-                TrialRecord(
-                    trial_index=int(cells[0]),
-                    seed_tuple=seed,
-                    dims=dims,
-                    claim_id=cells[3],
-                    lhs=float(cells[4]),
-                    rhs=float(cells[5]),
-                    margin=float(cells[6]),
-                    violated=cells[7] == "true",
-                    wall_time_ms=float(cells[8]),
-                )
-            )
-    elif fmt == "json-lines":
-        for line in lines:
-            obj = json.loads(line)
-            records.append(
-                TrialRecord(
-                    trial_index=obj["trial_index"],
-                    seed_tuple=tuple(obj["seed_tuple"]),
-                    dims=tuple(obj["dims"]),
-                    claim_id=obj["claim_id"],
-                    lhs=math.nan if obj["lhs"] is None else obj["lhs"],
-                    rhs=math.nan if obj["rhs"] is None else obj["rhs"],
-                    margin=math.nan if obj["margin"] is None else obj["margin"],
-                    violated=obj["violated"],
-                    wall_time_ms=math.nan if obj["wall_time_ms"] is None else obj["wall_time_ms"],
-                )
-            )
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return records
+        rows = [dict(zip(RECORD_FIELDS, ln.split(","))) for ln in lines[1:]]
+        return [TrialRecord(**{n: c.from_csv(row[n]) for n, c in _SCHEMA}) for row in rows]
+    if fmt == "json-lines":
+        rows = [json.loads(ln) for ln in lines]
+        return [TrialRecord(**{n: c.from_json(row[n]) for n, c in _SCHEMA}) for row in rows]
+    raise ValueError(f"unknown format {fmt!r}")

@@ -233,4 +233,5 @@ def test_local_objective_matches_public_skew():
                     kron(k.matrix, np.eye(n_b)) if side == "A" else kron(np.eye(n_a), k.matrix)
                 )
                 direct = skew_information(rho_ab.state, Observable(embedded))
-                assert obj.skew(k.matrix) == pytest.approx(direct, abs=1e-10)
+                vec = k.matrix.ravel()
+                assert (vec @ obj.form @ vec).real == pytest.approx(direct, abs=1e-10)

@@ -27,7 +27,7 @@ from skewinfo import (
 )
 from skewinfo import optim
 from skewinfo.metrics import LocalSkewObjective, _eigenbasis_cost
-from skewinfo.optim import geodesic, minimize_over_unitaries, walk
+from skewinfo.optim import geodesic, walk
 from skewinfo.steering import _q_objective, _skew_objective, _tensor
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -80,7 +80,7 @@ def test_lqu_gradient_matches_central_difference(dims, rank, rng):
     for side, n_side in (("A", n_a), ("B", n_b)):
         obj = LocalSkewObjective(state, side)
         lam = np.sort(rng.standard_normal(n_side))
-        assert_gradient(lambda u: obj.eigenbasis_cost(u, lam), n_side, rng)
+        assert_gradient(lambda u: _eigenbasis_cost(u, obj.form, lam), n_side, rng)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -139,16 +139,15 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     if kind == "lqu":
         obj = LocalSkewObjective(state, "A")
         lam = np.sort(rng.standard_normal(n_a))
-        objective = lambda u: obj.eigenbasis_cost(u, lam)  # noqa: E731
+        objective = lambda u: _eigenbasis_cost(u, obj.form, lam)  # noqa: E731
     elif kind == "skew":
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
         objective = lambda u: _skew_objective(u, _tensor(state), km)  # noqa: E731
     else:
         objective = lambda u: _q_objective(u, _tensor(state))  # noqa: E731
     seed_u = haar_unitary(n_a, rng)
-    result = minimize_over_unitaries(
-        objective, n_a, OptimizerOptions(restarts=2, tol=1e-7, max_iters=40), seed_unitaries=[seed_u], rng=rng
-    )
+    opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
+    (result,) = optim.search([optim.problem(objective, (), n_a, opts, [seed_u], rng)])
     assert abs(result.value - objective(result.unitary)[0]) <= 1e-12
     assert result.value <= objective(seed_u)[0]
     assert 1 <= result.restarts_used <= 2
@@ -209,7 +208,7 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         lam = np.sort(rng.standard_normal(n))
         minimum = lam @ np.sort(mu)[::-1]
         opts = OptimizerOptions(restarts=2, tol=1e-12, max_iters=500)
-        result = minimize_over_unitaries(brockett(m, lam), n, opts, rng=rng)
+        (result,) = optim.search([optim.problem(brockett(m, lam), (), n, opts, rng=rng)])
         assert abs(result.value - minimum) <= 1e-9
         assert result.converged
         # one restart from a fresh start: every accepted step lowers the value
@@ -272,7 +271,7 @@ def test_objectives_ignore_column_phases(dims, rng):
             u = haar_unitary(n_side, rng)
             ud = u * random_phases(n_side, rng)
             # the search cost of the LQU: I(rho, U diag(lam) U^dagger on the side)
-            assert abs(obj.eigenbasis_cost(u, lam)[0] - obj.eigenbasis_cost(ud, lam)[0]) <= 1e-12
+            assert abs(_eigenbasis_cost(u, obj.form, lam)[0] - _eigenbasis_cost(ud, obj.form, lam)[0]) <= 1e-12
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     for _ in range(10):
         u = haar_unitary(n_a, rng)

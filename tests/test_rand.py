@@ -178,3 +178,35 @@ def test_commuting_channel_commutes_and_complete():
                 assert np.max(np.abs(total - np.eye(n_a * n_b))) < 1e-8
                 count += 1
     assert count >= 100
+
+
+def looped_commuting_kraus_ops(k, n_b, kraus_count, rng):
+    """The channel's Kraus operators built one np.kron term at a time,
+    E_j = sum_k |u_k><u_k| ⊗ B_j^(k) summed from zero in ascending k, from
+    the same per-eigenvector random_cptp draws."""
+    u = k.eigenbasis
+    block_sets = [random_cptp(n_b, kraus_count, rng).kraus_ops for _ in range(k.dim)]
+    ops = []
+    for j in range(kraus_count):
+        e = np.zeros((k.dim * n_b, k.dim * n_b), dtype=np.complex128)
+        for col in range(k.dim):
+            e += np.kron(np.outer(u[:, col], u[:, col].conj()), block_sets[col][j])
+        ops.append(e)
+    return ops
+
+
+@pytest.mark.parametrize("n_a,n_b,kraus_count", [(3, 2, 3), (2, 2, 2), (3, 3, 1), (2, 3, 3), (2, 1, 2)])
+def test_commuting_channel_equals_the_term_by_term_sum(n_a, n_b, kraus_count):
+    # the broadcast build does the same products and additions in the same
+    # order as the loop, so the operators agree bit for bit and the stream
+    # is left in the same state
+    for idx in range(20):
+        rng, ref_rng = stream(300 + idx, n_a), stream(300 + idx, n_a)
+        k = random_nondegenerate_observable(n_a, rng=rng)
+        random_nondegenerate_observable(n_a, rng=ref_rng)
+        ops = commuting_kraus_channel(k, n_b, kraus_count, rng).kraus_ops
+        expected = looped_commuting_kraus_ops(k, n_b, kraus_count, ref_rng)
+        assert len(ops) == kraus_count
+        for e, ref in zip(ops, expected):
+            assert e.tobytes() == ref.tobytes()
+        assert rng.random() == ref_rng.random()
