@@ -10,6 +10,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -48,36 +49,56 @@ class RunConfig:
     basis_file: str | None = None
 
 
+# Each flag's RunConfig field and argparse type, then each command's flags. A
+# command's parser declares only its own flags, so argparse leaves the rest
+# over; of several such flags, the first in _FLAGS order is reported.
+_FORMATS = {"json": "json-lines", "csv": "csv"}
+_FLAGS = {
+    "--mode": dict(dest="mode", choices=("random_K", "argmin_K")),
+    "--kraus": dict(dest="kraus_count", type=int, metavar="J"),
+    "--bases": dict(dest="bases_per_trial", type=int, metavar="B"),
+    "--spectrum": dict(dest="spectrum", metavar="V1,V2,..."),
+    "--dim-a": dict(dest="n_a", type=int, metavar="N"),
+    "--dim-b": dict(dest="n_b", type=int, metavar="N"),
+    "--trials": dict(dest="trials", type=int, metavar="T"),
+    "--tol": dict(dest="tol", type=float, metavar="TOL"),
+    "--restarts": dict(dest="restarts", type=int, metavar="R"),
+    "--basis-file": dict(dest="basis_file", metavar="PATH"),
+    "--state-file": dict(dest="state_file", metavar="PATH"),
+    "--seed": dict(dest="master_seed", type=int, metavar="SEED"),
+    "--format": dict(dest="out_format", choices=tuple(_FORMATS)),
+    "--out": dict(dest="out_path", metavar="PATH"),
+}
+_VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
+COMMANDS = {
+    "skew": ("--state-file", "--spectrum", "--basis-file", "--out"),
+    "q": ("--state-file", "--out"),
+    "lqu": ("--state-file", "--spectrum", "--restarts", "--seed", "--out"),
+    "steer": ("--state-file", "--seed", "--out"),
+    "verify claim1": _VERIFY_FLAGS + ("--kraus", "--restarts"),
+    "verify claim2": _VERIFY_FLAGS + ("--mode", "--restarts"),
+    "verify avg": _VERIFY_FLAGS + ("--bases",),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(f"{self.format_usage()}\nerror: {message}")
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--dim-a", type=int, default=None, metavar="N")
-    p.add_argument("--dim-b", type=int, default=None, metavar="N")
-    p.add_argument("--trials", type=int, default=None, metavar="T")
-    p.add_argument("--seed", type=int, default=None, metavar="SEED")
-    p.add_argument("--spectrum", type=str, default=None, metavar="V1,V2,...")
-    p.add_argument("--restarts", type=int, default=None, metavar="R")
-    p.add_argument("--tol", type=float, default=None, metavar="TOL")
-    p.add_argument("--kraus", type=int, default=None, metavar="J")
-    p.add_argument("--bases", type=int, default=None, metavar="B")
-    p.add_argument("--out", type=str, default=None, metavar="PATH")
-    p.add_argument("--format", type=str, default=None, choices=("json", "csv"))
-    p.add_argument("--state-file", type=str, default=None, metavar="PATH")
-    p.add_argument("--basis-file", type=str, default=None, metavar="PATH")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="skewinfo", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in ("skew", "q", "lqu", "steer"):
-        _add_common(subs.add_parser(name, help=f"compute {name} quantities"))
-    pv = subs.add_parser("verify", help="run a randomized bound verification")
-    pv.add_argument("claim", choices=("claim1", "claim2", "avg"))
-    pv.add_argument("--mode", type=str, default=None, choices=("random_K", "argmin_K"))
-    _add_common(pv)
+    for command, flags in COMMANDS.items():
+        name, _, claim = command.partition(" ")
+        if claim and name not in subs.choices:
+            verify = subs.add_parser(name, help="run a randomized bound verification")
+            claims = verify.add_subparsers(dest="claim", required=True)
+        help_text = f"check the {claim} bound" if claim else f"compute {name} quantities"
+        # no defaults here: RunConfig's are the only ones
+        p = (claims if claim else subs).add_parser(claim or name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -107,57 +128,52 @@ def _join_spectrum_value(argv: list[str]) -> list[str]:
     return out
 
 
+def _reject_extras(parser: _Parser, extras: list[str], command: str) -> None:
+    """Report what the command's parser left over: any unknown argument,
+    else the first flag (in _FLAGS order) that only other commands read."""
+    foreign, unknown = set(), []
+    tokens = iter(extras)
+    for token in tokens:
+        flag, eq, _ = token.partition("=")
+        if flag in _FLAGS:
+            foreign.add(flag)
+            if not eq:
+                next(tokens, None)  # its value
+        else:
+            unknown.append(token)
+    if unknown:
+        parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    flag = next(f for f in _FLAGS if f in foreign)
+    readers = [c for c, flags in COMMANDS.items() if flag in flags]
+    names = f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1 else readers[0]
+    raise UsageError(f"{flag} applies only to {names}, not {command}")
+
+
 def parse_args(argv: list[str]) -> RunConfig:
     """Parse the command line, raising UsageError on any malformed input."""
     parser = build_parser()
     if not argv:
         raise UsageError(parser.format_help())
-    ns = parser.parse_args(_join_spectrum_value(argv))
-    command = ns.command if ns.command != "verify" else f"verify {ns.claim}"
-    mode = getattr(ns, "mode", None)
-    verifiers = ("verify claim1", "verify claim2", "verify avg")
-    for flag, value, readers in (
-        ("--mode", mode, ("verify claim2",)),
-        ("--kraus", ns.kraus, ("verify claim1",)),
-        ("--bases", ns.bases, ("verify avg",)),
-        ("--spectrum", ns.spectrum, ("skew", "lqu")),
-        ("--dim-a", ns.dim_a, verifiers),
-        ("--dim-b", ns.dim_b, verifiers),
-        ("--trials", ns.trials, verifiers),
-        ("--tol", ns.tol, verifiers),
-        ("--restarts", ns.restarts, ("lqu", "verify claim1", "verify claim2")),
-        ("--basis-file", ns.basis_file, ("skew",)),
-        ("--state-file", ns.state_file, ("skew", "q", "lqu", "steer")),
-        ("--seed", ns.seed, ("lqu", "steer") + verifiers),
-        ("--format", ns.format, verifiers),
-    ):
-        if value is not None and command not in readers:
-            names = f"{', '.join(readers[:-1])} and {readers[-1]}" if len(readers) > 1 else readers[0]
-            raise UsageError(f"{flag} applies only to {names}, not {command}")
-    spectrum = None if ns.spectrum is None else _parse_spectrum(ns.spectrum)
-    config = RunConfig(
-        command=command,
-        n_a=RunConfig.n_a if ns.dim_a is None else ns.dim_a,
-        n_b=RunConfig.n_b if ns.dim_b is None else ns.dim_b,
-        trials=RunConfig.trials if ns.trials is None else ns.trials,
-        spectrum=spectrum,
-        restarts=ns.restarts,
-        mode=mode or RunConfig.mode,
-        tol=RunConfig.tol if ns.tol is None else ns.tol,
-        master_seed=RunConfig.master_seed if ns.seed is None else ns.seed,
-        kraus_count=RunConfig.kraus_count if ns.kraus is None else ns.kraus,
-        bases_per_trial=RunConfig.bases_per_trial if ns.bases is None else ns.bases,
-        out_path=ns.out,
-        out_format="csv" if ns.format == "csv" else "json-lines",
-        state_file=ns.state_file,
-        basis_file=ns.basis_file,
-    )
+    ns, extras = parser.parse_known_args(_join_spectrum_value(argv))
+    fields = vars(ns)
+    command = fields.pop("command")
+    if command == "verify":
+        command = f"verify {fields.pop('claim')}"
+    if extras:
+        _reject_extras(parser, extras, command)
+    if "spectrum" in fields:
+        fields["spectrum"] = _parse_spectrum(fields["spectrum"])
+    if "out_format" in fields:
+        fields["out_format"] = _FORMATS[fields["out_format"]]
+    config = RunConfig(command, **fields)
     for name in ("n_a", "n_b", "trials", "restarts", "kraus_count", "bases_per_trial"):
         value = getattr(config, name)
         if value is not None and value < 1:
             raise UsageError(f"{name} must be positive")
     if config.tol <= 0:
         raise UsageError("tol must be positive")
+    if not math.isfinite(config.tol):
+        raise UsageError(f"tol must be finite, got {config.tol}")
     return config
 
 
@@ -225,10 +241,13 @@ def load_basis_unitary(path: str) -> np.ndarray:
     return MeasurementBasis(matrix).unitary
 
 
-def _require_state(config: RunConfig) -> DensityMatrix | BipartiteState:
+def _require_state(config: RunConfig, bipartite: bool = False) -> DensityMatrix | BipartiteState:
     if config.state_file is None:
         raise UsageError(f"{config.command} requires --state-file")
-    return load_state(config.state_file)
+    state = load_state(config.state_file)
+    if bipartite and not isinstance(state, BipartiteState):
+        raise UsageError(f"{config.command} requires a bipartite state file with a 'dims: nA nB' header")
+    return state
 
 
 def _observable_for(config: RunConfig, dim: int) -> NondegenerateObservable:
@@ -279,9 +298,7 @@ def _run_q(config: RunConfig) -> int:
 
 
 def _run_lqu(config: RunConfig) -> int:
-    state = _require_state(config)
-    if not isinstance(state, BipartiteState):
-        raise UsageError("lqu requires a bipartite state file with a 'dims: nA nB' header")
+    state = _require_state(config, bipartite=True)
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
     result = lqu(state, lam, "A", opts=opts, rng=stream(config.master_seed, 0))
@@ -298,9 +315,7 @@ def _run_lqu(config: RunConfig) -> int:
 
 
 def _run_steer(config: RunConfig) -> int:
-    state = _require_state(config)
-    if not isinstance(state, BipartiteState):
-        raise UsageError("steer requires a bipartite state file with a 'dims: nA nB' header")
+    state = _require_state(config, bipartite=True)
     basis = MeasurementBasis(haar_unitary(state.n_a, stream(config.master_seed, 0)))
     ensemble = steer(state, basis)
     lines = [f"outcomes = {len(ensemble.probabilities)}", f"skipped = {len(ensemble.skipped)}"]
@@ -313,70 +328,40 @@ def _run_steer(config: RunConfig) -> int:
     return 0
 
 
+# Each harness and the one RunConfig field it reads besides the shared ones
+_HARNESSES = {
+    "verify claim1": (verify_mod.verify_claim1, "kraus_count"),
+    "verify claim2": (verify_mod.verify_claim2, "mode"),
+    "verify avg": (verify_mod.verify_avg_bound, "bases_per_trial"),
+}
+
+
 def _run_verify(config: RunConfig) -> int:
-    claim = config.command.split()[1]
-    opts = verify_mod.HARNESS_OPTS
-    if config.restarts is not None:
-        opts = replace(opts, restarts=config.restarts)
-    if claim == "claim1":
-        report, records = verify_mod.verify_claim1(
-            n_a=config.n_a,
-            n_b=config.n_b,
-            trials=config.trials,
-            kraus_count=config.kraus_count,
-            tol=config.tol,
-            opts=opts,
-            master_seed=config.master_seed,
-        )
-    elif claim == "claim2":
-        report, records = verify_mod.verify_claim2(
-            n_a=config.n_a,
-            n_b=config.n_b,
-            trials=config.trials,
-            tol=config.tol,
-            opts=opts,
-            master_seed=config.master_seed,
-            mode=config.mode,
-        )
-    else:
-        report, records = verify_mod.verify_avg_bound(
-            n_a=config.n_a,
-            n_b=config.n_b,
-            trials=config.trials,
-            bases_per_trial=config.bases_per_trial,
-            tol=config.tol,
-            master_seed=config.master_seed,
-        )
+    harness, field = _HARNESSES[config.command]
+    kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", "master_seed", field)}
+    if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
+        kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
+    report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))
     if config.out_path is not None:
         verify_mod.write_report(report, records, config.out_path, config.out_format)
     return 1 if report.violations else 0
 
 
+_RUNNERS = dict(skew=_run_skew, q=_run_q, lqu=_run_lqu, steer=_run_steer, **dict.fromkeys(_HARNESSES, _run_verify))
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a parsed configuration; returns the process exit status."""
-    if config.command == "skew":
-        return _run_skew(config)
-    if config.command == "q":
-        return _run_q(config)
-    if config.command == "lqu":
-        return _run_lqu(config)
-    if config.command == "steer":
-        return _run_steer(config)
-    if config.command.startswith("verify "):
-        return _run_verify(config)
-    raise UsageError(f"unknown command {config.command!r}")
+    if config.command not in _RUNNERS:
+        raise UsageError(f"unknown command {config.command!r}")
+    return _RUNNERS[config.command](config)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = parse_args(argv)
-    except UsageError as exc:
-        sys.stderr.write(str(exc) + "\n")
-        return 2
-    try:
-        return run(config)
+        return run(parse_args(argv))
     except UsageError as exc:
         sys.stderr.write(str(exc) + "\n")
         return 2

@@ -96,22 +96,21 @@ class LocalSkewObjective:
     """
 
     def __init__(self, rho_ab: BipartiteState, side: Side):
-        self.side = side
-        self.n = rho_ab.n_a if side == "A" else rho_ab.n_b
+        n = rho_ab.n_a if side == "A" else rho_ab.n_b
         root = sqrtm_psd(rho_ab.matrix)
         dims = rho_ab.dims
         s = root.reshape(dims[0], dims[1], dims[0], dims[1])
         if side == "A":
-            self.marginal = partial_trace(rho_ab.matrix, dims, "B")
-            self.cross = np.einsum("pxqy,rysx->pqrs", s, s)
+            marginal = partial_trace(rho_ab.matrix, dims, "B")
+            cross = np.einsum("pxqy,rysx->pqrs", s, s)
         else:
-            self.marginal = partial_trace(rho_ab.matrix, dims, "A")
-            self.cross = np.einsum("xpyq,yrxs->pqrs", s, s)
+            marginal = partial_trace(rho_ab.matrix, dims, "A")
+            cross = np.einsum("xpyq,yrxs->pqrs", s, s)
         # I(K) = vec(K)^T form vec(K): Tr(M K^2) pairs K_jk with K_ki
         # through M_ij, and the cross term pairs K_qr with K_sp through C_pqrs.
-        n2 = self.n * self.n
-        form = np.einsum("ij,kl->jkli", self.marginal, np.eye(self.n)).reshape(n2, n2)
-        form -= self.cross.transpose(1, 2, 3, 0).reshape(n2, n2)
+        n2 = n * n
+        form = np.einsum("ij,kl->jkli", marginal, np.eye(n)).reshape(n2, n2)
+        form -= cross.transpose(1, 2, 3, 0).reshape(n2, n2)
         self.form = 0.5 * (form + form.T)
 
 
@@ -195,25 +194,6 @@ def _lqu_steps(
     return (yield from _lqu_search_steps(rho_ab, lam, side, opts, seeds, rng))
 
 
-def _lqu_search(
-    rho_ab: BipartiteState,
-    lam: np.ndarray,
-    side: Side,
-    opts: OptimizerOptions | None = None,
-    seeds: tuple[NondegenerateObservable, ...] = (),
-    rng: np.random.Generator | None = None,
-) -> LquResult:
-    """LQU by restarted conjugate-gradient descent over the eigenbases of the
-    side's observables with the ascending spectrum ``lam``, on a side of any
-    size.
-
-    Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
-    the unitary group for at most ``opts.max_iters`` accepted steps;
-    restarts stop early once the value reaches ``LQU_FLOOR``.
-    """
-    return solve(_lqu_search_steps(rho_ab, lam, side, opts, seeds, rng))
-
-
 def _lqu_search_steps(
     rho_ab: BipartiteState,
     lam: np.ndarray,
@@ -222,6 +202,14 @@ def _lqu_search_steps(
     seeds: tuple[NondegenerateObservable, ...],
     rng: np.random.Generator | None,
 ) -> Steps[LquResult]:
+    """LQU by restarted conjugate-gradient descent over the eigenbases of the
+    side's observables with the ascending spectrum ``lam``, on a side of any
+    size.
+
+    Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
+    the unitary group for at most ``opts.max_iters`` accepted steps;
+    restarts stop early once the value reaches ``LQU_FLOOR``.
+    """
     form = LocalSkewObjective(rho_ab, side).form
     best = yield problem(
         _eigenbasis_cost,

@@ -198,6 +198,8 @@ def _run_trials(
         raise UsageError(f"workers must be a positive integer, got {workers!r}")
     dims = (config["n_a"], config["n_b"])
     tol, master_seed = config["violation_tol"], config["master_seed"]
+    if not math.isfinite(tol):  # margin < -nan is never true: nothing would count as a violation
+        raise UsageError(f"tol must be finite, got {tol!r}")
     n_workers = worker_count() if workers is None else workers
     # A call that fits in one chunk runs in-process: splitting it over a
     # pool costs more in start-up and in smaller stacks than it saves.

@@ -1,10 +1,12 @@
 """Command-line parsing, the state-file format, and end-to-end runs."""
 
+import re
+
 import numpy as np
 import pytest
 
 from skewinfo import BipartiteState, DensityMatrix, InvalidState, ParseError, UsageError
-from skewinfo.cli import RunConfig, load_state, main, parse_args, run
+from skewinfo.cli import COMMANDS, RunConfig, load_state, main, parse_args, run
 
 MIXED_2 = "dim: 2\n0.5+0j 0+0j\n0+0j 0.5+0j\n"
 BELL = (
@@ -299,3 +301,22 @@ def test_run_rejects_monopartite_for_lqu(tmp_path):
 def test_run_requires_state_file():
     with pytest.raises(UsageError):
         run(RunConfig(command="skew"))
+
+
+def test_non_finite_tol_is_rejected(capsys):
+    # margin < -nan is never true, so a NaN tolerance would hide every violation
+    for bad in ("nan", "inf", "NaN"):
+        with pytest.raises(UsageError, match="tol must be finite"):
+            parse_args(["verify", "claim1", "--tol", bad])
+    assert main("verify claim1 --trials 2 --tol nan".split()) == 2
+    assert main("verify avg --trials 2 --tol inf".split()) == 2
+    assert "tol must be finite, got inf" in capsys.readouterr().err
+
+
+def test_help_lists_only_the_commands_own_flags(capsys):
+    for command, flags in COMMANDS.items():
+        with pytest.raises(SystemExit) as exit_info:
+            parse_args([*command.split(), "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == {*flags, "-h", "--help"}, command

@@ -131,6 +131,13 @@ def test_workers_below_one_are_rejected():
             verify_avg_bound(trials=2, workers=bad)
 
 
+def test_non_finite_violation_tol_is_rejected():
+    # margin < -nan is never true, so a NaN tolerance would report no violation
+    for bad in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="tol must be finite"):
+            verify_avg_bound(trials=2, tol=bad)
+
+
 def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
     # the stacked harness still checks every basis it measures in
     real = verify.haar_unitaries
