@@ -162,8 +162,9 @@ def lqu(
     On a 2-level side the minimum is the closed form ``_lqu_qubit`` on the
     local skew form: the value is exact, ``restarts_used`` is 0, and ``opts``,
     ``seeds`` and ``rng`` are unused (no draws are taken from ``rng``). On a
-    larger side it runs a restarted conjugate-gradient descent over the
-    eigenbases U of K = U diag(spectrum) U† on the chosen side.
+    larger side it runs a restarted Riemannian BFGS descent (see
+    :mod:`skewinfo.optim`) over the eigenbases U of K = U diag(spectrum) U†
+    on the chosen side.
     Caller-supplied seed observables contribute their eigenbases as the
     first restart points; the remaining restarts are Haar draws from ``rng``
     (a fixed internal stream when omitted, so results are reproducible).
@@ -202,13 +203,14 @@ def _lqu_search_steps(
     seeds: tuple[NondegenerateObservable, ...],
     rng: np.random.Generator | None,
 ) -> Steps[LquResult]:
-    """LQU by restarted conjugate-gradient descent over the eigenbases of the
+    """LQU by restarted Riemannian BFGS descent over the eigenbases of the
     side's observables with the ascending spectrum ``lam``, on a side of any
     size.
 
     Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
-    the unitary group for at most ``opts.max_iters`` accepted steps;
-    restarts stop early once the value reaches ``LQU_FLOOR``.
+    the unitary group, in quasi-Newton directions built from its analytic
+    gradient, for at most ``opts.max_iters`` accepted steps; restarts stop
+    early once the value reaches ``LQU_FLOOR``.
     """
     form = LocalSkewObjective(rho_ab, side).form
     best = yield problem(

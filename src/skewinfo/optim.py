@@ -1,4 +1,4 @@
-"""Conjugate-gradient descent on the unitary group, restarted from several bases,
+"""Quasi-Newton descent on the unitary group, restarted from several bases,
 for a whole stack of independent problems at once.
 
 A cost maps a stack of n x n unitaries U, shape ``(m, n, n)``, and the
@@ -7,53 +7,86 @@ their Riemannian gradients, the antihermitian matrices with
 
     d/dt f(U · exp(t Ω)) at t = 0  =  Re Tr(G† Ω)
 
-for every antihermitian Ω. Each restart walks the geodesics
-U ← U · exp(-t H) (Edelman, Arias, Smith, SIMAX 20(2), 1998) along the
-Polak-Ribière+ conjugate direction H = G + β H_prev, with
-β = max(0, Re⟨G − G_prev, G⟩ / |G_prev|²) (Abrudan, Eriksson, Koivunen,
-Signal Processing 89(9), 2009). G and H live in the Lie algebra, so H_prev
-needs no transport to the new point. t is chosen by Armijo backtracking
-and grows by ``_GROWTH`` after every accepted step.
+for every antihermitian Ω. The objectives here see only the projectors
+onto the columns of U, so G has a zero diagonal, and the search works in
+the d = n(n−1) real coordinates x of Ω = Σ x_a E_a on the off-diagonal
+basis E_a of the Lie algebra (e_jk − e_kj and i(e_jk + e_kj), j < k),
+where the gradient is g_a = Re Tr(G† E_a).
+
+Each restart is a Riemannian BFGS descent (Huang, Gallivan, Absil, SIAM J.
+Optim. 25(3), 2015; Absil, Mahony, Sepulchre, *Optimization Algorithms on
+Matrix Manifolds*, 2008). It keeps an inverse Hessian approximation Hinv
+(d x d) and walks the geodesic U ← U · exp(t Σ p_a E_a) (Edelman, Arias,
+Smith, SIMAX 20(2), 1998) along p = −Hinv·g, with t chosen by Armijo
+backtracking from t = 1, or from the shorter t that turns U by
+``_FIRST_ANGLE``. g is read at U itself, in the Lie algebra, so gradients
+at successive points compare without transport. After a step s = t·p
+that changes the gradient by y, Hinv takes the BFGS update when sᵀy > 0;
+the first update after Hinv = I starts from (sᵀy / yᵀy)·I. No Hessian of
+the cost is needed, and no evaluation beyond the line search's.
 
 Every restart of every problem in a :func:`search` call is one member of
-a stack. Each member keeps its own point, direction, step and stop rule,
-and a member's arithmetic never mixes with another's, so its result does
-not depend on what else is in the stack.
+a stack. Each member keeps its own point, Hinv, step and stop rule, and a
+member's arithmetic never mixes with another's, so its result does not
+depend on what else is in the stack.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Generator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
 from . import rand
+from .errors import UsageError
 
 # Sufficient-decrease constant of the Armijo test.
 _ARMIJO = 1e-4
-# Factor on the step after an accepted step. Of 1.25, 1.5, 1.75 and 2 it
-# needs the fewest objective evaluations per trial on both optimized bench
-# workloads (seeds 301-306); at 2 some restarts run to max_iters again.
-_GROWTH = 1.25
 # Rotation angle of the first trial step of each restart, at the geodesic's
-# fastest rate. The LQU cost is of order 4 in U, so along a geodesic it is
-# almost periodic with period pi / (2 max|eig G|) (Abrudan, Eriksson,
-# Koivunen 2008): the first trial spans one period.
+# fastest rate, and the most any later trial step turns. The LQU cost is of
+# order 4 in U, so along a geodesic it is almost periodic with period
+# pi / (2 max|eig H|) (Abrudan, Eriksson, Koivunen 2008): the first trial
+# spans one period, and a longer one would only come round again. The cap
+# cuts the rounds per 32-trial chunk by 15-27% on the claim1 3x2 and claim2
+# harnesses.
 _FIRST_ANGLE = np.pi / 2
+
 
 @dataclass(frozen=True)
 class OptimizerOptions:
+    """Search budget: ``restarts`` starting bases per problem, a restart
+    ending on a step that gains at most ``tol / 100`` or after ``max_iters``
+    accepted steps, and restarts agreeing within ``10 * tol`` counting as
+    converged."""
+
     restarts: int = 16
     tol: float = 1e-8
     max_iters: int = 2000
 
+    def __post_init__(self):
+        # a NaN or negative tol never meets the stop rule, so every restart
+        # halves its steps until max_iters; an infinite one stops at the start
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise UsageError(f"tol must be finite and positive, got {self.tol!r}")
+        if self.restarts < 1:
+            raise UsageError(f"restarts must be at least 1, got {self.restarts!r}")
+        if self.max_iters < 0:
+            raise UsageError(f"max_iters must be non-negative, got {self.max_iters!r}")
+
 
 class UnitarySearchResult(NamedTuple):
+    """The best value and unitary of one problem, the restarts counted up
+    to the floor, the convergence flag, and the work of all of the
+    problem's restarts: cost evaluations and accepted steps."""
+
     value: float
     unitary: np.ndarray
     restarts_used: int
     converged: bool
+    evals: int
+    steps: int
 
 
 class UnitaryProblem(NamedTuple):
@@ -106,10 +139,42 @@ def walk(uv: np.ndarray, w: np.ndarray, vh: np.ndarray, t) -> np.ndarray:
     return (uv * np.exp(-1j * np.asarray(t)[..., None] * w)[..., None, :]) @ vh
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re Tr(A† B) for each member of two C-contiguous stacks, summed member
-    by member: the dot product of their real and imaginary parts."""
-    return np.einsum("...ij,...ij->...", a.view(np.float64), b.view(np.float64))
+def _coordinates(g: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The coordinates Re Tr(G† E_a) of a stack of zero-diagonal antihermitian
+    G: twice the real, then the imaginary parts of the entries above the
+    diagonal."""
+    upper = g[:, rows, cols]
+    return 2.0 * np.concatenate([upper.real, upper.imag], axis=-1)
+
+
+def _direction(p: np.ndarray, rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """H = −Σ p_a E_a for a stack of coordinate vectors p, so that the
+    geodesic U exp(-t H) of :func:`geodesic` walks along p."""
+    k = rows.size
+    z = p[:, :k] + 1j * p[:, k:]
+    h = np.zeros((len(p), n, n), dtype=np.complex128)
+    h[:, rows, cols] = -z
+    h[:, cols, rows] = z.conj()
+    return h
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of two stacks of coordinate vectors."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _bfgs_update(hinv: np.ndarray, fresh: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The BFGS update of a stack of inverse Hessians by steps s and gradient
+    changes y with sᵀy > 0 (Nocedal, Wright, *Numerical Optimization*, 2006,
+    eq. 6.17); a ``fresh`` member's Hinv = I is first scaled to (sᵀy / yᵀy)·I
+    (their eq. 6.20)."""
+    sy = _dot(s, y)
+    hinv = np.where(fresh[:, None, None], (sy / _dot(y, y))[:, None, None] * hinv, hinv)
+    hy = (hinv @ y[..., None])[..., 0]
+    rho = (1.0 / sy)[:, None, None]
+    sh = s[:, :, None] * hy[:, None, :]
+    ss = s[:, :, None] * s[:, None, :]
+    return hinv - rho * (sh + sh.swapaxes(-1, -2)) + (rho + rho * rho * _dot(y, hy)[:, None, None]) * ss
 
 
 def _descend(
@@ -120,20 +185,22 @@ def _descend(
     stop_gain: float,
     floor: np.ndarray | None = None,
     ends: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conjugate-gradient descent of every member of the stack ``u`` (with
-    its rows of ``data``); returns the last accepted values and points.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """BFGS descent of every member of the stack ``u`` (with its rows of
+    ``data``); returns the last accepted values and points, and per member
+    its cost evaluations and accepted steps.
 
-    Each step of a member walks the geodesic U exp(-t H) along its
-    conjugate direction H, with Armijo slope Re⟨G, H⟩. The first trial
-    step turns U by ``_FIRST_ANGLE`` at the direction's fastest rate. H
-    restarts from G when that slope is not positive, when no step along H
-    can gain more than ``stop_gain`` (its first-order gain t·Re⟨G, H⟩ is
-    already that small), and after a step along H that gains at most
-    ``stop_gain``: a direction almost orthogonal to G would otherwise end
-    the restart far from a minimum. A member stops after ``max_iters``
-    accepted steps, or when a steepest-descent step (H = G) meets either
-    of those two small-gain conditions.
+    Each step of a member walks the geodesic along p = −Hinv·g, with Armijo
+    slope −gᵀp. Its first trial is t = 1, shortened so that U turns by at
+    most ``_FIRST_ANGLE`` at the direction's fastest rate; the first step
+    of a restart turns U by exactly that angle. A step fails when its slope
+    is not positive, when it is spent (its first-order gain t·slope is at
+    most ``stop_gain``, from the start or after halving), or when it is
+    accepted but gains at most ``stop_gain``. A failed step resets Hinv to
+    I, and the member turns to −g, from the point the step reached: a
+    direction barely downhill would otherwise end the restart far from a
+    minimum. A member stops after ``max_iters`` accepted steps, or when a
+    step taken with Hinv = I fails.
 
     The members advance in rounds. A round takes one stacked
     eigendecomposition for the members that turn to a new direction and
@@ -142,91 +209,88 @@ def _descend(
     ``ends`` (one past the last restart of its problem) are dropped: the
     restarts after one that reached the floor are never used.
     """
-    m = len(u)
+    m, n = u.shape[0], u.shape[-1]
+    rows, cols = np.triu_indices(n, 1)
+    eye = np.eye(2 * rows.size)
     u = u.copy()
     value, g = cost(u, *data)
     value = np.array(value, dtype=float)
-    h = g.copy()  # the conjugate direction, then the direction walked
+    g = _coordinates(g, rows, cols)
+    hinv = np.broadcast_to(eye, (m, *eye.shape)).copy()
+    fresh = np.ones(m, dtype=bool)  # Hinv = I
+    p = np.zeros_like(g)  # the direction walked
     uv, w, vh = np.empty_like(u), np.empty(u.shape[:-1]), np.empty_like(u)
-    step = np.full(m, np.nan)  # NaN until the first direction sets it
+    step = np.zeros(m)
     slope = np.zeros(m)
-    on_h = np.zeros(m, dtype=bool)  # the line search runs along H, not G
-    try_h = np.zeros(m, dtype=bool)  # H differs from G and is tried first
+    evals = np.ones(m, dtype=int)
     iters = np.zeros(m, dtype=int)
     active = np.full(m, max_iters > 0)
     turning = active.copy()  # active members that choose a new direction this round
+
+    def fail(j: np.ndarray) -> None:
+        stop, reset = j[fresh[j]], j[~fresh[j]]
+        active[stop] = False
+        hinv[reset], fresh[reset], turning[reset] = eye, True, True
+
     while True:
         if floor is not None:
             was_active = active.copy()
         turn = np.flatnonzero(turning)
         if turn.size:
             turning[turn] = False
-            d, st = g[turn], step[turn]
-            sl = _inner(d, d)
-            # G is admissible if it can gain more than stop_gain at the current
-            # step; a NaN step (the first direction) always passes
-            go = (sl > 0.0) & ~(st * sl <= stop_gain)
-            use_h = try_h[turn]
-            if use_h.any():
-                h_turn = h[turn]
-                slope_h = _inner(d, h_turn)
-                use_h &= (slope_h > 0.0) & (st * slope_h > stop_gain)
-                go |= use_h
-                d = np.where(use_h[:, None, None], h_turn, d)
-                sl = np.where(use_h, slope_h, sl)
-            active[turn[~go]] = False
-            sel = turn[go]
+            d = -(hinv[turn] @ g[turn][..., None])[..., 0]
+            sl = -_dot(g[turn], d)
+            down = sl > 0.0
+            fail(turn[~down])
+            sel = turn[down]
             if sel.size:
-                h[sel] = d = d[go]
-                uv[sel], w[sel], vh[sel] = geodesic(u[sel], d)
-                slope[sel], on_h[sel] = sl[go], use_h[go]
-                first = sel[np.isnan(st[go])]
-                if first.size:
-                    step[first] = _FIRST_ANGLE / np.abs(w[first]).max(axis=-1)
-                    active[first[step[first] * slope[first] <= stop_gain]] = False
+                p[sel], slope[sel] = d[down], sl[down]
+                uv[sel], w[sel], vh[sel] = geodesic(u[sel], _direction(p[sel], rows, cols, n))
+                t = _FIRST_ANGLE / np.abs(w[sel]).max(axis=-1)
+                step[sel] = np.where(iters[sel] == 0, t, np.minimum(t, 1.0))
+                fail(sel[step[sel] * slope[sel] <= stop_gain])
 
-        lin = np.flatnonzero(active)
+        lin = np.flatnonzero(active & ~turning)
         if lin.size:
             t, sl, base = step[lin], slope[lin], value[lin]
             trial = walk(uv[lin], w[lin], vh[lin], t)
             trial_value, trial_g = cost(trial, *(x[lin] for x in data))
+            evals[lin] += 1
             ok = trial_value <= base - _ARMIJO * t * sl
 
             acc = lin[ok]
             if acc.size:
-                new_g, old_g, steepest = trial_g[ok], g[acc], ~on_h[acc]
-                beta = np.maximum(0.0, _inner(new_g - old_g, new_g) / _inner(old_g, old_g))
+                new_g = _coordinates(trial_g[ok], rows, cols)
+                s, y = t[ok, None] * p[acc], new_g - g[acc]
                 small = base[ok] - trial_value[ok] <= stop_gain
-                keep = ~small | steepest  # a step along H that gained nothing resets H to G
-                h[acc] = np.where(keep[:, None, None], new_g + beta[:, None, None] * h[acc], new_g)
+                update = ~small & (_dot(s, y) > 0.0)
+                if update.any():
+                    a = acc[update]
+                    hinv[a] = _bfgs_update(hinv[a], fresh[a], s[update], y[update])
+                    fresh[a] = False
                 u[acc], value[acc], g[acc] = trial[ok], trial_value[ok], new_g
-                step[acc] = t[ok] * _GROWTH
                 iters[acc] += 1
-                try_h[acc] = keep
-                done = (small & steepest) | (iters[acc] >= max_iters)
-                active[acc[done]] = False
-                turning[acc[~done]] = True
+                capped = iters[acc] >= max_iters
+                active[acc[capped]] = False
+                turning[acc[~capped]] = True
+                fail(acc[~capped & small])
 
-            rej, no = lin[~ok], ~ok
+            rej = lin[~ok]
             if rej.size:
-                step[rej] = 0.5 * t[no]
-                spent = step[rej] * sl[no] <= stop_gain
-                # H gained nothing: turn to G from the same point and step
-                back = spent & on_h[rej]
-                try_h[rej[back]], turning[rej[back]] = False, True
-                active[rej[spent & ~back]] = False
+                step[rej] = 0.5 * t[~ok]
+                fail(rej[step[rej] * sl[~ok] <= stop_gain])
 
         if floor is not None:
             for j in np.flatnonzero(was_active & ~active & (value <= floor)):
                 active[j + 1 : ends[j]] = False
                 turning[j + 1 : ends[j]] = False
-        if not lin.size:
-            return value, u
+        if not active.any():
+            return value, u, evals, iters
 
 
 def search(problems: Sequence[UnitaryProblem]) -> list[UnitarySearchResult]:
-    """Minimize every problem by restarted conjugate-gradient descent, with
-    the restarts of all problems that share a cost, options and shapes
+    """Minimize every problem by restarted Riemannian BFGS descent, with the
+    restarts of all problems that share a cost, options and shapes
     descending side by side as one stack.
 
     ``cost(U, *data)`` takes a stack of unitaries with the matching stacks
@@ -234,19 +298,22 @@ def search(problems: Sequence[UnitaryProblem]) -> list[UnitarySearchResult]:
     gradients described in the module docstring. The objectives here
     depend only on the projectors onto the columns of U, so their G has a
     zero diagonal and the search never moves the column phases. For
-    n = 1, G is 0 and each restart evaluates its base point.
+    n = 1 there is no direction to move in, and each restart evaluates
+    its base point.
 
     Each restart starts exactly at its base point and accepts only steps
     that lower the value, so it never ends above its start.
     ``opts.max_iters`` caps the accepted steps of one restart, and a
-    restart also ends on a step that gains at most ``opts.tol / 100``.
-    The restarts count in order, and the count stops at the first one
-    that brings the best value to ``floor`` or below.
+    restart also ends when a step from Hinv = I gains at most
+    ``opts.tol / 100`` or has no room to. The restarts count in order, and
+    the count stops at the first one that brings the best value to
+    ``floor`` or below.
 
     Returns, per problem, the best value found (the first restart
-    attaining it), its unitary, the number of restarts used, and a
+    attaining it), its unitary, the number of restarts used, a
     convergence flag (best two restarts agreeing within 10x tol, or the
-    floor reached).
+    floor reached), and the cost evaluations and accepted steps of all
+    its restarts, those dropped after the floor included.
     """
     groups: dict[tuple, list[int]] = {}
     for i, p in enumerate(problems):
@@ -266,7 +333,7 @@ def _search_stack(problems: list[UnitaryProblem]) -> list[UnitarySearchResult]:
     data = tuple(np.stack([p.data[k] for p in problems])[owner] for k in range(len(first.data)))
     floors = np.array([-np.inf if p.floor is None else p.floor for p in problems])
     ends = np.cumsum(counts)
-    values, units = _descend(
+    values, units, evals, steps = _descend(
         first.cost,
         np.concatenate([p.bases for p in problems]),
         data,
@@ -292,7 +359,12 @@ def _search_stack(problems: list[UnitaryProblem]) -> list[UnitarySearchResult]:
         else:
             ordered = np.sort(values[start : start + used])
             converged = bool(ordered[1] - ordered[0] <= 10.0 * p.opts.tol)
-        results.append(UnitarySearchResult(float(best_val), best_u, used, converged))
+        work = slice(start, end)
+        results.append(
+            UnitarySearchResult(
+                float(best_val), best_u, used, converged, int(evals[work].sum()), int(steps[work].sum())
+            )
+        )
     return results
 
 

@@ -4,7 +4,9 @@ Measuring side A of a shared state in a rank-1 projective basis steers
 side B into an ensemble of conditional states. The quantities here
 weight the conditionals' skew information (or total uncertainty) by the
 outcome probabilities; maximizations over measurement bases reuse the
-unitary-manifold search from :mod:`skewinfo.optim`.
+BFGS search on the unitary group from :mod:`skewinfo.optim`. The steered
+costs have analytic gradients but no cheap Hessian, so the search builds
+its curvature from the gradients it has already evaluated.
 """
 
 from __future__ import annotations

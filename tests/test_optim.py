@@ -16,6 +16,7 @@ from skewinfo import (
     BipartiteState,
     DensityMatrix,
     OptimizerOptions,
+    UsageError,
     ginibre_state,
     haar_unitary,
     lqu,
@@ -168,15 +169,17 @@ def brockett(m, lam):
 
 class Recorder:
     """Wraps an objective and the search's geodesic and walk for a one-member
-    stack: records every evaluation, every trial step length, and per step
-    the value and gradient at the base point, the direction and the base
-    point."""
+    stack: records every evaluation, every trial step length, and per
+    direction the value and gradient at the base point, the direction H of
+    the geodesic U exp(-t H) and the base point. A second direction from
+    the same base point (after the first failed) replaces the first."""
 
     def __init__(self, objective, monkeypatch):
         self.objective = objective
         self.evals = []
         self.steps = []
         self.lengths = []
+        self.walks = 0  # trial steps before the last direction
         monkeypatch.setattr(optim, "geodesic", self.geodesic)
         monkeypatch.setattr(optim, "walk", self.walk)
 
@@ -191,16 +194,18 @@ class Recorder:
 
     def geodesic(self, u, h):
         base, value, g = next(e for e in reversed(self.evals) if np.array_equal(e[0], u[0]))
-        if self.steps and np.array_equal(self.steps[-1][3], base):  # G after a conjugate direction that gained nothing
+        if self.steps and np.array_equal(self.steps[-1][3], base):
             self.steps[-1] = (value, g, h[0].copy(), base)
         else:
             self.steps.append((value, g, h[0].copy(), base))
+        self.walks = len(self.lengths)
         return geodesic(u, h)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_search_reaches_the_brockett_minimum(n, monkeypatch):
     rng = stream(n, 7)
+    stop_gain = 1e-14
     for _ in range(5):
         mu = rng.standard_normal(n)  # Haar eigenbasis, distinct eigenvalues
         v = haar_unitary(n, rng)
@@ -214,42 +219,60 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         # one restart from a fresh start: every accepted step lowers the value
         with monkeypatch.context() as patch:
             rec = Recorder(brockett(m, lam), patch)
-            (value,), (end,) = optim._descend(rec, haar_unitary(n, rng)[None], (), 500, 1e-14)
+            (value,), (end,), (evals,), (steps,) = optim._descend(
+                rec, haar_unitary(n, rng)[None], (), 500, stop_gain
+            )
         base_values = [step[0] for step in rec.steps]
         assert all(b < a for a, b in zip(base_values, base_values[1:]))
         assert value <= base_values[-1]
         assert abs(value - minimum) <= 1e-9
-        # the restart ends on a steepest-descent step, never on a conjugate
-        # direction: either its last walk is along G, or G has no room left,
-        # its first-order gain at the final step being at most the stop gain
-        _, g, h, _ = rec.steps[-1]
-        if not np.array_equal(h, g):
-            arrived = np.array_equal(rec.evals[-1][0], end)  # the last trial step was accepted
-            final_step = rec.lengths[-1] * (optim._GROWTH if arrived else 0.5)
-            g_end = brockett(m, lam)(end[None])[1][0]
-            assert final_step * np.vdot(g_end, g_end).real <= 1e-14
+        assert evals == len(rec.evals) and steps < 500
+        # the restart ends only on a step from Hinv = I, along -g (H = 2G),
+        # that failed: it gained at most the stop gain, or it is spent, its
+        # first-order gain t |g|^2 at its last step length being that small
+        last_value, g, h, base = rec.steps[-1]
+        np.testing.assert_array_equal(h, 2.0 * g)
+        slope = 2.0 * np.vdot(g, g).real  # |g|^2 in the coordinates Re Tr(G^dagger E_a)
+        if np.array_equal(end, base):
+            tried = rec.lengths[rec.walks :]
+            if tried:
+                final_step = 0.5 * tried[-1]
+            else:
+                w = np.linalg.eigvalsh(-1j * h)
+                final_step = min(1.0, optim._FIRST_ANGLE / np.abs(w).max())
+            assert final_step * slope <= stop_gain
+        else:
+            assert last_value - value <= stop_gain
 
 
-def test_conjugate_direction_resets_to_the_gradient(monkeypatch):
+def test_uphill_quasi_newton_direction_resets_to_the_gradient(monkeypatch):
     # n = 2 with M = sigma_z and lam = (-1, 1): f = -2 n_z for the Bloch vector
     # n of U's first column, and a zero-diagonal geodesic turns n along a great
     # circle. From 60 degrees off the minimizer the first trial step (a half
     # turn) rises and is halved; the quarter turn overshoots to 30 degrees past
-    # it, where the gradient points back (G1 = -c G0). There PR+ gives
-    # beta > 0 and G1 + beta G0 an uphill direction, so H must restart from G1.
+    # it, where the gradient points back (G1 = -c G0). The BFGS update there
+    # is replaced by its negative, so the quasi-Newton direction is uphill,
+    # and the search must walk -g from that point instead.
     lam = np.array([-1.0, 1.0])
     rec = Recorder(brockett(np.diag([1.0, -1.0]).astype(complex), lam), monkeypatch)
+    update, updates = optim._bfgs_update, []
+
+    def first_update_negated(hinv, fresh, s, y):
+        updates.append(update(hinv, fresh, s, y) * (1.0 if updates else -1.0))
+        return updates[-1]
+
+    monkeypatch.setattr(optim, "_bfgs_update", first_update_negated)
     theta = np.pi / 3
     u0 = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
-    (value,), _ = optim._descend(rec, u0[None], (), 50, 1e-14)
+    (value,), _, _, _ = optim._descend(rec, u0[None], (), 50, 1e-14)
 
     (v0, g0, h0, _), (v1, g1, h1, _) = rec.steps[:2]
     assert (v0, v1) == pytest.approx((-1.0, -np.sqrt(3.0)), abs=1e-12)
-    np.testing.assert_array_equal(h0, g0)
-    beta = np.vdot(g1 - g0, g1).real / np.vdot(g0, g0).real
-    assert beta > 0.0
-    assert np.vdot(g1, g1 + beta * h0).real < 0.0  # the conjugate direction is uphill
-    np.testing.assert_array_equal(h1, g1)  # so the search walks the gradient instead
+    assert rec.lengths[1] == pytest.approx(0.5 * rec.lengths[0], rel=1e-15)  # the half turn was halved
+    np.testing.assert_array_equal(h0, 2.0 * g0)  # a restart starts along -g
+    g1_coords = optim._coordinates(g1[None], *np.triu_indices(2, 1))[0]
+    assert g1_coords @ updates[0][0] @ g1_coords < 0.0  # the quasi-Newton slope is negative: uphill
+    np.testing.assert_array_equal(h1, 2.0 * g1)  # so the search walks -g instead
     base_values = [step[0] for step in rec.steps]
     assert all(b < a for a, b in zip(base_values, base_values[1:]))
     assert value == pytest.approx(-2.0, abs=1e-9)
@@ -301,13 +324,40 @@ def test_search_stacks_problems_without_changing_their_results():
     km = random_nondegenerate_observable(2, rng=rng).matrix
     problems.append(optim.problem(_skew_objective, (_tensor(states[0]), km), 3, opts, rng=rng))
     results = optim.search(problems)
-    assert [r.restarts_used for r in results] == [4, 4, 2, 4]  # the floor stops the product's count
-    for p, result in zip(problems, results):
+    assert results[2].restarts_used < len(problems[2].bases)  # the floor stops the product's count
+    reversed_stack = optim.search(problems[::-1])[::-1]
+    for p, result, reordered in zip(problems, results, reversed_stack):
         alone = [optim.search([p._replace(bases=base[None])])[0] for base in p.bases]
+        # the count runs to the first restart at or below the floor, else over all restarts
+        at_floor = [i for i, r in enumerate(alone) if p.floor is not None and r.value <= p.floor]
+        assert result.restarts_used == (at_floor[0] + 1 if at_floor else len(alone))
         best = min(alone[: result.restarts_used], key=lambda r: r.value)
         assert result.value == best.value
         np.testing.assert_array_equal(result.unitary, best.unitary)
-        assert all(r.value > 1e-11 for r in alone[: result.restarts_used - 1])
+        # so is the work the search counts, in any stack
+        (single,) = optim.search([p])
+        assert (result.evals, result.steps) == (single.evals, single.steps) == (reordered.evals, reordered.steps)
+        assert result.evals > result.steps >= 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"tol": float("nan")},
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": float("inf")},
+        {"restarts": 0},
+        {"max_iters": -3},
+    ],
+)
+def test_options_reject_values_that_hang_or_void_the_search(bad):
+    # a NaN, negative or zero tol is never met by the stop rule, so each
+    # restart halves its step toward 0 until max_iters; an infinite tol
+    # returns the start flagged converged; restarts=0 would run one restart
+    # and a negative max_iters none of the descent
+    with pytest.raises(UsageError):
+        OptimizerOptions(**bad)
 
 
 def test_one_dimensional_side_evaluates_the_only_point():

@@ -167,7 +167,7 @@ def _search_cost(search, monkeypatch, *args):
 
     def capture(problems):
         captured.extend(problems)
-        return [UnitarySearchResult(0.0, np.eye(p.bases.shape[-1], dtype=complex), 1, True) for p in problems]
+        return [UnitarySearchResult(0.0, np.eye(p.bases.shape[-1], dtype=complex), 1, True, 1, 0) for p in problems]
 
     monkeypatch.setattr(optim, "search", capture)
     search(*args)

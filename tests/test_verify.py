@@ -193,6 +193,31 @@ def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
         assert records == long.split(b"\n")[:5], name
 
 
+def test_search_counters_do_not_depend_on_the_other_trials_of_their_chunk(monkeypatch):
+    # the cost evaluations and accepted steps a trial's search counts are
+    # the same in a chunk of 5 as in the first chunk of a 37-trial call;
+    # a search is known by its restart bases, drawn from its trial's stream
+    counted = []
+    search = verify.search
+
+    def counting_search(problems):
+        results = search(problems)
+        counted[-1].update((p.bases.tobytes(), (r.evals, r.steps)) for p, r in zip(problems, results))
+        return results
+
+    monkeypatch.setattr(verify, "search", counting_search)
+    runs = {
+        "claim1": lambda n: verify_claim1(n_a=3, n_b=2, kraus_count=3, trials=n, master_seed=17, workers=1),
+        "claim2_2x3": lambda n: verify_claim2(n_b=3, trials=n, master_seed=17, mode="argmin_K", workers=1),
+    }
+    for name, run in runs.items():
+        for n in (5, 37):
+            counted.append({})
+            run(n)
+        short, long = counted[-2:]
+        assert short and all(long[key] == work for key, work in short.items()), name
+
+
 def test_uq_threads_env_caps_workers(tmp_path, monkeypatch):
     monkeypatch.setenv("UQ_THREADS", "1")
     assert worker_count() == 1
