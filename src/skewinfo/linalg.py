@@ -80,16 +80,21 @@ def sqrtm_psd(m) -> np.ndarray:
     return 0.5 * (root + root.conj().swapaxes(-1, -2))
 
 
-def psd_sqrt_eigh(m) -> tuple[np.ndarray, np.ndarray]:
+def psd_sqrt_eigh(m, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The eigensystem of ``sqrtm_psd(m)``, with its checks and noise floor:
     the square roots of the clamped and floored eigenvalues (ascending) and
     the eigenvectors, for callers that work in the eigenbasis of the root.
+
+    The floor is ``n * eps * scale``; ``scale`` broadcasts against the
+    eigenvalues ``(..., n)`` and defaults to each member's largest one.
     """
     w, v = hermitian_eig(m)
     lowest = w[..., 0].min()
     if lowest < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
-    w[w < w.shape[-1] * _EPS * np.maximum(w[..., -1:], 0.0)] = 0.0
+    if scale is None:
+        scale = np.maximum(w[..., -1:], 0.0)
+    w[w < w.shape[-1] * _EPS * scale] = 0.0
     return np.sqrt(w), v
 
 

@@ -35,15 +35,6 @@ def _clamp(value: float) -> float:
     return 0.0 if -CLAMP_WINDOW <= value < 0.0 else value
 
 
-def _skew_with_root(rho: np.ndarray, root: np.ndarray, x: np.ndarray):
-    """Unclamped skew information given a precomputed square root of the
-    state; for (k, n, n) stacks of states and roots, an array of k values."""
-    rx = root @ x
-    t1 = np.trace(rho @ x @ x, axis1=-2, axis2=-1).real
-    t2 = (rx * rx.swapaxes(-1, -2)).sum(axis=(-2, -1)).real  # Tr(root X root X)
-    return t1 - t2
-
-
 def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
     """Information content of rho relative to the observable x.
 
@@ -53,8 +44,10 @@ def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
     xm = x.matrix
     if xm.shape[0] != rho.dim:
         raise DimensionMismatch(f"observable dim {xm.shape[0]} vs state dim {rho.dim}")
-    root = sqrtm_psd(rho.matrix)
-    return _clamp(_skew_with_root(rho.matrix, root, xm))
+    rx = sqrtm_psd(rho.matrix) @ xm
+    t1 = np.trace(rho.matrix @ xm @ xm).real
+    t2 = (rx * rx.T).sum().real  # Tr(root X root X)
+    return _clamp(t1 - t2)
 
 
 def variance(rho: DensityMatrix, x: ObservableLike) -> float:

@@ -3,10 +3,15 @@
 Measuring side A of a shared state in a rank-1 projective basis steers
 side B into an ensemble of conditional states. The quantities here
 weight the conditionals' skew information (or total uncertainty) by the
-outcome probabilities; maximizations over measurement bases reuse the
-BFGS search on the unitary group from :mod:`skewinfo.optim`. The steered
-costs have analytic gradients but no cheap Hessian, so the search builds
-its curvature from the gradients it has already evaluated.
+outcome probabilities. Each weighted term is 1-homogeneous in the
+unnormalized conditional c_i = <u_i|rho|u_i>, so the steered sums are
+taken on the c_i directly (Luo, PRA 73, 022324, 2006): a null outcome
+adds an exact zero, and only ``steer``, which returns normalized states,
+divides by the probabilities or skips outcomes. Maximizations over
+measurement bases reuse the BFGS search on the unitary group from
+:mod:`skewinfo.optim`. The steered costs have analytic gradients but no
+cheap Hessian, so the search builds its curvature from the gradients it
+has already evaluated.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
-from .linalg import psd_sqrt_eigh, sqrtm_psd
-from .metrics import ObservableLike, _clamp, _skew_with_root
+from .linalg import psd_sqrt_eigh
+from .metrics import ObservableLike
 from .optim import OptimizerOptions, Steps, problem, solve
 from .states import BipartiteState, require_unitary
 
@@ -62,153 +67,138 @@ def _tensor(rho_ab: BipartiteState) -> np.ndarray:
     return rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
 
 
-def _condition(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Measure A of the state tensor ``r4`` (see ``_tensor``) in the columns
-    of ``u``: one basis, a ``(k, n_A, n_A)`` stack of bases of one state, or
-    member by member for a ``(k, ...)`` stack of states too.
-
-    Returns the probabilities of all outcomes (``(n_A,)``, or ``(k, n_A)``
-    for a stack), the mask of the outcomes at or above ``SKIP_EPS``, and
-    the kept outcomes' normalized, Hermitized conditional states of B
-    stacked basis by basis into one ``(kept, n_B, n_B)`` array.
+def _condition(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Hermitized unnormalized conditional states c_i = <u_i|rho|u_i> of
+    B, ``(..., n_A, n_B, n_B)``, for measuring A of the state tensor ``r4``
+    (see ``_tensor``) in the columns of ``u``: one basis, a ``(k, n_A, n_A)``
+    stack of bases of one state, or member by member for a ``(k, ...)``
+    stack of states too. Tr c_i is the probability of outcome i.
     """
-    cond = np.einsum("...ai,...abcd,...ci->...ibd", u.conj(), r4, u)
-    p = np.einsum("...ibb->...i", cond).real
-    kept = p >= SKIP_EPS
-    m = cond[kept] / p[kept][:, None, None]
-    return p, kept, 0.5 * (m + m.conj().swapaxes(1, 2))
+    c = np.einsum("...ai,...abcd,...ci->...ibd", u.conj(), r4, u)
+    return 0.5 * (c + c.conj().swapaxes(-1, -2))
+
+
+def _conditional_roots(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root eigenvalues and eigenvectors of the conditionals of ``_condition``.
+
+    The einsum's rounding in c_i is absolute, of the order of eps Tr rho
+    whatever Tr c_i is, so the roots' noise floor is n_A n_B eps Tr rho per
+    basis, with Tr rho = sum_i Tr c_i. A floor of n_B eps lambda_max(c_i)
+    per conditional would let that rounding through on a low-probability
+    outcome. A null outcome has all roots 0.
+    """
+    c = _condition(r4, u)
+    total = np.einsum("...ibb->...i", c).real.sum(axis=-1)
+    return psd_sqrt_eigh(c, c.shape[-3] * total[..., None, None])
 
 
 def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     """Condition B on the outcomes of measuring A in the given basis.
 
-    Outcomes with probability below ``SKIP_EPS`` are recorded as skipped
-    and contribute nothing downstream. The kept conditionals are
-    ``_condition``'s normalized arrays; they are not re-validated one by one.
+    Outcomes with probability below ``SKIP_EPS`` are recorded as skipped;
+    the kept conditionals are ``_condition``'s arrays divided by their
+    probabilities and are not re-validated one by one.
     """
-    if theta.dim != rho_ab.n_a:
-        raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
-    p, kept, m = _condition(_tensor(rho_ab), theta.unitary)
+    _require_basis(rho_ab, theta)
+    c = _condition(_tensor(rho_ab), theta.unitary)
+    p = np.einsum("ibb->i", c).real
     residual = abs(float(np.sum(p)) - 1.0)
     if residual > 1e-9:
         raise InvalidState("probability normalization", residual)
-    return SteeringEnsemble(p[kept], m, np.flatnonzero(~kept).tolist())
+    kept = p >= SKIP_EPS
+    return SteeringEnsemble(p[kept], c[kept] / p[kept][:, None, None], np.flatnonzero(~kept).tolist())
 
 
 def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> np.ndarray:
-    """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) for each
-    basis of a ``(k, n_A, n_A)`` stack, given by the columns of its members.
-
-    The kept conditionals of all bases share one ``sqrtm_psd`` call; skipped
-    outcomes add exact zeros, so each value is the sum over its kept
-    outcomes alone.
-    """
-    p, kept, m = _condition(_tensor(rho_ab), u)
-    tr = np.einsum("ibb->i", sqrtm_psd(m)).real
-    terms = np.zeros(p.shape)
-    terms[kept] = p[kept] * (rho_ab.n_b - tr * tr)
-    return terms.sum(axis=-1)
+    """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) =
+    n_B - sum_i (Tr sqrt(c_i))^2 for each basis of a ``(k, n_A, n_A)``
+    stack, given by the columns of its members; null outcomes add exact
+    zeros."""
+    sw, _ = _conditional_roots(_tensor(rho_ab), u)
+    tr = sw.sum(axis=-1)
+    return rho_ab.n_b - np.sum(tr * tr, axis=-1)
 
 
-def _per_outcome(kept: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """The kept outcomes' ``values`` scattered back to the outcome shape of
-    ``kept``, with exact zeros at the skipped outcomes."""
-    out = np.zeros(kept.shape + values.shape[1:], dtype=values.dtype)
-    out[kept] = values
-    return out
-
-
-def _basis_gradient(
-    r4: np.ndarray, u: np.ndarray, kept: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+def _basis_gradient(r4: np.ndarray, u: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Riemannian gradient in ``u`` (one basis, or a stack as in
-    ``_condition``) of const - sum_i h(c_i), where c_i = <u_i|rho|u_i> is the
+    ``_condition``) of sum_i h(c_i), where c_i = <u_i|rho|u_i> is the
     unnormalized conditional state of B and dh = Tr(Gamma_i dc_i) with
     Gamma_i the Daleckii-Krein map of W_i.
 
-    ``sw`` and ``v`` are the root eigenvalues and eigenvectors of the kept
-    normalized conditionals, and ``w`` holds W_i in that eigenbasis:
-    Gamma_i = V (W_i / (sqrt(l_j) + sqrt(l_k))) V^dagger, taken as 0 where
-    the denominator is 0. Gamma_i does not change when c_i is rescaled, so
-    the normalized states serve. Along U exp(t Omega), dc_i =
-    sum_j (Omega_ji R_ij - Omega_ij R_ji) with R_ij = <u_i|rho|u_j>, so the
-    gradient is T^dagger - T for T_ij = -Tr(Gamma_i R_ij); skipped outcomes
-    have Gamma_i = 0.
+    ``sw`` and ``v`` are the root eigenvalues and eigenvectors of the c_i,
+    and ``w`` holds W_i in that eigenbasis: Gamma_i = V (W_i / (s_j + s_k))
+    V^dagger, taken as 0 where the denominator is 0, so a null outcome has
+    Gamma_i = 0. Along U exp(t Omega), dc_i = sum_j (Omega_ji R_ij -
+    Omega_ij R_ji) with R_ij = <u_i|rho|u_j>, so the gradient is D^dagger - D
+    for D_ij = Tr(Gamma_i R_ij).
     """
     s = sw[..., :, None] + sw[..., None, :]
-    gamma = _per_outcome(kept, v @ (w / np.where(s > 0.0, s, np.inf)) @ v.conj().swapaxes(-1, -2))
-    minus_t = np.einsum("...ai,...idb,...abcd->...ic", u.conj(), gamma, r4) @ u
-    g = minus_t - minus_t.conj().swapaxes(-1, -2)
+    gamma = v @ (w / np.where(s > 0.0, s, np.inf)) @ v.conj().swapaxes(-1, -2)
+    d = np.einsum("...ai,...idb,...abcd->...ic", u.conj(), gamma, r4) @ u
+    g = d.conj().swapaxes(-1, -2) - d
     diag = np.arange(g.shape[-1])
     g[..., diag, diag] = 0.0
     return g
 
 
 def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steered skew-information sum for the basis given by the columns of
-    ``u``, and its Riemannian gradient: for one basis of the state tensor
-    ``r4`` with observable ``km`` on B, or member by member for stacks of
-    any of the three (the cost contract of ``optim.search``).
+    """Negated steered skew-information sum for the basis given by the
+    columns of ``u``, and its Riemannian gradient: for one basis of the
+    state tensor ``r4`` with observable ``km`` on B, or member by member for
+    stacks of any of the three (the cost contract of ``optim.search``).
 
-    In the eigenbasis of rho_i, with kappa = V^dagger K V and root
-    eigenvalues s, I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2.
-    With c_i unnormalized the sum is Tr(rho_B K^2) - sum_i
-    Tr(sqrt(c_i) K sqrt(c_i) K), whose derivative in c_i is the
-    Daleckii-Krein map of W = 2 K sqrt(c_i) K (see ``_basis_gradient``).
+    In the eigenbasis of c_i, with kappa = V^dagger K V and root eigenvalues
+    s, p_i I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2. The sum is
+    Tr(rho_B K^2) - sum_i Tr(sqrt(c_i) K sqrt(c_i) K), whose derivative in
+    c_i is the Daleckii-Krein map of W = 2 K sqrt(c_i) K (see
+    ``_basis_gradient``).
     """
-    p, kept, m = _condition(r4, u)
-    sw, v = psd_sqrt_eigh(m)
-    km = np.broadcast_to(km[..., None, :, :], kept.shape + km.shape[-2:])[kept]  # K of each kept outcome
-    kappa = v.conj().swapaxes(-1, -2) @ km @ v
+    sw, v = _conditional_roots(r4, u)
+    kappa = v.conj().swapaxes(-1, -2) @ km[..., None, :, :] @ v
     gap = sw[..., :, None] - sw[..., None, :]
-    skew = np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-2, -1))
-    value = 0.5 * np.sum(p * _per_outcome(kept, skew), axis=-1)
+    value = -0.5 * np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-3, -2, -1))
     w = 2.0 * (kappa * sw[..., None, :]) @ kappa
-    return value, _basis_gradient(r4, u, kept, sw, v, w)
+    return value, _basis_gradient(r4, u, sw, v, w)
 
 
 def _q_objective(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Steered total uncertainty (as ``_steered_q``) and its Riemannian
-    gradient, for one basis or member by member for stacks (as
+    """Negated steered total uncertainty (as ``_steered_q``) and its
+    Riemannian gradient, for one basis or member by member for stacks (as
     ``_skew_objective``).
 
-    With c_i unnormalized the sum is n_B - sum_i (Tr sqrt(c_i))^2, whose
-    derivative in c_i is the Daleckii-Krein map of W = 2 Tr(sqrt(c_i)) I.
+    The sum is n_B - sum_i (Tr sqrt(c_i))^2, whose derivative in c_i is the
+    Daleckii-Krein map of W = 2 Tr(sqrt(c_i)) I.
     """
-    p, kept, m = _condition(r4, u)
-    sw, v = psd_sqrt_eigh(m)
+    sw, v = _conditional_roots(r4, u)
     tr = sw.sum(axis=-1)
     n_b = r4.shape[-1]
-    value = np.sum(p * _per_outcome(kept, n_b - tr * tr), axis=-1)
-    w = 2.0 * tr[:, None, None] * np.eye(n_b, dtype=np.complex128)
-    return value, _basis_gradient(r4, u, kept, sw, v, w)
+    w = 2.0 * tr[..., None, None] * np.eye(n_b, dtype=np.complex128)
+    return np.sum(tr * tr, axis=-1) - n_b, _basis_gradient(r4, u, sw, v, w)
 
 
-def _skew_loss(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    value, g = _skew_objective(u, r4, km)
-    return -value, -g
+def _require_basis(rho_ab: BipartiteState, theta: MeasurementBasis) -> None:
+    if theta.dim != rho_ab.n_a:
+        raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
 
 
-def _q_loss(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    value, g = _q_objective(u, r4)
-    return -value, -g
-
-
-def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
-    """Probability-weighted skew information of the steered states of B, with
-    one ``sqrtm_psd`` call for all conditionals."""
+def _observable_on_b(rho_ab: BipartiteState, k_b: ObservableLike) -> np.ndarray:
     km = k_b.matrix
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    ensemble = steer(rho_ab, theta)
-    skew = _skew_with_root(ensemble.states, sqrtm_psd(ensemble.states), km)
-    return _clamp(float(ensemble.probabilities @ skew))
+    return km
+
+
+def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
+    """Probability-weighted skew information of the steered states of B: the
+    value of the maximization's cost at ``theta``, negated."""
+    _require_basis(rho_ab, theta)
+    value, _ = _skew_objective(theta.unitary, _tensor(rho_ab), _observable_on_b(rho_ab, k_b))
+    return -float(value)
 
 
 def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
     """Probability-weighted total uncertainty of the steered states of B."""
-    if theta.dim != rho_ab.n_a:
-        raise DimensionMismatch(f"basis dim {theta.dim} vs side A dim {rho_ab.n_a}")
+    _require_basis(rho_ab, theta)
     return float(_steered_q(rho_ab, theta.unitary[None])[0])
 
 
@@ -226,16 +216,16 @@ class SteeringSearchResult:
 
 
 def _maximize_steps(
-    loss: Callable[..., tuple[np.ndarray, np.ndarray]],
+    cost: Callable[..., tuple[np.ndarray, np.ndarray]],
     data: tuple[np.ndarray, ...],
     n_a: int,
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
 ) -> Steps[SteeringSearchResult]:
     """Maximize a gain over the unitaries whose columns are A's measurement
-    bases, by yielding the search problem of ``loss(U, *data)``, the
+    bases, by yielding the search problem of ``cost(U, *data)``, the
     negated gain and its Riemannian gradient."""
-    best = yield problem(loss, data, n_a, opts or OptimizerOptions(), rng=rng)
+    best = yield problem(cost, data, n_a, opts or OptimizerOptions(), rng=rng)
     return SteeringSearchResult(
         value=-best.value,
         maximizer=MeasurementBasis(best.unitary),
@@ -261,10 +251,8 @@ def _steering_induced_skew_steps(
     rng: np.random.Generator | None,
 ) -> Steps[SteeringSearchResult]:
     """``steering_induced_skew`` as steps that yield its search problem."""
-    km = k_b.matrix
-    if km.shape[0] != rho_ab.n_b:
-        raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    return (yield from _maximize_steps(_skew_loss, (_tensor(rho_ab), km), rho_ab.n_a, opts, rng))
+    data = (_tensor(rho_ab), _observable_on_b(rho_ab, k_b))
+    return (yield from _maximize_steps(_skew_objective, data, rho_ab.n_a, opts, rng))
 
 
 def average_steering_induced_q(
@@ -273,4 +261,4 @@ def average_steering_induced_q(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered total-uncertainty sum over A's measurement bases."""
-    return solve(_maximize_steps(_q_loss, (_tensor(rho_ab),), rho_ab.n_a, opts, rng))
+    return solve(_maximize_steps(_q_objective, (_tensor(rho_ab),), rho_ab.n_a, opts, rng))

@@ -16,7 +16,7 @@ from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Any, Callable, Literal, NamedTuple, get_type_hints
+from typing import Any, Callable, Literal, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -50,6 +50,10 @@ HARNESS_OPTS = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
 _CHUNK_TRIALS = 32
 
 Claim2Mode = Literal["argmin_K", "random_K"]
+
+# The configuration entries, besides trials and workers, that count
+# something and so must be at least 1
+_COUNTS = ("n_a", "n_b", "kraus_count", "bases_per_trial")
 
 
 @dataclass
@@ -193,9 +197,12 @@ def _run_trials(
     """Run ``trials`` trials of a module-level body (picklable for the pool)
     in chunks of at most ``_CHUNK_TRIALS`` and aggregate them into a report.
     Dimensions, seed and tolerance come from ``config``, which the report
-    echoes. A trial's record does not depend on the chunk it ran in."""
-    if workers is not None and workers < 1:
-        raise UsageError(f"workers must be a positive integer, got {workers!r}")
+    echoes. A trial's record does not depend on the chunk it ran in. The
+    configuration is checked before any trial runs."""
+    counts = {"workers": workers, "trials": trials, **{name: config[name] for name in _COUNTS if name in config}}
+    for name, value in counts.items():
+        if value is not None and value < 1:
+            raise UsageError(f"{name} must be a positive integer, got {value!r}")
     dims = (config["n_a"], config["n_b"])
     tol, master_seed = config["violation_tol"], config["master_seed"]
     if not math.isfinite(tol):  # margin < -nan is never true: nothing would count as a violation
@@ -318,6 +325,8 @@ def verify_claim2(
     minimizer and the bound is the optimized value; in ``random_K`` mode a
     random observable is drawn and the bound is its joint skew information.
     """
+    if mode not in get_args(Claim2Mode):
+        raise UsageError(f"mode must be one of {', '.join(get_args(Claim2Mode))}, got {mode!r}")
     opts = opts or HARNESS_OPTS
     config = {
         "n_a": n_a,

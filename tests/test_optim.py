@@ -96,18 +96,18 @@ def test_steering_gradients_match_central_difference(dims, rng):
 
 @pytest.mark.parametrize("dims", DIMS)
 def test_steering_gradients_on_pure_states(dims, rng):
-    # the conditionals of a pure joint state are pure, so their roots carry
-    # eigensolver noise of ~1e-8; the gradients are checked against the
-    # noise-free variance form, and the steered Q is the constant n_B - 1
+    # the conditionals of a pure joint state are pure, so the gradients of
+    # the costs (the negated gains) are checked against the variance form,
+    # which takes no root, and the steered Q is the constant n_B - 1
     n_a, n_b = dims
     psi = np.linalg.eigh(ginibre_state(n_a * n_b, rank=1, rng=rng).matrix)[1][:, -1]
     state = BipartiteState(DensityMatrix(np.outer(psi, psi.conj())), n_a, n_b)
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     r4 = _tensor(state)
     assert_gradient(
-        lambda u: _skew_objective(u, r4, km), n_a, rng, reference=lambda u: pure_steered_skew(psi, dims, u, km)
+        lambda u: _skew_objective(u, r4, km), n_a, rng, reference=lambda u: -pure_steered_skew(psi, dims, u, km)
     )
-    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng, reference=lambda u: n_b - 1.0)
+    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng, reference=lambda u: 1.0 - n_b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -20,16 +20,16 @@ from skewinfo import (
     q_total,
     random_nondegenerate_observable,
     skew_information,
-    sqrtm_psd,
     steer,
     steered_q_sum,
     steered_skew_sum,
     steering_induced_skew,
     stream,
+    variance,
 )
 
-from skewinfo import optim, steering
-from skewinfo.optim import UnitarySearchResult
+from skewinfo import steering
+from skewinfo.linalg import psd_sqrt_eigh
 
 from conftest import SIGMA_Z, gell_mann_basis, summed_q_total
 
@@ -94,8 +94,15 @@ def test_steer_skips_null_outcomes():
 
 
 def test_steer_dimension_mismatch(bell):
-    with pytest.raises(DimensionMismatch):
-        steer(bell, MeasurementBasis(np.eye(3)))
+    wide_basis, sz = MeasurementBasis(np.eye(3)), Observable(SIGMA_Z)
+    for call in (
+        lambda: steer(bell, wide_basis),
+        lambda: steered_q_sum(bell, wide_basis),
+        lambda: steered_skew_sum(bell, wide_basis, sz),
+        lambda: steered_skew_sum(bell, Z_BASIS, Observable(np.eye(3))),
+    ):
+        with pytest.raises(DimensionMismatch):
+            call()
 
 
 def test_steer_column_permutation_permutes_outcomes(rng):
@@ -160,31 +167,26 @@ def test_steered_q_sum_matches_summed_oracle(rng):
             assert steered_q_sum(state, theta) == pytest.approx(expected, abs=1e-10)
 
 
-def _search_cost(search, monkeypatch, *args):
-    """The cost a steering maximization hands to the unitary search: U to
-    (value, Riemannian gradient) of the negated gain."""
-    captured = []
-
-    def capture(problems):
-        captured.extend(problems)
-        return [UnitarySearchResult(0.0, np.eye(p.bases.shape[-1], dtype=complex), 1, True, 1, 0) for p in problems]
-
-    monkeypatch.setattr(optim, "search", capture)
-    search(*args)
-    (problem,) = captured
-    return lambda u: problem.cost(u, *problem.data)
-
-
-def test_steering_cost_matches_steered_sum_on_pure_state(rng, monkeypatch):
-    # rank-1 joint states give rank-1 conditionals, whose roots need the
-    # kernel's noise floor: an unfloored root is off by ~1e-9
-    for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_steered_sums_are_exact_on_pure_states(dims):
+    # the conditionals of a pure joint state are pure: their total
+    # uncertainty is n_B - 1 and their skew information is their variance,
+    # values that need no root. The conditionals' null eigenvalues are
+    # rounding of the whole state, which a per-conditional floor lets through
+    n_a, n_b = dims
+    rng = stream(97, 10 * n_a + n_b)
+    k_b = random_nondegenerate_observable(n_b, rng=rng)
+    for _ in range(5):
         state = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
-        k_b = random_nondegenerate_observable(n_b, rng=rng)
-        cost = _search_cost(steering_induced_skew, monkeypatch, state, k_b)
-        for _ in range(10):
-            u = haar_unitary(n_a, rng)
-            assert abs(-cost(u)[0] - steered_skew_sum(state, MeasurementBasis(u), k_b)) <= 1e-12
+        bases = haar_unitaries(n_a, 20, rng)
+        np.testing.assert_allclose(steering._steered_q(state, bases), n_b - 1.0, rtol=0.0, atol=1e-12)
+        for u in bases:
+            theta = MeasurementBasis(u)
+            ensemble = steer(state, theta)
+            expected = sum(
+                p * variance(DensityMatrix(rho_i), k_b) for p, rho_i in zip(ensemble.probabilities, ensemble.states)
+            )
+            assert abs(steered_skew_sum(state, theta, k_b) - expected) <= 1e-12
 
 
 def test_steering_induced_skew_product_saturates(rng):
@@ -257,22 +259,22 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
         per_basis = np.array([steered_q_sum(state, MeasurementBasis(u)) for u in bases])
         np.testing.assert_array_equal(steering._steered_q(state, bases), per_basis)
     if n_a > 1:
-        # the product state really skips outcomes, and not the same ones in every basis
-        _, kept, _ = steering._condition(steering._tensor(states[0]), bases)
-        assert not kept.all()
-        assert len({tuple(row) for row in kept}) > 2
+        # the product state really has null outcomes, and not the same ones in every basis
+        skipped = {tuple(steer(states[0], MeasurementBasis(u)).skipped) for u in bases}
+        assert len(skipped) > 2 and any(skipped)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_steered_skew_sum_equals_per_outcome_oracle(dims, monkeypatch):
     # the oracle validates each conditional as a DensityMatrix and takes its
-    # skew information one outcome at a time; the sum roots them all at once
+    # skew information one outcome at a time; the sum roots them all with
+    # one call to the root kernel
     n_a, n_b = dims
     rng = stream(89, 10 * n_a + n_b)
     states, bases = _skipping_states_and_bases(n_a, n_b, rng)
     k_b = random_nondegenerate_observable(n_b, rng=rng)
     roots = []
-    monkeypatch.setattr(steering, "sqrtm_psd", lambda m: roots.append(m) or sqrtm_psd(m))
+    monkeypatch.setattr(steering, "psd_sqrt_eigh", lambda m, scale: roots.append(m) or psd_sqrt_eigh(m, scale))
     for state in states:
         for u in bases:
             theta = MeasurementBasis(u)

@@ -131,6 +131,29 @@ def test_workers_below_one_are_rejected():
             verify_avg_bound(trials=2, workers=bad)
 
 
+@pytest.mark.parametrize(
+    "harness, kwargs",
+    [
+        (verify_claim2, {"mode": "bogus"}),
+        (verify_avg_bound, {"trials": -3}),
+        (verify_avg_bound, {"trials": 0}),
+        (verify_claim1, {"kraus_count": 0}),
+        (verify_avg_bound, {"bases_per_trial": 0}),
+        (verify_claim2, {"n_a": 0}),
+        (verify_claim1, {"n_b": 0}),
+    ],
+)
+def test_bad_configuration_is_rejected_before_any_trial(harness, kwargs, monkeypatch):
+    # a bad mode would run as random_K, a negative count as an empty report,
+    # and a zero count as a report of failed trials
+    def no_trials(job):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(verify, "_run_chunk", no_trials)
+    with pytest.raises(UsageError):
+        harness(**{"trials": 2, "workers": 1, **kwargs})
+
+
 def test_non_finite_violation_tol_is_rejected():
     # margin < -nan is never true, so a NaN tolerance would report no violation
     for bad in (math.nan, math.inf):
