@@ -46,4 +46,4 @@ class ParseError(SkewInfoError, ValueError):
 
 
 class UsageError(SkewInfoError, ValueError):
-    """Command line was malformed; maps to exit status 2."""
+    """A command line or an API argument was malformed; maps to exit status 2."""

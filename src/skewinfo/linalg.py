@@ -11,7 +11,7 @@ from typing import Literal, NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD
+from .errors import DimensionMismatch, NoConvergence, NotHermitian, NotPSD, UsageError
 
 HERMITIAN_TOL = 1e-9
 PSD_TOL = 1e-10
@@ -103,23 +103,28 @@ def kron(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
+def side_dim(dims: tuple[int, int], side: Side) -> int:
+    """The dimension of the named side of A (outer) tensor B; a side other
+    than 'A' or 'B' raises ``UsageError``."""
+    if side not in ("A", "B"):
+        raise UsageError(f"side must be 'A' or 'B', got {side!r}")
+    return dims[side == "B"]
+
+
 def partial_trace(m, dims: tuple[int, int], side: Side) -> np.ndarray:
     """Trace out the named factor of a matrix on A (outer) tensor B (inner).
 
     ``side='B'`` returns the n_A-dimensional matrix on A, ``side='A'``
     the n_B-dimensional matrix on B.
     """
+    side_dim(dims, side)
     m = as_matrix(m)
     n_a, n_b = dims
     d = n_a * n_b
     if m.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not factor as {n_a}x{n_b}")
-    r = m.reshape(n_a, n_b, n_a, n_b)
-    if side == "B":
-        return np.trace(r, axis1=1, axis2=3)
-    if side == "A":
-        return np.trace(r, axis1=0, axis2=2)
-    raise ValueError(f"side must be 'A' or 'B', got {side!r}")
+    axis = int(side == "B")
+    return np.trace(m.reshape(n_a, n_b, n_a, n_b), axis1=axis, axis2=axis + 2)
 
 
 def commutator(a, b) -> np.ndarray:

@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import Side, partial_trace, sqrtm_psd
+from .linalg import Side, partial_trace, side_dim, sqrtm_psd
 from .optim import OptimizerOptions, Steps, problem, solve
 from .states import (
     BipartiteState,
@@ -75,7 +75,7 @@ def q_local(rho_ab: BipartiteState, side: Side) -> float:
     Closed form n_S - Tr[(Tr_S sqrt(rho))^2]: the partial trace removes the
     named side S itself, leaving a matrix on the other side.
     """
-    n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
+    n_side = side_dim(rho_ab.dims, side)
     reduced = partial_trace(sqrtm_psd(rho_ab.matrix), rho_ab.dims, side)
     return _clamp(n_side - np.trace(reduced @ reduced).real)
 
@@ -89,7 +89,7 @@ class LocalSkewObjective:
     """
 
     def __init__(self, rho_ab: BipartiteState, side: Side):
-        n = rho_ab.n_a if side == "A" else rho_ab.n_b
+        n = side_dim(rho_ab.dims, side)
         root = sqrtm_psd(rho_ab.matrix)
         dims = rho_ab.dims
         s = root.reshape(dims[0], dims[1], dims[0], dims[1])
@@ -176,8 +176,8 @@ def _lqu_steps(
     rng: np.random.Generator | None,
 ) -> Steps[LquResult]:
     """``lqu`` as steps that yield its search problem, if it has one."""
+    n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
-    n_side = rho_ab.n_a if side == "A" else rho_ab.n_b
     if lam.size != n_side:
         raise DimensionMismatch(f"spectrum length {lam.size} vs side {side} dim {n_side}")
     for s in seeds:

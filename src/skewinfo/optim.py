@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Callable, Generator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -372,12 +373,62 @@ R = TypeVar("R")
 Steps = Generator[UnitaryProblem, UnitarySearchResult, R]
 
 
-def solve(steps: Steps[R]) -> R:
-    """Run a computation that yields its unitary searches as problems and is
-    sent back each one's result, one search at a time; returns its value."""
+def _attempt(problems: list[UnitaryProblem]) -> tuple[list, float]:
+    """The results of one :func:`search` call, or the exception it raised
+    in place of each, and the seconds it took."""
+    start = perf_counter()
     try:
-        pending = next(steps)
-        while True:
-            pending = steps.send(search([pending])[0])
-    except StopIteration as stop:
-        return stop.value
+        results = search(problems)
+    except Exception as exc:
+        results = [exc] * len(problems)
+    return results, perf_counter() - start
+
+
+def drive(computations: Sequence[Steps[R]]) -> tuple[list[R | Exception], list[float]]:
+    """Run computations that yield their unitary searches as problems and are
+    sent back each one's result, side by side: each round solves the
+    problems they are waiting on with one stacked :func:`search` call.
+
+    Returns each computation's value, or the exception it raised, and its
+    seconds: the time its own code ran, plus an equal share of every
+    stacked search it waited on. A search's exception is thrown into the
+    computation whose problem raised it; a stacked search of several
+    problems that raises is solved again one problem at a time to tell which.
+    """
+    outcomes: list = [None] * len(computations)
+    seconds = [0.0] * len(computations)
+    pending: list[tuple[int, UnitaryProblem]] = []
+
+    def advance(i: int, sent: UnitarySearchResult | Exception | None) -> None:
+        start = perf_counter()
+        steps = computations[i]
+        try:
+            pending.append((i, steps.throw(sent) if isinstance(sent, Exception) else steps.send(sent)))
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:
+            outcomes[i] = exc
+        seconds[i] += perf_counter() - start
+
+    for i in range(len(computations)):
+        advance(i, None)
+    while pending:
+        batch, pending = pending, []
+        results, spent = _attempt([p for _, p in batch])
+        if len(batch) > 1 and isinstance(results[0], Exception):
+            for k, (i, p) in enumerate(batch):
+                (results[k],), alone = _attempt([p])
+                seconds[i] += alone
+        for (i, _), result in zip(batch, results):
+            seconds[i] += spent / len(batch)
+            advance(i, result)
+    return outcomes, seconds
+
+
+def solve(steps: Steps[R]) -> R:
+    """Run one computation (see :func:`drive`); returns its value, or
+    raises what it raised."""
+    (value,), _ = drive([steps])
+    if isinstance(value, Exception):
+        raise value
+    return value

@@ -15,7 +15,6 @@ import os
 from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from time import perf_counter
 from typing import Any, Callable, Literal, NamedTuple, get_args, get_type_hints
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from .errors import UsageError
 from .linalg import kron
 from .metrics import _lqu_steps, q_local, skew_information
-from .optim import OptimizerOptions, Steps, UnitaryProblem, UnitarySearchResult, search
+from .optim import OptimizerOptions, Steps, drive
 from .rand import (
     commuting_kraus_channel,
     default_spectrum,
@@ -99,76 +98,25 @@ def _failure(exc: Exception) -> tuple[float, float, bool, str]:
     return math.nan, math.nan, True, f"{type(exc).__name__}: {exc}"
 
 
-def _run_bodies(
-    body: Callable, params: tuple, master_seed: int, indices: tuple[int, ...]
-) -> tuple[list[tuple], list[float]]:
-    """Run the trial bodies of ``indices`` side by side, each on its own
-    (master_seed, trial_index) stream.
-
-    A body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``, or is
-    a generator that yields its unitary searches and returns that triple;
-    the searches the bodies are waiting on are solved together by one
-    ``optim.search`` call. Returns ``(lhs, rhs, monotonicity_ok, error)``
-    per trial, and each trial's wall time in seconds: the time its own body
-    ran, plus an equal share of every stacked search it waited on. An
-    exception raised in a body fails that trial alone, with NaN sides and
-    the error message; one raised by a stacked search propagates, since it
-    cannot be told apart from the search's other trials.
-    """
-    done: dict[int, tuple] = {}
-    spent = dict.fromkeys(indices, 0.0)
-    waiting: list[tuple[int, Generator, UnitaryProblem]] = []
-
-    def advance(t: int, steps: Generator, result: UnitarySearchResult | None) -> None:
-        try:
-            waiting.append((t, steps, steps.send(result)))
-        except StopIteration as stop:
-            done[t] = (*stop.value, None)
-        except Exception as exc:  # aborted trial becomes a diagnostic record
-            done[t] = _failure(exc)
-
-    for t in indices:
-        start = perf_counter()
-        try:
-            out = body(stream(master_seed, t), params)
-        except Exception as exc:
-            done[t] = _failure(exc)
-        else:
-            if isinstance(out, Generator):
-                advance(t, out, None)
-            else:
-                done[t] = (*out, None)
-        spent[t] += perf_counter() - start
-    while waiting:
-        batch, waiting = waiting, []
-        start = perf_counter()
-        solved = search([p for _, _, p in batch])
-        share = (perf_counter() - start) / len(batch)
-        for (t, steps, _), result in zip(batch, solved):
-            start = perf_counter()
-            advance(t, steps, result)
-            spent[t] += share + perf_counter() - start
-    return [done[t] for t in indices], [spent[t] for t in indices]
+def _trial_steps(body: Callable, params: tuple, master_seed: int, t: int) -> Steps[tuple]:
+    """Trial ``t`` of a body on its own (master_seed, t) stream, as steps: a
+    body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``, or is a
+    generator that yields its unitary searches and returns that triple."""
+    out = body(stream(master_seed, t), params)
+    return (yield from out) if isinstance(out, Generator) else out
 
 
 def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
-    """Run one chunk of trials (see ``_run_bodies``) into records.
-
-    When a stacked search raises, the chunk's trials are run again one at
-    a time, so only the trial at fault becomes a record with NaN sides and
-    an error message. With timing on, each record carries its trial's
-    wall time as ``_run_bodies`` attributes it.
-    """
+    """Run one chunk of trials side by side into records, their searches
+    stacked by ``optim.drive``. A trial that raises, or whose own search
+    raises, becomes a record with NaN sides and the error message. With
+    timing on, each record carries its trial's wall time as ``drive``
+    attributes it."""
     claim_id, body, params, dims, tol, timing, master_seed, indices = job
-    start = perf_counter()
-    try:
-        outcomes, seconds = _run_bodies(body, params, master_seed, indices)
-    except Exception as exc:
-        if len(indices) > 1:
-            return [r for t in indices for r in _run_chunk(job[:-1] + ((t,),))]
-        outcomes, seconds = [_failure(exc)], [perf_counter() - start]
+    outcomes, seconds = drive([_trial_steps(body, params, master_seed, t) for t in indices])
     results = []
-    for t, (lhs, rhs, mono_ok, error), sec in zip(indices, outcomes, seconds):
+    for t, out, sec in zip(indices, outcomes, seconds):
+        lhs, rhs, mono_ok, error = _failure(out) if isinstance(out, Exception) else (*out, None)
         margin = rhs - lhs
         record = TrialRecord(
             trial_index=t,
@@ -205,8 +153,10 @@ def _run_trials(
             raise UsageError(f"{name} must be a positive integer, got {value!r}")
     dims = (config["n_a"], config["n_b"])
     tol, master_seed = config["violation_tol"], config["master_seed"]
-    if not math.isfinite(tol):  # margin < -nan is never true: nothing would count as a violation
-        raise UsageError(f"tol must be finite, got {tol!r}")
+    # margin < -nan is never true, so nothing would count as a violation;
+    # a negative tol counts bounds that hold
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"tol must be finite and non-negative, got {tol!r}")
     n_workers = worker_count() if workers is None else workers
     # A call that fits in one chunk runs in-process: splitting it over a
     # pool costs more in start-up and in smaller stacks than it saves.

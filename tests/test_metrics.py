@@ -8,11 +8,15 @@ from skewinfo import (
     DensityMatrix,
     DimensionMismatch,
     Observable,
+    SkewInfoError,
     commuting_kraus_channel,
     apply_channel,
+    default_spectrum,
     ginibre_state,
     haar_unitary,
     kron,
+    lqu,
+    partial_trace,
     q_local,
     q_total,
     random_nondegenerate_observable,
@@ -20,6 +24,7 @@ from skewinfo import (
     stream,
     variance,
 )
+from skewinfo import metrics
 from skewinfo.metrics import LocalSkewObjective
 
 from conftest import (
@@ -235,3 +240,26 @@ def test_local_objective_matches_public_skew():
                 direct = skew_information(rho_ab.state, Observable(embedded))
                 vec = k.matrix.ravel()
                 assert (vec @ obj.form @ vec).real == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("side", ["C", "a"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda rho, side: q_local(rho, side),
+        lambda rho, side: LocalSkewObjective(rho, side),
+        lambda rho, side: lqu(rho, default_spectrum(3), side=side),
+        lambda rho, side: partial_trace(rho.matrix, rho.dims, side),
+    ],
+    ids=["q_local", "LocalSkewObjective", "lqu", "partial_trace"],
+)
+def test_unknown_side_is_rejected_before_any_root(entry, side, monkeypatch):
+    # an unknown side must not be read as B, nor fail only after a full root
+    def no_root(m):
+        raise AssertionError("a root was taken")
+
+    monkeypatch.setattr(metrics, "sqrtm_psd", no_root)
+    rho = BipartiteState(ginibre_state(9, rng=stream(3, 0)), 3, 3)
+    with pytest.raises(SkewInfoError, match="side must be 'A' or 'B'") as caught:
+        entry(rho, side)
+    assert isinstance(caught.value, ValueError)

@@ -28,7 +28,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
-from skewinfo import verify
+from skewinfo import optim, verify
 from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
@@ -141,11 +141,13 @@ def test_workers_below_one_are_rejected():
         (verify_avg_bound, {"bases_per_trial": 0}),
         (verify_claim2, {"n_a": 0}),
         (verify_claim1, {"n_b": 0}),
+        (verify_claim1, {"tol": -1.0}),
     ],
 )
 def test_bad_configuration_is_rejected_before_any_trial(harness, kwargs, monkeypatch):
     # a bad mode would run as random_K, a negative count as an empty report,
-    # and a zero count as a report of failed trials
+    # a zero count as a report of failed trials, and a negative tol would
+    # count bounds that hold as violated
     def no_trials(job):
         raise AssertionError("a trial ran")
 
@@ -221,14 +223,14 @@ def test_search_counters_do_not_depend_on_the_other_trials_of_their_chunk(monkey
     # the same in a chunk of 5 as in the first chunk of a 37-trial call;
     # a search is known by its restart bases, drawn from its trial's stream
     counted = []
-    search = verify.search
+    search = optim.search
 
     def counting_search(problems):
         results = search(problems)
         counted[-1].update((p.bases.tobytes(), (r.evals, r.steps)) for p, r in zip(problems, results))
         return results
 
-    monkeypatch.setattr(verify, "search", counting_search)
+    monkeypatch.setattr(optim, "search", counting_search)
     runs = {
         "claim1": lambda n: verify_claim1(n_a=3, n_b=2, kraus_count=3, trials=n, master_seed=17, workers=1),
         "claim2_2x3": lambda n: verify_claim2(n_b=3, trials=n, master_seed=17, mode="argmin_K", workers=1),
