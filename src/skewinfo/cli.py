@@ -10,7 +10,6 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -170,10 +169,6 @@ def parse_args(argv: list[str]) -> RunConfig:
         value = getattr(config, name)
         if value is not None and value < 1:
             raise UsageError(f"{name} must be positive")
-    if config.tol <= 0:
-        raise UsageError("tol must be positive")
-    if not math.isfinite(config.tol):
-        raise UsageError(f"tol must be finite, got {config.tol}")
     return config
 
 

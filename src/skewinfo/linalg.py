@@ -35,6 +35,14 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _as_stack(m) -> np.ndarray:
+    """Coerce input to a complex128 matrix or ``(..., n, m)`` stack of them."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim < 2:
+        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={a.ndim}")
+    return a
+
+
 def hermiticity_residual(m: np.ndarray) -> float:
     """Max-abs deviation from Hermitian symmetry, over a whole stack."""
     return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
@@ -42,9 +50,7 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Coerce a matrix or an (..., n, n) stack to complex128 and check it is Hermitian."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim < 2:
-        raise DimensionMismatch(f"expected a matrix or a stack of matrices, got ndim={m.ndim}")
+    m = _as_stack(m)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     res = hermiticity_residual(m)
@@ -99,8 +105,11 @@ def psd_sqrt_eigh(m, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product with the first factor outermost."""
-    return np.kron(as_matrix(a), as_matrix(b))
+    """Tensor product with the first factor outermost, of two matrices or
+    member by member of two stacks (which broadcast)."""
+    a, b = _as_stack(a), _as_stack(b)
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
 
 
 def side_dim(dims: tuple[int, int], side: Side) -> int:
@@ -112,19 +121,20 @@ def side_dim(dims: tuple[int, int], side: Side) -> int:
 
 
 def partial_trace(m, dims: tuple[int, int], side: Side) -> np.ndarray:
-    """Trace out the named factor of a matrix on A (outer) tensor B (inner).
+    """Trace out the named factor of a matrix on A (outer) tensor B (inner),
+    or of each matrix of an ``(..., d, d)`` stack.
 
     ``side='B'`` returns the n_A-dimensional matrix on A, ``side='A'``
     the n_B-dimensional matrix on B.
     """
     side_dim(dims, side)
-    m = as_matrix(m)
+    m = _as_stack(m)
     n_a, n_b = dims
     d = n_a * n_b
-    if m.shape != (d, d):
+    if m.shape[-2:] != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not factor as {n_a}x{n_b}")
-    axis = int(side == "B")
-    return np.trace(m.reshape(n_a, n_b, n_a, n_b), axis1=axis, axis2=axis + 2)
+    axis = int(side == "B") - 4
+    return np.trace(m.reshape(*m.shape[:-2], n_a, n_b, n_a, n_b), axis1=axis, axis2=axis + 2)
 
 
 def commutator(a, b) -> np.ndarray:

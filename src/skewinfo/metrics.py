@@ -12,15 +12,17 @@ from typing import Union
 
 import numpy as np
 
+from . import optim
 from .errors import DimensionMismatch
 from .linalg import Side, partial_trace, side_dim, sqrtm_psd
-from .optim import OptimizerOptions, Steps, problem, solve
+from .optim import OptimizerOptions, UnitaryProblem, UnitarySearchResult, restart_bases
 from .states import (
     BipartiteState,
     DensityMatrix,
     NondegenerateObservable,
     Observable,
     check_spectrum,
+    require_unitary,
 )
 
 CLAMP_WINDOW = 1e-10
@@ -31,12 +33,23 @@ ObservableLike = Union[Observable, NondegenerateObservable]
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
 
 
-def _clamp(value: float) -> float:
-    return 0.0 if -CLAMP_WINDOW <= value < 0.0 else value
+def _clamp(value):
+    """Values in [-CLAMP_WINDOW, 0) set to 0, elementwise for an array."""
+    return np.where((-CLAMP_WINDOW <= value) & (value < 0.0), 0.0, value)
+
+
+def skew_informations(rho: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I(rho, X) for a state and an observable matrix, or member by member for
+    ``(..., n, n)`` stacks of both, clamped as ``skew_information``."""
+    rx = sqrtm_psd(rho) @ x
+    t1 = np.trace(rho @ x @ x, axis1=-2, axis2=-1).real
+    t2 = (rx * rx.swapaxes(-1, -2)).sum(axis=(-2, -1)).real  # Tr(root X root X)
+    return _clamp(t1 - t2)
 
 
 def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
-    """Information content of rho relative to the observable x.
+    """Information content of rho relative to the observable x: one member of
+    ``skew_informations``.
 
     Zero iff sqrt(rho) and x commute; bounded above by the variance and
     equal to it on pure states. Values in [-1e-10, 0) are clamped to 0.
@@ -44,10 +57,7 @@ def skew_information(rho: DensityMatrix, x: ObservableLike) -> float:
     xm = x.matrix
     if xm.shape[0] != rho.dim:
         raise DimensionMismatch(f"observable dim {xm.shape[0]} vs state dim {rho.dim}")
-    rx = sqrtm_psd(rho.matrix) @ xm
-    t1 = np.trace(rho.matrix @ xm @ xm).real
-    t2 = (rx * rx.T).sum().real  # Tr(root X root X)
-    return _clamp(t1 - t2)
+    return float(skew_informations(rho.matrix, xm))
 
 
 def variance(rho: DensityMatrix, x: ObservableLike) -> float:
@@ -66,7 +76,15 @@ def q_total(rho: DensityMatrix) -> float:
     of n^2 observables (Luo, PRA 73, 022324, 2006), so no basis is needed.
     """
     tr = np.trace(sqrtm_psd(rho.matrix)).real
-    return _clamp(rho.dim - tr * tr)
+    return float(_clamp(rho.dim - tr * tr))
+
+
+def q_locals(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
+    """``q_local`` of a joint state matrix on A ⊗ B, or of each member of an
+    ``(..., d, d)`` stack."""
+    n_side = side_dim(dims, side)
+    reduced = partial_trace(sqrtm_psd(rho), dims, side)
+    return _clamp(n_side - np.trace(reduced @ reduced, axis1=-2, axis2=-1).real)
 
 
 def q_local(rho_ab: BipartiteState, side: Side) -> float:
@@ -75,9 +93,29 @@ def q_local(rho_ab: BipartiteState, side: Side) -> float:
     Closed form n_S - Tr[(Tr_S sqrt(rho))^2]: the partial trace removes the
     named side S itself, leaving a matrix on the other side.
     """
-    n_side = side_dim(rho_ab.dims, side)
-    reduced = partial_trace(sqrtm_psd(rho_ab.matrix), rho_ab.dims, side)
-    return _clamp(n_side - np.trace(reduced @ reduced).real)
+    return float(q_locals(rho_ab.matrix, rho_ab.dims, side))
+
+
+def local_skew_forms(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
+    """``LocalSkewObjective.form`` of a joint state matrix on A ⊗ B, or of
+    each member of an ``(..., d, d)`` stack: ``(..., n^2, n^2)`` for the
+    side's dimension n."""
+    n = side_dim(dims, side)
+    root = sqrtm_psd(rho)
+    lead = rho.shape[:-2]
+    s = root.reshape(*lead, dims[0], dims[1], dims[0], dims[1])
+    if side == "A":
+        marginal = partial_trace(rho, dims, "B")
+        cross = np.einsum("...pxqy,...rysx->...pqrs", s, s)
+    else:
+        marginal = partial_trace(rho, dims, "A")
+        cross = np.einsum("...xpyq,...yrxs->...pqrs", s, s)
+    # I(K) = vec(K)^T form vec(K): Tr(M K^2) pairs K_jk with K_ki
+    # through M_ij, and the cross term pairs K_qr with K_sp through C_pqrs.
+    n2 = n * n
+    form = np.einsum("...ij,kl->...jkli", marginal, np.eye(n)).reshape(*lead, n2, n2)
+    form -= np.moveaxis(cross, -4, -1).reshape(*lead, n2, n2)
+    return 0.5 * (form + form.swapaxes(-1, -2))
 
 
 class LocalSkewObjective:
@@ -85,26 +123,12 @@ class LocalSkewObjective:
     K: the model behind both the LQU search and the qubit-side closed form.
 
     Precomputes the reduced state and a rank-4 contraction of the state's
-    square root so each evaluation touches only side-local matrices.
+    square root (``local_skew_forms``) so each evaluation touches only
+    side-local matrices.
     """
 
     def __init__(self, rho_ab: BipartiteState, side: Side):
-        n = side_dim(rho_ab.dims, side)
-        root = sqrtm_psd(rho_ab.matrix)
-        dims = rho_ab.dims
-        s = root.reshape(dims[0], dims[1], dims[0], dims[1])
-        if side == "A":
-            marginal = partial_trace(rho_ab.matrix, dims, "B")
-            cross = np.einsum("pxqy,rysx->pqrs", s, s)
-        else:
-            marginal = partial_trace(rho_ab.matrix, dims, "A")
-            cross = np.einsum("xpyq,yrxs->pqrs", s, s)
-        # I(K) = vec(K)^T form vec(K): Tr(M K^2) pairs K_jk with K_ki
-        # through M_ij, and the cross term pairs K_qr with K_sp through C_pqrs.
-        n2 = n * n
-        form = np.einsum("ij,kl->jkli", marginal, np.eye(n)).reshape(n2, n2)
-        form -= cross.transpose(1, 2, 3, 0).reshape(n2, n2)
-        self.form = 0.5 * (form + form.T)
+        self.form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
 
 
 def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,18 +188,6 @@ def lqu(
     The searched value is an upper bound on the true minimum, never above
     the value at the first seed.
     """
-    return solve(_lqu_steps(rho_ab, spectrum, side, opts, seeds, rng))
-
-
-def _lqu_steps(
-    rho_ab: BipartiteState,
-    spectrum: np.ndarray,
-    side: Side,
-    opts: OptimizerOptions | None,
-    seeds: tuple[NondegenerateObservable, ...],
-    rng: np.random.Generator | None,
-) -> Steps[LquResult]:
-    """``lqu`` as steps that yield its search problem, if it has one."""
     n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
     if lam.size != n_side:
@@ -184,47 +196,55 @@ def _lqu_steps(
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
     if n_side == 2:
-        return _lqu_qubit(rho_ab, lam, side)
-    return (yield from _lqu_search_steps(rho_ab, lam, side, opts, seeds, rng))
+        (value,), (basis,) = _lqu_qubit(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam)
+        return LquResult(float(value), NondegenerateObservable(lam, basis), restarts_used=0, converged=True)
+    return _lqu_searched(rho_ab, lam, side, opts, seeds, rng)
 
 
-def _lqu_search_steps(
+def _lqu_searched(
     rho_ab: BipartiteState,
     lam: np.ndarray,
     side: Side,
     opts: OptimizerOptions | None,
     seeds: tuple[NondegenerateObservable, ...],
     rng: np.random.Generator | None,
-) -> Steps[LquResult]:
+) -> LquResult:
+    """``lqu`` by its search, on a side of any size: one member of
+    ``_lqu_search``."""
+    opts = opts or OptimizerOptions()
+    bases = restart_bases(lam.size, opts, [s.eigenbasis for s in seeds], rng)
+    form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
+    (value,), (basis,), (best,) = _lqu_search(form[None], lam, opts, bases[None])
+    return LquResult(float(value), NondegenerateObservable(lam, basis), best.restarts_used, best.converged)
+
+
+def _lqu_search(
+    forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[UnitarySearchResult]]:
     """LQU by restarted Riemannian BFGS descent over the eigenbases of the
-    side's observables with the ascending spectrum ``lam``, on a side of any
-    size.
+    side's observables with the ascending spectrum ``lam``, for each local
+    skew form of the stack ``forms`` (``local_skew_forms``), from its
+    restart bases ``bases[t]`` (``(restarts, n, n)``), all in one stacked
+    search: the clamped values, the minimizers' eigenbases (checked to be
+    unitary) and the search results.
 
     Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
     the unitary group, in quasi-Newton directions built from its analytic
     gradient, for at most ``opts.max_iters`` accepted steps; restarts stop
     early once the value reaches ``LQU_FLOOR``.
     """
-    form = LocalSkewObjective(rho_ab, side).form
-    best = yield problem(
-        _eigenbasis_cost,
-        (form, lam),
-        lam.size,
-        opts or OptimizerOptions(),
-        seed_unitaries=[s.eigenbasis for s in seeds],
-        rng=rng,
-        floor=LQU_FLOOR,
+    results = optim.search(
+        [UnitaryProblem(_eigenbasis_cost, (form, lam), b, opts, LQU_FLOOR) for form, b in zip(forms, bases)]
     )
-    return LquResult(
-        value=_clamp(best.value),
-        minimizer=NondegenerateObservable(lam, best.unitary),
-        restarts_used=best.restarts_used,
-        converged=best.converged,
-    )
+    values = _clamp(np.array([r.value for r in results]))
+    eigenbases = require_unitary(np.stack([r.unitary for r in results]), "unitary eigenbasis")
+    return values, eigenbases, results
 
 
-def _lqu_qubit(rho_ab: BipartiteState, lam: np.ndarray, side: Side) -> LquResult:
-    """Exact LQU on a 2-level side S with ascending spectrum {a, b}.
+def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact LQU on a 2-level side S with ascending spectrum {a, b}, for each
+    local skew form of the stack ``forms`` ``(T, 4, 4)``: the values and the
+    minimizers' eigenbases (checked to be unitary).
 
     Every such observable is K = (a+b)/2 I + (b-a)/2 n·sigma for a unit
     vector n, and the identity part commutes with the state's root, so
@@ -236,14 +256,9 @@ def _lqu_qubit(rho_ab: BipartiteState, lam: np.ndarray, side: Side) -> LquResult
     sigma_j] is 1 - Q.
     """
     paulis = _PAULI.reshape(3, 4)
-    q = (paulis @ LocalSkewObjective(rho_ab, side).form @ paulis.T).real
-    q_eigs, q_vecs = np.linalg.eigh(0.5 * (q + q.T))
+    q = (paulis @ forms @ paulis.T).real
+    q_eigs, q_vecs = np.linalg.eigh(0.5 * (q + q.swapaxes(-1, -2)))
     # n·sigma has eigenvalues -1, +1 in ascending order, like the spectrum
-    _, basis = np.linalg.eigh(np.einsum("i,ijk->jk", q_vecs[:, 0], _PAULI))
+    _, bases = np.linalg.eigh(np.einsum("...i,ijk->...jk", q_vecs[..., :, 0], _PAULI))
     half_gap = 0.5 * (lam[1] - lam[0])
-    return LquResult(
-        value=_clamp(half_gap * half_gap * float(q_eigs[0])),
-        minimizer=NondegenerateObservable(lam, basis),
-        restarts_used=0,
-        converged=True,
-    )
+    return _clamp(half_gap * half_gap * q_eigs[..., 0]), require_unitary(bases, "unitary eigenbasis")

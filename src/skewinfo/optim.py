@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Callable, Generator, NamedTuple, Sequence, TypeVar
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -102,6 +101,29 @@ class UnitaryProblem(NamedTuple):
     floor: float | None
 
 
+def restart_draws(opts: OptimizerOptions, seeds: int) -> int:
+    """The Haar restarts a problem with ``seeds`` seed unitaries draws."""
+    return max(opts.restarts, seeds, 1) - seeds
+
+
+def restart_bases(
+    n: int,
+    opts: OptimizerOptions,
+    seed_unitaries: Sequence[np.ndarray] = (),
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """The restart bases ``(restarts, n, n)`` of a problem: the caller-supplied
+    seed unitaries in order, then ``restart_draws`` Haar draws from ``rng``
+    (a fixed internal stream when omitted)."""
+    if rng is None:
+        rng = rand.stream(0x5EED, 0)
+    draws = restart_draws(opts, len(seed_unitaries))
+    bases = [np.asarray(s, dtype=np.complex128).reshape(-1, n, n) for s in seed_unitaries]
+    if draws:
+        bases.append(rand.haar_unitaries(n, draws, rng))
+    return np.concatenate(bases)
+
+
 def problem(
     cost: Callable[..., tuple[np.ndarray, np.ndarray]],
     data: tuple[np.ndarray, ...],
@@ -111,17 +133,10 @@ def problem(
     rng: np.random.Generator | None = None,
     floor: float | None = None,
 ) -> UnitaryProblem:
-    """The problem of minimizing ``cost(U, *data)``: the first restarts use
-    the caller-supplied seed unitaries in order; the remainder (up to
-    ``opts.restarts`` total) start from Haar draws from ``rng`` (a fixed
-    internal stream when omitted), all drawn here, before any descent."""
-    if rng is None:
-        rng = rand.stream(0x5EED, 0)
-    draws = max(opts.restarts, len(seed_unitaries), 1) - len(seed_unitaries)
-    bases = [np.asarray(s, dtype=np.complex128).reshape(-1, n, n) for s in seed_unitaries]
-    if draws:
-        bases.append(rand.haar_unitaries(n, draws, rng))
-    return UnitaryProblem(cost, tuple(np.asarray(d) for d in data), np.concatenate(bases), opts, floor)
+    """The problem of minimizing ``cost(U, *data)`` from ``restart_bases``,
+    all drawn here, before any descent."""
+    bases = restart_bases(n, opts, seed_unitaries, rng)
+    return UnitaryProblem(cost, tuple(np.asarray(d) for d in data), bases, opts, floor)
 
 
 def geodesic(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -367,68 +382,3 @@ def _search_stack(problems: list[UnitaryProblem]) -> list[UnitarySearchResult]:
             )
         )
     return results
-
-
-R = TypeVar("R")
-Steps = Generator[UnitaryProblem, UnitarySearchResult, R]
-
-
-def _attempt(problems: list[UnitaryProblem]) -> tuple[list, float]:
-    """The results of one :func:`search` call, or the exception it raised
-    in place of each, and the seconds it took."""
-    start = perf_counter()
-    try:
-        results = search(problems)
-    except Exception as exc:
-        results = [exc] * len(problems)
-    return results, perf_counter() - start
-
-
-def drive(computations: Sequence[Steps[R]]) -> tuple[list[R | Exception], list[float]]:
-    """Run computations that yield their unitary searches as problems and are
-    sent back each one's result, side by side: each round solves the
-    problems they are waiting on with one stacked :func:`search` call.
-
-    Returns each computation's value, or the exception it raised, and its
-    seconds: the time its own code ran, plus an equal share of every
-    stacked search it waited on. A search's exception is thrown into the
-    computation whose problem raised it; a stacked search of several
-    problems that raises is solved again one problem at a time to tell which.
-    """
-    outcomes: list = [None] * len(computations)
-    seconds = [0.0] * len(computations)
-    pending: list[tuple[int, UnitaryProblem]] = []
-
-    def advance(i: int, sent: UnitarySearchResult | Exception | None) -> None:
-        start = perf_counter()
-        steps = computations[i]
-        try:
-            pending.append((i, steps.throw(sent) if isinstance(sent, Exception) else steps.send(sent)))
-        except StopIteration as stop:
-            outcomes[i] = stop.value
-        except Exception as exc:
-            outcomes[i] = exc
-        seconds[i] += perf_counter() - start
-
-    for i in range(len(computations)):
-        advance(i, None)
-    while pending:
-        batch, pending = pending, []
-        results, spent = _attempt([p for _, p in batch])
-        if len(batch) > 1 and isinstance(results[0], Exception):
-            for k, (i, p) in enumerate(batch):
-                (results[k],), alone = _attempt([p])
-                seconds[i] += alone
-        for (i, _), result in zip(batch, results):
-            seconds[i] += spent / len(batch)
-            advance(i, result)
-    return outcomes, seconds
-
-
-def solve(steps: Steps[R]) -> R:
-    """Run one computation (see :func:`drive`); returns its value, or
-    raises what it raised."""
-    (value,), _ = drive([steps])
-    if isinstance(value, Exception):
-        raise value
-    return value

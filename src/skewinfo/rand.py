@@ -15,6 +15,7 @@ from .states import (
     KrausChannel,
     NondegenerateObservable,
     check_spectrum,
+    require_complete,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -26,23 +27,29 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` Haar-distributed unitaries stacked into ``(count, n, n)``,
-    via one stacked QR with each member's R-diagonal phases fixed.
+def haar_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """Haar-distributed unitaries ``(..., n, n)`` from Gaussian blocks
+    ``(..., 2, n, n)`` (real, then imaginary part of each member), via one
+    stacked QR with each member's R-diagonal phases fixed."""
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
-    Draws the real then the imaginary Gaussian block of each member in
-    turn, so the stack equals ``count`` successive ``haar_unitary`` draws
-    and leaves ``rng`` in the same state.
+
+def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-distributed unitaries stacked into ``(count, n, n)``:
+    ``haar_from_gaussians`` on one ``(count, 2, n, n)`` draw.
+
+    The draw takes the real then the imaginary Gaussian block of each
+    member in turn, so the stack equals ``count`` successive
+    ``haar_unitary`` draws and leaves ``rng`` in the same state.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
     if count < 1:
         raise DimensionMismatch(f"count must be >= 1, got {count}")
-    g = rng.standard_normal((count, 2, n, n))
-    z = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[:, None, :]
+    return haar_from_gaussians(rng.standard_normal((count, 2, n, n)))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,8 +57,19 @@ def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_unitaries(n, 1, rng)[0]
 
 
+def ginibre_from_gaussians(g: np.ndarray) -> np.ndarray:
+    """The Ginibre states GG†/Tr(GG†) ``(..., n, n)`` of Gaussian blocks
+    ``(..., 2, n, rank)``, the real then the imaginary part of each G; the
+    states are not checked."""
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    w = z @ z.conj().swapaxes(-1, -2)
+    w = 0.5 * (w + w.conj().swapaxes(-1, -2))
+    return w / np.trace(w, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def ginibre_state(n: int, rank: int | None = None, rng: np.random.Generator | None = None) -> DensityMatrix:
-    """Random density matrix GG†/Tr(GG†) with G an n x rank complex Gaussian.
+    """Random density matrix GG†/Tr(GG†) with G an n x rank complex Gaussian:
+    ``ginibre_from_gaussians`` on one ``(2, n, rank)`` draw.
 
     Defaults to full rank; lower ranks probe boundary states.
     """
@@ -60,10 +78,7 @@ def ginibre_state(n: int, rank: int | None = None, rng: np.random.Generator | No
     r = n if rank is None else rank
     if not 1 <= r <= n:
         raise DimensionMismatch(f"rank must satisfy 1 <= rank <= {n}, got {r}")
-    g = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-    w = g @ g.conj().T
-    w = 0.5 * (w + w.conj().T)
-    return DensityMatrix(w / np.trace(w).real)
+    return DensityMatrix(ginibre_from_gaussians(rng.standard_normal((2, n, r))))
 
 
 def default_spectrum(n: int) -> np.ndarray:
@@ -85,17 +100,51 @@ def random_nondegenerate_observable(
     return NondegenerateObservable(lam, haar_unitary(n, rng))
 
 
-def random_cptp(n: int, kraus_count: int, rng: np.random.Generator) -> KrausChannel:
-    """Random CPTP channel: Kraus blocks of a Stinespring isometry.
-
-    The isometry is the first n columns of a Haar unitary on n·J dimensions.
-    """
+def _check_kraus_count(kraus_count: int) -> None:
     if kraus_count < 1:
         raise DimensionMismatch(f"kraus_count must be >= 1, got {kraus_count}")
-    u = haar_unitary(n * kraus_count, rng)
-    v = u[:, :n]
-    ops = [v[j * n : (j + 1) * n, :] for j in range(kraus_count)]
-    return KrausChannel(ops)
+
+
+def cptp_from_gaussians(g: np.ndarray, n: int) -> np.ndarray:
+    """Random CPTP Kraus sets ``(..., J, n, n)``: the blocks of the Stinespring
+    isometry formed by the first n columns of the Haar unitary on n·J
+    dimensions of each member of ``g`` ``(..., 2, n·J, n·J)``; each set is
+    checked for completeness."""
+    u = haar_from_gaussians(g)
+    return require_complete(u[..., :n].reshape(*u.shape[:-2], -1, n, n))
+
+
+def random_cptp(n: int, kraus_count: int, rng: np.random.Generator) -> KrausChannel:
+    """Random CPTP channel: Kraus blocks of a Stinespring isometry, one member
+    of ``cptp_from_gaussians``."""
+    _check_kraus_count(kraus_count)
+    d = n * kraus_count
+    return KrausChannel(list(cptp_from_gaussians(rng.standard_normal((2, d, d)), n)))
+
+
+def commuting_kraus_from_gaussians(u: np.ndarray, g: np.ndarray, n_b: int) -> np.ndarray:
+    """The Kraus operators ``(..., J, n_A n_B, n_A n_B)`` of random channels on
+    A tensor B that commute with K ⊗ I_B, for K with the eigenbasis ``u``
+    ``(..., n_A, n_A)``: eigenvector k gets the CPTP set of ``g[..., k, :, :, :]``
+    (``cptp_from_gaussians``), and the operators are checked for completeness.
+
+    Each Kraus operator is block diagonal over K's eigenprojectors,
+    E_j = sum_k |u_k><u_k| ⊗ B_j^(k). For nondegenerate K this family is
+    exactly the commutant of K ⊗ I_B intersected with Kraus sets, so
+    commutation holds by construction.
+    """
+    n_a = u.shape[-1]
+    blocks = cptp_from_gaussians(g, n_b)  # (..., k, j, b, d)
+    kraus_count = blocks.shape[-3]
+    ut = u.swapaxes(-1, -2)
+    projs = ut[..., :, :, None] * ut.conj()[..., :, None, :]  # |u_k><u_k|, (..., k, a, c)
+    # terms[k, j] = |u_k><u_k| ⊗ B_j^(k), entry (a b, c d) = P_k[a, c] B_j^(k)[b, d]
+    terms = projs[..., :, None, :, None, :, None] * blocks[..., :, :, None, :, None, :]
+    terms = terms.reshape(*u.shape[:-2], n_a, kraus_count, n_a * n_b, n_a * n_b)
+    ops = np.zeros((*u.shape[:-2], kraus_count, n_a * n_b, n_a * n_b), dtype=np.complex128)
+    for k in range(n_a):
+        ops += terms[..., k, :, :, :]  # from zero in ascending k: an einsum would reorder the additions
+    return require_complete(ops)
 
 
 def commuting_kraus_channel(
@@ -104,22 +153,12 @@ def commuting_kraus_channel(
     kraus_count: int,
     rng: np.random.Generator,
 ) -> KrausChannel:
-    """Random channel on A tensor B whose Kraus operators commute with K ⊗ I_B.
-
-    Each Kraus operator is block diagonal over K's eigenprojectors,
-    E_j = sum_k |u_k><u_k| ⊗ B_j^(k), with an independent random CPTP
-    Kraus set {B_j^(k)} on B per eigenvector. For nondegenerate K this
-    family is exactly the commutant of K ⊗ I_B intersected with Kraus
-    sets, so commutation holds by construction.
-    """
+    """Random channel on A tensor B whose Kraus operators commute with K ⊗ I_B:
+    ``commuting_kraus_from_gaussians`` on one ``(n_A, 2, n_B J, n_B J)``
+    draw, which equals n_A successive ``random_cptp`` draws, one per
+    eigenvector of K."""
     check_spectrum(k_obs.spectrum)
-    n_a = k_obs.dim
-    u = k_obs.eigenbasis
-    blocks = np.array([random_cptp(n_b, kraus_count, rng).kraus_ops for _ in range(n_a)])
-    projs = u.T[:, :, None] * u.T.conj()[:, None, :]  # |u_k><u_k|, (k, a, c)
-    # terms[k, j] = |u_k><u_k| ⊗ B_j^(k), entry (a b, c d) = P_k[a, c] B_j^(k)[b, d]
-    terms = projs[:, None, :, None, :, None] * blocks[:, :, None, :, None, :]
-    ops = np.zeros((kraus_count, n_a * n_b, n_a * n_b), dtype=np.complex128)
-    for term in terms.reshape(n_a, kraus_count, n_a * n_b, n_a * n_b):
-        ops += term  # from zero in ascending k: an einsum would reorder the additions
-    return KrausChannel(list(ops))
+    _check_kraus_count(kraus_count)
+    d = n_b * kraus_count
+    g = rng.standard_normal((k_obs.dim, 2, d, d))
+    return KrausChannel(list(commuting_kraus_from_gaussians(k_obs.eigenbasis, g, n_b)))

@@ -30,9 +30,35 @@ def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
     return u
 
 
+def require_observables(m: np.ndarray) -> np.ndarray:
+    """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is
+    Hermitian within ``HERMITIAN_TOL``; otherwise raise ``InvalidState`` with
+    the largest residual."""
+    res = hermiticity_residual(m)
+    if res > HERMITIAN_TOL:
+        raise InvalidState("hermiticity", res)
+    return m
+
+
+def require_states(m: np.ndarray) -> np.ndarray:
+    """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is a
+    density matrix: Hermitian (``require_observables``), of unit trace within
+    ``TRACE_TOL`` and PSD within ``PSD_TOL``; otherwise raise
+    ``InvalidState`` with the largest residual."""
+    require_observables(m)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    tr = float(np.max(np.abs(tr.real - 1.0) + np.abs(tr.imag)))
+    if tr > TRACE_TOL:
+        raise InvalidState("unit trace", tr)
+    min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
+    if min_eig < -PSD_TOL:
+        raise InvalidState("positive semidefiniteness", -min_eig)
+    return m
+
+
 @dataclass
 class DensityMatrix:
-    """Hermitian, PSD, unit-trace matrix."""
+    """Hermitian, PSD, unit-trace matrix, checked by ``require_states``."""
 
     matrix: np.ndarray
     dim: int = field(init=False)
@@ -41,16 +67,7 @@ class DensityMatrix:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"density matrix is not square: {m.shape}")
-        res = hermiticity_residual(m)
-        if res > HERMITIAN_TOL:
-            raise InvalidState("hermiticity", res)
-        tr = abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag)
-        if tr > TRACE_TOL:
-            raise InvalidState("unit trace", tr)
-        min_eig = float(np.linalg.eigvalsh(m)[0])
-        if min_eig < -PSD_TOL:
-            raise InvalidState("positive semidefiniteness", -min_eig)
-        self.matrix = m
+        self.matrix = require_states(m)
         self.dim = m.shape[0]
 
 
@@ -87,10 +104,7 @@ class Observable:
         m = as_matrix(self.matrix)
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"observable is not square: {m.shape}")
-        res = hermiticity_residual(m)
-        if res > HERMITIAN_TOL:
-            raise InvalidState("hermiticity", res)
-        self.matrix = m
+        self.matrix = require_observables(m)
 
     @property
     def dim(self) -> int:
@@ -126,17 +140,36 @@ class NondegenerateObservable:
 
     @property
     def matrix(self) -> np.ndarray:
-        m = (self.eigenbasis * self.spectrum) @ self.eigenbasis.conj().T
-        return 0.5 * (m + m.conj().T)
+        return observable_matrices(self.eigenbasis, self.spectrum)
 
     @property
     def dim(self) -> int:
         return self.spectrum.size
 
 
+def observable_matrices(u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    """The Hermitian U diag(spectrum) U† of an eigenbasis U, or of each
+    member of an ``(..., n, n)`` stack of eigenbases."""
+    m = (u * spectrum) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def require_complete(ops: np.ndarray) -> np.ndarray:
+    """Check the completeness relation sum_j E_j† E_j = I within
+    ``COMPLETENESS_TOL`` for a Kraus set ``(J, n, n)``, or for every set of
+    an ``(..., J, n, n)`` stack; otherwise raise ``InvalidChannel`` with the
+    largest residual."""
+    total = sum(e.conj().swapaxes(-1, -2) @ e for e in np.moveaxis(ops, -3, 0))
+    res = float(np.max(np.abs(total - np.eye(ops.shape[-1]))))
+    if res > COMPLETENESS_TOL:
+        raise InvalidChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_TOL:.1e}")
+    return ops
+
+
 @dataclass
 class KrausChannel:
-    """CPTP map given by Kraus operators satisfying the completeness relation."""
+    """CPTP map given by Kraus operators satisfying the completeness relation,
+    checked by ``require_complete``."""
 
     kraus_ops: list[np.ndarray]
 
@@ -148,10 +181,7 @@ class KrausChannel:
         for e in ops:
             if e.shape != (n, n):
                 raise DimensionMismatch(f"Kraus operators must all be {n}x{n}")
-        total = sum(e.conj().T @ e for e in ops)
-        res = float(np.max(np.abs(total - np.eye(n))))
-        if res > COMPLETENESS_TOL:
-            raise InvalidChannel(f"completeness residual {res:.3e} exceeds {COMPLETENESS_TOL:.1e}")
+        require_complete(np.stack(ops))
         self.kraus_ops = ops
 
     @property
@@ -159,10 +189,16 @@ class KrausChannel:
         return self.kraus_ops[0].shape[0]
 
 
+def apply_kraus(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_j E_j rho E_j†, Hermitized, for a Kraus set ``(J, n, n)`` and a
+    state ``(n, n)``, or member by member for ``(..., J, n, n)`` and
+    ``(..., n, n)`` stacks. The output is not checked."""
+    out = sum(e @ rho @ e.conj().swapaxes(-1, -2) for e in np.moveaxis(ops, -3, 0))
+    return 0.5 * (out + out.conj().swapaxes(-1, -2))
+
+
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a Kraus channel to a state."""
     if channel.dim != rho.dim:
         raise DimensionMismatch(f"channel dim {channel.dim} vs state dim {rho.dim}")
-    out = sum(e @ rho.matrix @ e.conj().T for e in channel.kraus_ops)
-    out = 0.5 * (out + out.conj().T)
-    return DensityMatrix(out)
+    return DensityMatrix(apply_kraus(np.stack(channel.kraus_ops), rho.matrix))

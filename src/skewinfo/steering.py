@@ -21,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import optim
 from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh
 from .metrics import ObservableLike
-from .optim import OptimizerOptions, Steps, problem, solve
+from .optim import OptimizerOptions, UnitaryProblem, UnitarySearchResult, restart_bases
 from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
@@ -109,14 +110,15 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     return SteeringEnsemble(p[kept], c[kept] / p[kept][:, None, None], np.flatnonzero(~kept).tolist())
 
 
-def _steered_q(rho_ab: BipartiteState, u: np.ndarray) -> np.ndarray:
+def _steered_q(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) =
     n_B - sum_i (Tr sqrt(c_i))^2 for each basis of a ``(k, n_A, n_A)``
-    stack, given by the columns of its members; null outcomes add exact
-    zeros."""
-    sw, _ = _conditional_roots(_tensor(rho_ab), u)
+    stack of the state tensor ``r4`` (see ``_tensor``), given by the columns
+    of its members, or for each ``(T, k, n_A, n_A)`` stack of bases of a
+    ``(T, 1, ...)`` stack of state tensors; null outcomes add exact zeros."""
+    sw, _ = _conditional_roots(r4, u)
     tr = sw.sum(axis=-1)
-    return rho_ab.n_b - np.sum(tr * tr, axis=-1)
+    return r4.shape[-1] - np.sum(tr * tr, axis=-1)
 
 
 def _basis_gradient(r4: np.ndarray, u: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -199,7 +201,7 @@ def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: Obser
 def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
     """Probability-weighted total uncertainty of the steered states of B."""
     _require_basis(rho_ab, theta)
-    return float(_steered_q(rho_ab, theta.unitary[None])[0])
+    return float(_steered_q(_tensor(rho_ab), theta.unitary[None])[0])
 
 
 @dataclass
@@ -215,23 +217,34 @@ class SteeringSearchResult:
     converged: bool
 
 
-def _maximize_steps(
+def _maximize(
+    cost: Callable[..., tuple[np.ndarray, np.ndarray]],
+    data: tuple[np.ndarray, ...],
+    opts: OptimizerOptions,
+    bases: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, list[UnitarySearchResult]]:
+    """Maximize a gain over the unitaries whose columns are A's measurement
+    bases, for each member of the data stacks ``data`` from its restart
+    bases ``bases[t]``, in one stacked search of ``cost(U, *data)``, the
+    negated gain and its Riemannian gradient: the maxima, the maximizing
+    bases (checked to be unitary) and the search results."""
+    results = optim.search([UnitaryProblem(cost, d, b, opts, None) for d, b in zip(zip(*data), bases)])
+    maximizers = require_unitary(np.stack([r.unitary for r in results]), "orthonormal columns")
+    return -np.array([r.value for r in results]), maximizers, results
+
+
+def _maximized(
     cost: Callable[..., tuple[np.ndarray, np.ndarray]],
     data: tuple[np.ndarray, ...],
     n_a: int,
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
-) -> Steps[SteeringSearchResult]:
-    """Maximize a gain over the unitaries whose columns are A's measurement
-    bases, by yielding the search problem of ``cost(U, *data)``, the
-    negated gain and its Riemannian gradient."""
-    best = yield problem(cost, data, n_a, opts or OptimizerOptions(), rng=rng)
-    return SteeringSearchResult(
-        value=-best.value,
-        maximizer=MeasurementBasis(best.unitary),
-        restarts_used=best.restarts_used,
-        converged=best.converged,
-    )
+) -> SteeringSearchResult:
+    """One member of ``_maximize``, from ``restart_bases`` drawn from ``rng``."""
+    opts = opts or OptimizerOptions()
+    bases = restart_bases(n_a, opts, rng=rng)
+    (value,), (u,), (best,) = _maximize(cost, tuple(d[None] for d in data), opts, bases[None])
+    return SteeringSearchResult(float(value), MeasurementBasis(u), best.restarts_used, best.converged)
 
 
 def steering_induced_skew(
@@ -241,18 +254,8 @@ def steering_induced_skew(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered skew-information sum over A's measurement bases."""
-    return solve(_steering_induced_skew_steps(rho_ab, k_b, opts, rng))
-
-
-def _steering_induced_skew_steps(
-    rho_ab: BipartiteState,
-    k_b: ObservableLike,
-    opts: OptimizerOptions | None,
-    rng: np.random.Generator | None,
-) -> Steps[SteeringSearchResult]:
-    """``steering_induced_skew`` as steps that yield its search problem."""
     data = (_tensor(rho_ab), _observable_on_b(rho_ab, k_b))
-    return (yield from _maximize_steps(_skew_objective, data, rho_ab.n_a, opts, rng))
+    return _maximized(_skew_objective, data, rho_ab.n_a, opts, rng)
 
 
 def average_steering_induced_q(
@@ -261,4 +264,4 @@ def average_steering_induced_q(
     rng: np.random.Generator | None = None,
 ) -> SteeringSearchResult:
     """Maximize the steered total-uncertainty sum over A's measurement bases."""
-    return solve(_maximize_steps(_q_objective, (_tensor(rho_ab),), rho_ab.n_a, opts, rng))
+    return _maximized(_q_objective, (_tensor(rho_ab),), rho_ab.n_a, opts, rng)

@@ -4,35 +4,44 @@ Each harness samples independent trials keyed by (master_seed,
 trial_index), checks one inequality per trial, and aggregates a
 deterministic report: identical seed and configuration produce
 byte-identical output regardless of worker count. The trials run in
-chunks whose unitary searches are stacked into one search; a trial's
-record does not depend on the other trials of its chunk.
+chunks: each trial draws its Gaussian blocks from its own stream, and
+then all of the chunk's arithmetic, its checks and its unitary searches
+run once on stacks over the trials. A trial's record does not depend on
+the other trials of its chunk.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Generator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from time import perf_counter
 from typing import Any, Callable, Literal, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
 from .errors import UsageError
 from .linalg import kron
-from .metrics import _lqu_steps, q_local, skew_information
-from .optim import OptimizerOptions, Steps, drive
+from .metrics import _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
+from .optim import OptimizerOptions, restart_draws
 from .rand import (
-    commuting_kraus_channel,
+    _check_kraus_count,
+    commuting_kraus_from_gaussians,
     default_spectrum,
-    ginibre_state,
-    haar_unitaries,
-    random_nondegenerate_observable,
+    ginibre_from_gaussians,
+    haar_from_gaussians,
     stream,
 )
-from .states import BipartiteState, DensityMatrix, Observable, apply_channel, require_unitary
-from .steering import _steered_q, _steering_induced_skew_steps
+from .states import (
+    apply_kraus,
+    check_spectrum,
+    observable_matrices,
+    require_observables,
+    require_states,
+    require_unitary,
+)
+from .steering import _maximize, _skew_objective, _steered_q
 
 DEFAULT_VIOLATION_TOL = 1e-7
 MONOTONICITY_TOL = 1e-8
@@ -43,10 +52,10 @@ MONOTONICITY_TOL = 1e-8
 # only loosens margins, never fabricates violations.
 HARNESS_OPTS = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
 
-# Trials per chunk. The trials of a chunk run side by side with their
-# searches stacked, which spreads NumPy's per-call overhead on small
-# matrices over the whole chunk.
-_CHUNK_TRIALS = 32
+# Trials per chunk. The trials of a chunk are computed as one stack, which
+# spreads NumPy's per-call overhead on small matrices over the whole chunk;
+# a call of at most this many trials runs in-process as one stack.
+_CHUNK_TRIALS = 128
 
 Claim2Mode = Literal["argmin_K", "random_K"]
 
@@ -98,24 +107,34 @@ def _failure(exc: Exception) -> tuple[float, float, bool, str]:
     return math.nan, math.nan, True, f"{type(exc).__name__}: {exc}"
 
 
-def _trial_steps(body: Callable, params: tuple, master_seed: int, t: int) -> Steps[tuple]:
-    """Trial ``t`` of a body on its own (master_seed, t) stream, as steps: a
-    body maps ``(rng, params)`` to ``(lhs, rhs, monotonicity_ok)``, or is a
-    generator that yields its unitary searches and returns that triple."""
-    out = body(stream(master_seed, t), params)
-    return (yield from out) if isinstance(out, Generator) else out
+def _attempt(body: Callable, params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[list, list]:
+    """Run the trials ``indices`` of a chunk body as one stack: each trial's
+    ``(lhs, rhs, monotonicity_ok)`` and an equal share of the seconds the
+    stack took. When the stack raises, each trial runs again alone, as a
+    stack of one, so only a trial that raises alone fails, with its own
+    exception in place of its triple."""
+    start = perf_counter()
+    try:
+        lhs, rhs, mono_ok = body(params, master_seed, indices)
+    except Exception as exc:
+        if len(indices) == 1:
+            return [exc], [perf_counter() - start]
+        alone = [_attempt(body, params, master_seed, (t,)) for t in indices]
+        return [out for (out,), _ in alone], [sec for _, (sec,) in alone]
+    share = (perf_counter() - start) / len(indices)
+    return [(float(a), float(b), bool(ok)) for a, b, ok in zip(lhs, rhs, mono_ok)], [share] * len(indices)
 
 
 def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
-    """Run one chunk of trials side by side into records, their searches
-    stacked by ``optim.drive``. A trial that raises, or whose own search
-    raises, becomes a record with NaN sides and the error message. With
-    timing on, each record carries its trial's wall time as ``drive``
-    attributes it."""
+    """Run one chunk of trials into records. A chunk body maps ``(params,
+    master_seed, indices)`` to the stacks ``(lhs, rhs, monotonicity_ok)``
+    of those trials. A trial that raises alone becomes a record with NaN
+    sides and the error message. With timing on, each record carries an
+    equal share of its chunk's wall time (its own time, when the chunk ran
+    again one trial at a time)."""
     claim_id, body, params, dims, tol, timing, master_seed, indices = job
-    outcomes, seconds = drive([_trial_steps(body, params, master_seed, t) for t in indices])
     results = []
-    for t, out, sec in zip(indices, outcomes, seconds):
+    for t, out, sec in zip(indices, *_attempt(body, params, master_seed, indices)):
         lhs, rhs, mono_ok, error = _failure(out) if isinstance(out, Exception) else (*out, None)
         margin = rhs - lhs
         record = TrialRecord(
@@ -131,6 +150,17 @@ def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
         )
         results.append((record, mono_ok, error))
     return results
+
+
+def _gaussians(master_seed: int, indices: tuple[int, ...], shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Each trial's standard Gaussian blocks of the given shapes, drawn in
+    order from the trial's own stream ``stream(master_seed, t)``, each block
+    stacked over the trials into ``(len(indices), *shape)``. One draw of
+    all of a trial's values equals the successive draws of the blocks."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.stack([stream(master_seed, t).standard_normal(sum(sizes)) for t in indices])
+    blocks = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
+    return [block.reshape(len(indices), *shape) for block, shape in zip(blocks, shapes)]
 
 
 def _run_trials(
@@ -188,22 +218,54 @@ def _run_trials(
     return report, records
 
 
-def _claim1_body(rng: np.random.Generator, params: tuple) -> Steps[tuple[float, float, bool]]:
+class _Claim1Draws(NamedTuple):
+    """The sampled part of claim1 trials, stacked over the trials."""
+
+    rho_a: np.ndarray
+    tau_b: np.ndarray
+    k_basis: np.ndarray
+    kraus_ops: np.ndarray
+    restart_bases: np.ndarray
+
+
+def _claim1_sample(params: tuple, master_seed: int, indices: tuple[int, ...]) -> _Claim1Draws:
+    """Per trial, what ``ginibre_state`` (for A, then for B),
+    ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and,
+    on a larger side A, the LQU search's ``optim.problem`` (K_A's eigenbasis
+    first) draw from the trial's stream in turn, with their checks."""
     n_a, n_b, kraus_count, opts = params
-    rho_a = ginibre_state(n_a, rng=rng)
-    tau_b = ginibre_state(n_b, rng=rng)
-    k_a = random_nondegenerate_observable(n_a, rng=rng)
-    channel = commuting_kraus_channel(k_a, n_b, kraus_count, rng)
-    sigma = DensityMatrix(kron(rho_a.matrix, tau_b.matrix))
-    evolved = apply_channel(channel, sigma)
+    _check_kraus_count(kraus_count)
+    d = n_b * kraus_count
+    draws = restart_draws(opts, 1) if n_a > 2 else 0
+    shapes = [(2, n_a, n_a), (2, n_b, n_b), (2, n_a, n_a), (n_a, 2, d, d), (draws, 2, n_a, n_a)]
+    g_a, g_b, g_k, g_channel, g_restarts = _gaussians(master_seed, indices, shapes)
+    k_basis = require_unitary(haar_from_gaussians(g_k), "unitary eigenbasis")
+    bases = k_basis[:, None]
+    if draws:
+        bases = np.concatenate([bases, haar_from_gaussians(g_restarts)], axis=1)
+    return _Claim1Draws(
+        require_states(ginibre_from_gaussians(g_a)),
+        require_states(ginibre_from_gaussians(g_b)),
+        k_basis,
+        commuting_kraus_from_gaussians(k_basis, g_channel, n_b),
+        bases,
+    )
 
-    rhs = skew_information(rho_a, k_a)
+
+def _claim1_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    n_a, n_b, _, opts = params
+    rho_a, tau_b, k_basis, kraus_ops, bases = _claim1_sample(params, master_seed, indices)
+    lam = check_spectrum(default_spectrum(n_a))
+    k_a = observable_matrices(k_basis, lam)
+    evolved = require_states(apply_kraus(kraus_ops, require_states(kron(rho_a, tau_b))))
+
+    rhs = skew_informations(rho_a, k_a)
     # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs
-    k_full = Observable(kron(k_a.matrix, np.eye(n_b)))
-    mono_ok = skew_information(evolved, k_full) <= rhs + MONOTONICITY_TOL
+    k_full = require_observables(kron(k_a, np.eye(n_b)))
+    mono_ok = skew_informations(evolved, k_full) <= rhs + MONOTONICITY_TOL
 
-    evolved_ab = BipartiteState(evolved, n_a, n_b)
-    lhs = (yield from _lqu_steps(evolved_ab, k_a.spectrum, "A", opts, (k_a,), rng)).value
+    forms = local_skew_forms(evolved, (n_a, n_b), "A")
+    lhs = _lqu_qubit(forms, lam)[0] if n_a == 2 else _lqu_search(forms, lam, opts, bases)[0]
     return lhs, rhs, mono_ok
 
 
@@ -243,18 +305,34 @@ def verify_claim1(
     return _run_trials("claim1", _claim1_body, params, config, trials, workers, collect_timing)
 
 
-def _claim2_body(rng: np.random.Generator, params: tuple) -> Steps[tuple[float, float, bool]]:
+def _claim2_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    # Per trial, the draws of ginibre_state; then in argmin_K mode the LQU
+    # search's restart bases on a larger side B (none on a qubit B), or in
+    # random_K mode the eigenbasis of random_nondegenerate_observable; then
+    # the steering search's restart bases.
     n_a, n_b, mode, opts = params
-    rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
+    d = n_a * n_b
     if mode == "argmin_K":
-        opt = yield from _lqu_steps(rho_ab, default_spectrum(n_b), "B", opts, (), rng)
-        k_b = opt.minimizer
-        rhs = opt.value
+        draws_b = restart_draws(opts, 0) if n_b > 2 else 0
     else:
-        k_b = random_nondegenerate_observable(n_b, rng=rng)
-        rhs = skew_information(rho_ab.state, Observable(kron(np.eye(n_a), k_b.matrix)))
-    lhs = (yield from _steering_induced_skew_steps(rho_ab, k_b, opts, rng)).value
-    return lhs, rhs, True
+        draws_b = 1
+    shapes = [(2, d, d), (draws_b, 2, n_b, n_b), (restart_draws(opts, 0), 2, n_a, n_a)]
+    g_rho, g_b, g_a = _gaussians(master_seed, indices, shapes)
+    rho = require_states(ginibre_from_gaussians(g_rho))
+    lam = check_spectrum(default_spectrum(n_b))
+    if mode == "argmin_K":
+        forms = local_skew_forms(rho, (n_a, n_b), "B")
+        if n_b == 2:
+            rhs, k_basis = _lqu_qubit(forms, lam)
+        else:
+            rhs, k_basis, _ = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))
+        km = observable_matrices(k_basis, lam)
+    else:
+        km = observable_matrices(require_unitary(haar_from_gaussians(g_b[:, 0]), "unitary eigenbasis"), lam)
+        rhs = skew_informations(rho, require_observables(kron(np.eye(n_a), km)))
+    r4 = rho.reshape(-1, n_a, n_b, n_a, n_b)
+    lhs, _, _ = _maximize(_skew_objective, (r4, km), opts, haar_from_gaussians(g_a))
+    return lhs, rhs, np.ones(len(indices), dtype=bool)
 
 
 def verify_claim2(
@@ -292,13 +370,16 @@ def verify_claim2(
     return _run_trials("claim2", _claim2_body, params, config, trials, workers, collect_timing)
 
 
-def _avg_body(rng: np.random.Generator, params: tuple) -> tuple[float, float, bool]:
+def _avg_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    # Per trial, the draws of ginibre_state and then of haar_unitaries.
     n_a, n_b, bases_per_trial = params
-    rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
-    rhs = q_local(rho_ab, "B")
-    bases = require_unitary(haar_unitaries(n_a, bases_per_trial, rng), "orthonormal columns")
-    lhs = float(np.max(_steered_q(rho_ab, bases)))
-    return lhs, rhs, True
+    shapes = [(2, n_a * n_b, n_a * n_b), (bases_per_trial, 2, n_a, n_a)]
+    g_rho, g_bases = _gaussians(master_seed, indices, shapes)
+    rho = require_states(ginibre_from_gaussians(g_rho))
+    rhs = q_locals(rho, (n_a, n_b), "B")
+    bases = require_unitary(haar_from_gaussians(g_bases), "orthonormal columns")
+    lhs = _steered_q(rho.reshape(-1, 1, n_a, n_b, n_a, n_b), bases).max(axis=-1)
+    return lhs, rhs, np.ones(len(indices), dtype=bool)
 
 
 def verify_avg_bound(

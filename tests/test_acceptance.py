@@ -33,8 +33,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
-from skewinfo.metrics import _lqu_search_steps
-from skewinfo.optim import solve
+from skewinfo.metrics import _lqu_searched
 from skewinfo.steering import MeasurementBasis
 
 from conftest import (
@@ -180,24 +179,24 @@ def test_criterion_4_lqu_cross_oracle():
     for n_b in (2, 3):
         for _ in range(100):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            numeric = solve(_lqu_search_steps(state, PM_ONE, "A", opts, (), rng)).value
+            numeric = _lqu_searched(state, PM_ONE, "A", opts, (), rng).value
             assert abs(numeric - lqu(state, PM_ONE, "A").value) <= 1e-6
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = product_state(2, n_b, rng)
-        assert solve(_lqu_search_steps(state, PM_ONE, "A", opts, (), rng)).value <= 1e-7
+        assert _lqu_searched(state, PM_ONE, "A", opts, (), rng).value <= 1e-7
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = classical_quantum_state(2, n_b, rng)
-        assert solve(_lqu_search_steps(state, PM_ONE, "A", opts, (), rng)).value <= 1e-7
-    bell_value = solve(_lqu_search_steps(bell_pair(), PM_ONE, "A", opts, (), rng)).value
+        assert _lqu_searched(state, PM_ONE, "A", opts, (), rng).value <= 1e-7
+    bell_value = _lqu_searched(bell_pair(), PM_ONE, "A", opts, (), rng).value
     assert abs(bell_value - 1.0) <= 1e-6
     # side B with a spectrum other than {-1, +1}
     spectrum = np.array([0.3, 2.0])
     for n_a in (2, 3):
         for _ in range(50):
             state = BipartiteState(ginibre_state(2 * n_a, rng=rng), n_a, 2)
-            numeric = solve(_lqu_search_steps(state, spectrum, "B", opts, (), rng)).value
+            numeric = _lqu_searched(state, spectrum, "B", opts, (), rng).value
             assert abs(numeric - lqu(state, spectrum, "B").value) <= 1e-6
     _verdict(4, "lqu search vs qubit-side closed form", budget)
 
@@ -291,8 +290,8 @@ def test_criterion_9_worker_determinism(tmp_path):
         return blob
 
     # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 40
-    # trials run in-process in chunks of 32 and 8 with one worker, and in a
-    # pool in chunks of 20 or 10 with two or four
+    # trials run in-process as one stack with any worker count (calls that
+    # reach the pool are compared in test_verify.py)
     runs = {
         "claim1": lambda w: verify_claim1(trials=40, master_seed=90, workers=w),
         "claim1_3x2": lambda w: verify_claim1(n_a=3, n_b=2, trials=40, master_seed=93, workers=w),

@@ -218,8 +218,6 @@ def test_parse_flags_rejected_where_no_command_reads_them():
     assert (config.n_a, config.n_b, config.trials, config.tol, config.restarts) == (2, 2, 1000, 1e-7, None)
     with pytest.raises(UsageError):
         parse_args("verify avg --trials 0".split())
-    with pytest.raises(UsageError):
-        parse_args("verify claim1 --tol -1".split())
 
 
 def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
@@ -304,13 +302,20 @@ def test_run_requires_state_file():
 
 
 def test_non_finite_tol_is_rejected(capsys):
-    # margin < -nan is never true, so a NaN tolerance would hide every violation
-    for bad in ("nan", "inf", "NaN"):
-        with pytest.raises(UsageError, match="tol must be finite"):
-            parse_args(["verify", "claim1", "--tol", bad])
-    assert main("verify claim1 --trials 2 --tol nan".split()) == 2
+    # margin < -nan is never true, so a NaN tolerance would hide every
+    # violation, and a negative one would count bounds that hold; the CLI
+    # takes the harness's rule, so it rejects what the API rejects
+    for bad in ("nan", "inf", "NaN", "-1"):
+        assert main(["verify", "claim1", "--trials", "2", "--tol", bad]) == 2
+        assert "tol must be finite and non-negative" in capsys.readouterr().err
     assert main("verify avg --trials 2 --tol inf".split()) == 2
-    assert "tol must be finite, got inf" in capsys.readouterr().err
+    assert "tol must be finite and non-negative, got inf" in capsys.readouterr().err
+
+
+def test_zero_tol_runs_as_in_the_api(capsys):
+    # a zero tolerance counts every negative margin, in the CLI as in the API
+    assert main("verify claim1 --trials 2 --tol 0".split()) == 0
+    assert "config.violation_tol=0.0\n" in capsys.readouterr().out
 
 
 def test_help_lists_only_the_commands_own_flags(capsys):

@@ -229,3 +229,18 @@ def test_trace_inner_conjugates_first_argument():
 def test_trace_inner_shape_mismatch():
     with pytest.raises(DimensionMismatch):
         trace_inner(np.eye(2), np.eye(3))
+
+
+def test_kron_and_partial_trace_act_member_by_member_on_stacks(rng):
+    # the stacked forms the harness chunks use: each member equals the
+    # one-matrix call bit for bit (np.kron is the independent reference)
+    a = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    b = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    joint = kron(a, b)
+    assert joint.shape == (5, 6, 6)
+    for k in range(5):
+        np.testing.assert_array_equal(joint[k], np.kron(a[k], b[k]))
+        for side in ("A", "B"):
+            np.testing.assert_array_equal(partial_trace(joint, (3, 2), side)[k], partial_trace(joint[k], (3, 2), side))
+    with pytest.raises(DimensionMismatch):
+        partial_trace(joint, (2, 2), "A")

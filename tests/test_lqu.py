@@ -18,8 +18,7 @@ from skewinfo import (
     skew_information,
     stream,
 )
-from skewinfo.metrics import _lqu_search_steps
-from skewinfo.optim import solve
+from skewinfo.metrics import _lqu_searched
 
 from conftest import oracle_lqu_qubit
 
@@ -129,7 +128,7 @@ def test_lqu_agrees_with_closed_form_on_random_states():
     for n_b in (2, 3):
         for _ in range(10):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            num = solve(_lqu_search_steps(state, PM_ONE, "A", OptimizerOptions(restarts=8), (), rng))
+            num = _lqu_searched(state, PM_ONE, "A", OptimizerOptions(restarts=8), (), rng)
             assert num.value == pytest.approx(lqu(state, PM_ONE, "A").value, abs=1e-6)
 
 

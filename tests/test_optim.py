@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from skewinfo import (
     BipartiteState,
     DensityMatrix,
-    NotPSD,
     OptimizerOptions,
     UsageError,
     ginibre_state,
@@ -377,82 +376,6 @@ def test_one_dimensional_side_evaluates_the_only_point():
     local = lqu(state, np.array([0.5]), "A", rng=stream(5, 2))
     assert abs(local.value) <= 1e-12  # a multiple of the identity
     assert (local.restarts_used, local.converged) == (1, True)  # the floor stops the restarts
-
-
-QUICK = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
-# a 3x2 joint state tensor with negative eigenvalues
-INDEFINITE = np.diag([0.7, -0.1, 0.5, -0.1, 0.2, -0.2]).astype(complex).reshape(3, 2, 3, 2)
-
-
-def steered_chain(index, count, fault=None):
-    """A computation of ``count`` steering searches on its own 3x2 state and
-    stream (the first on the joint state tensor ``fault`` when given), each
-    from fresh Haar bases; returns their values."""
-    rng = stream(81, index)
-    state = BipartiteState(ginibre_state(6, rng=rng), 3, 2)
-    km = random_nondegenerate_observable(2, rng=rng).matrix
-    values = []
-    for k in range(count):
-        r4 = fault if fault is not None and k == 0 else _tensor(state)
-        values.append((yield optim.problem(_skew_objective, (r4, km), 3, QUICK, rng=rng)).value)
-    return values
-
-
-def fails_after_its_first_result(index):
-    yield from steered_chain(index, 1)
-    raise RuntimeError("after its first result")
-
-
-def search_sizes(monkeypatch):
-    """The number of problems of each ``optim.search`` call from now on."""
-    sizes = []
-    search = optim.search
-
-    def counting(problems):
-        sizes.append(len(problems))
-        return search(problems)
-
-    monkeypatch.setattr(optim, "search", counting)
-    return sizes
-
-
-def test_drive_returns_what_each_computation_returns_alone(monkeypatch):
-    # computations of 0, 1 and 2 searches: one stacked search per round
-    alone = [optim.solve(steered_chain(i, count)) for i, count in enumerate((0, 1, 2))]
-    sizes = search_sizes(monkeypatch)
-    values, seconds = optim.drive([steered_chain(i, count) for i, count in enumerate((0, 1, 2))])
-    assert values == alone and len(alone[2]) == 2
-    assert sizes == [2, 1]
-    assert all(s > 0.0 for s in seconds)
-
-
-def test_a_computation_that_raises_fails_alone():
-    values, _ = optim.drive([steered_chain(0, 2), fails_after_its_first_result(1), steered_chain(2, 2)])
-    assert isinstance(values[1], RuntimeError) and str(values[1]) == "after its first result"
-    assert [values[0], values[2]] == [optim.solve(steered_chain(0, 2)), optim.solve(steered_chain(2, 2))]
-
-
-def test_failed_stacked_search_re_solves_only_its_round(monkeypatch):
-    # the second computation's first problem has an indefinite joint state,
-    # so the first round's stacked search raises NotPSD: that round is
-    # solved again one problem at a time, and the next round is stacked
-    # with the two computations left
-    alone = [optim.solve(steered_chain(i, 2)) for i in (0, 2)]
-    sizes = search_sizes(monkeypatch)
-    values, seconds = optim.drive([steered_chain(0, 2), steered_chain(1, 2, INDEFINITE), steered_chain(2, 2)])
-    assert sizes == [3, 1, 1, 1, 2]
-    assert isinstance(values[1], NotPSD) and str(values[1]).startswith("minimum eigenvalue")
-    assert [values[0], values[2]] == alone
-    assert all(s > 0.0 for s in seconds)
-
-
-def test_solve_re_raises_and_does_not_retry_a_one_problem_round(monkeypatch):
-    sizes = search_sizes(monkeypatch)
-    with pytest.raises(NotPSD, match="minimum eigenvalue"):
-        optim.solve(steered_chain(1, 2, INDEFINITE))
-    assert sizes == [1]
-    with pytest.raises(RuntimeError, match="after its first result"):
-        optim.solve(fails_after_its_first_result(0))
 
 
 def test_import_does_not_load_scipy():

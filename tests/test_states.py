@@ -16,6 +16,8 @@ from skewinfo import (
     apply_channel,
 )
 
+from skewinfo.states import require_complete, require_states
+
 from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, ObservableBasis, gell_mann_basis
 
 
@@ -162,3 +164,22 @@ def test_rotated_basis_still_valid(rng):
     from skewinfo import haar_unitary
 
     gell_mann_basis(3).rotated(haar_unitary(3, rng))  # passes orthonormality + completeness checks
+
+
+def test_stacked_checks_reject_a_stack_with_one_bad_member():
+    # a stacked check raises what its one-matrix form raises on the bad
+    # member, and passes a stack of good members
+    good = np.diag([0.25, 0.75]).astype(complex)
+    for bad, invariant in ((np.diag([0.5, 0.6]), "unit trace"), (np.diag([1.1, -0.1]), "positive semidefiniteness")):
+        stack = np.stack([good, bad.astype(complex), good])
+        with pytest.raises(InvalidState) as err:
+            require_states(stack)
+        with pytest.raises(InvalidState) as alone:
+            DensityMatrix(bad)
+        assert err.value.invariant == alone.value.invariant == invariant
+        assert err.value.residual == alone.value.residual
+    assert require_states(np.stack([good, good])).shape == (2, 2, 2)
+    ops = np.stack([np.stack([np.eye(2)]), np.stack([1.01 * np.eye(2)])]).astype(complex)  # (2 sets, 1, 2, 2)
+    with pytest.raises(InvalidChannel, match="completeness residual"):
+        require_complete(ops)
+    require_complete(ops[:1])

@@ -14,6 +14,7 @@ from skewinfo import (
     TrialRecord,
     UsageError,
     VerificationReport,
+    commuting_kraus_channel,
     ginibre_state,
     kron,
     lqu,
@@ -103,26 +104,73 @@ def test_failed_trial_becomes_diagnostic_record():
 def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
     # one trial of a six-trial chunk hands the stacked steering search an
     # indefinite joint state, so the search raises NotPSD for the whole
-    # chunk; rerun one at a time, only that trial fails
+    # chunk; run again one trial at a time, only that trial fails
     clean_report, clean = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
-    real = verify._steering_induced_skew_steps
+    # the joint state tensor of trial 3, the first draw of its stream
+    trial_3 = ginibre_state(4, rng=stream(21, 3)).matrix.reshape(2, 2, 2, 2)
     indefinite = np.diag([0.7, -0.1, 0.5, -0.1]).astype(complex).reshape(2, 2, 2, 2)
+    real = optim.search
+    sizes = []
 
-    def faulty(rho_ab, k_b, opts, rng):
-        steps = real(rho_ab, k_b, opts, rng)
-        if rng.bit_generator.state["state"]["key"][1] != 3:  # the stream of trial 3
-            return (yield from steps)
-        problem = next(steps)
-        return steps.send((yield problem._replace(data=(indefinite, problem.data[1]))))
+    def faulty(problems):
+        sizes.append(len(problems))
+        faults = [np.array_equal(p.data[0], trial_3) for p in problems]
+        return real([p._replace(data=(indefinite, p.data[1])) if f else p for p, f in zip(problems, faults)])
 
-    monkeypatch.setattr(verify, "_steering_induced_skew_steps", faulty)
+    monkeypatch.setattr(optim, "search", faulty)
     report, records = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
+    assert sizes == [6, 1, 1, 1, 1, 1, 1]
     assert report.failed == 1 and report.violations == 0
     ((index, message),) = report.failures
     assert index == 3 and message.startswith("NotPSD: minimum eigenvalue")
     assert math.isnan(records[3].lhs) and math.isnan(records[3].rhs) and not records[3].violated
     assert records[:3] + records[4:] == clean[:3] + clean[4:]
     assert clean_report.failed == 0
+
+
+def test_indefinite_sampled_state_fails_only_its_trial(monkeypatch):
+    # the chunk's stacked state check sees one indefinite input state on A,
+    # trial 2's; run again one trial at a time, only that trial fails, with
+    # the message it gets in a chunk of its own
+    params = (3, 2, 2, HARNESS_OPTS)
+    job = ("claim1", _claim1_body, params, (3, 2), 1e-7, False, 8)
+    clean = _run_chunk((*job, tuple(range(6))))
+    trial_2 = stream(8, 2).standard_normal((2, 3, 3))  # the first draw of trial 2
+    real = verify.ginibre_from_gaussians
+
+    def one_indefinite(g):
+        states = real(g)
+        for k in np.flatnonzero([np.array_equal(member, trial_2) for member in g]):
+            states[k] = np.diag([0.6, 0.5, -0.1]).astype(complex)
+        return states
+
+    monkeypatch.setattr(verify, "ginibre_from_gaussians", one_indefinite)
+    results = _run_chunk((*job, tuple(range(6))))
+    ((_, _, alone_error),) = _run_chunk((*job, (2,)))
+    assert [r[2] for r in results] == [None, None, alone_error, None, None, None]
+    assert alone_error == "InvalidState: invalid state: positive semidefiniteness violated (residual 1.000e-01)"
+    failed, mono_ok, _ = results[2]
+    assert math.isnan(failed.lhs) and math.isnan(failed.rhs) and not failed.violated and mono_ok
+    assert [r[:2] for r in results[:2] + results[3:]] == [r[:2] for r in clean[:2] + clean[3:]]
+
+
+def test_chunk_draws_what_the_public_samplers_draw():
+    # per trial, claim1's stacked sampling equals the public samplers run
+    # one after another on the trial's own stream, bit for bit
+    params = (3, 2, 3, HARNESS_OPTS)
+    indices = (0, 4, 7)
+    draws = verify._claim1_sample(params, 5, indices)
+    for k, t in enumerate(indices):
+        rng = stream(5, t)
+        rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
+        k_a = random_nondegenerate_observable(3, rng=rng)
+        channel = commuting_kraus_channel(k_a, 2, 3, rng)
+        search = optim.problem(None, (), 3, HARNESS_OPTS, seed_unitaries=[k_a.eigenbasis], rng=rng)
+        np.testing.assert_array_equal(draws.rho_a[k], rho_a.matrix)
+        np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
+        np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
+        np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
+        np.testing.assert_array_equal(draws.restart_bases[k], search.bases)
 
 
 def test_workers_below_one_are_rejected():
@@ -165,14 +213,14 @@ def test_non_finite_violation_tol_is_rejected():
 
 def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
     # the stacked harness still checks every basis it measures in
-    real = verify.haar_unitaries
+    real = verify.haar_from_gaussians
 
-    def one_bad_member(n, count, rng):
-        bases = real(n, count, rng)
-        bases[count // 2] *= 1.001
+    def one_bad_member(g):
+        bases = real(g)
+        bases[..., g.shape[-4] // 2, :, :] *= 1.001
         return bases
 
-    monkeypatch.setattr(verify, "haar_unitaries", one_bad_member)
+    monkeypatch.setattr(verify, "haar_from_gaussians", one_bad_member)
     report, records = verify_avg_bound(trials=3, bases_per_trial=6, master_seed=4, workers=1)
     assert report.failed == 3 and report.violations == 0
     assert all(math.isnan(r.lhs) for r in records)
@@ -189,13 +237,13 @@ def render(report, records, path):
 
 
 def test_workers_do_not_change_reports(tmp_path):
-    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 40
-    # trials run in-process in chunks of 32 and 8 with one worker, and in
-    # a pool in chunks of 20 or 10 with two or four
+    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 150
+    # trials run in-process in chunks of 128 and 22 with one worker, and in
+    # a pool in chunks of 75 or 38 with two or four
     runs = {
-        "claim1": lambda w: verify_claim1(n_a=3, n_b=2, trials=40, master_seed=13, opts=QUICK, workers=w),
-        "claim2": lambda w: verify_claim2(trials=40, master_seed=13, opts=QUICK, mode="argmin_K", workers=w),
-        "random": lambda w: verify_claim2(trials=40, master_seed=13, opts=QUICK, workers=w),
+        "claim1": lambda w: verify_claim1(n_a=3, n_b=2, trials=150, master_seed=13, opts=QUICK, workers=w),
+        "claim2": lambda w: verify_claim2(trials=150, master_seed=13, opts=QUICK, mode="argmin_K", workers=w),
+        "random": lambda w: verify_claim2(trials=150, master_seed=13, opts=QUICK, workers=w),
     }
     for name, run in runs.items():
         blobs = {render(*run(w), str(tmp_path / f"{name}-w{w}.jsonl")) for w in (1, 2, 4)}
@@ -203,17 +251,22 @@ def test_workers_do_not_change_reports(tmp_path):
 
 
 def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
-    # trials 0-4 run in a chunk of 5, then in the first chunk of a 37-trial
-    # call; claim2 at 2x3 stacks an LQU search and then a steering search
+    # trials 0-4 run in a chunk of 5, then in the first (full) chunk of a
+    # call longer than one chunk; claim1 at 2x2 takes the closed-form LQU
+    # on a stack, and claim2 at 2x3 stacks an LQU search and then a
+    # steering search
+    long_trials = verify._CHUNK_TRIALS + 3
     runs = {
         "claim1": lambda n: verify_claim1(n_a=3, n_b=2, kraus_count=3, trials=n, master_seed=17, workers=1),
+        "claim1_2x2": lambda n: verify_claim1(trials=n, master_seed=17, workers=1),
         "claim2": lambda n: verify_claim2(trials=n, master_seed=17, mode="argmin_K", workers=1),
+        "claim2_random": lambda n: verify_claim2(trials=n, master_seed=17, workers=1),
         "claim2_2x3": lambda n: verify_claim2(n_b=3, trials=n, master_seed=17, mode="argmin_K", workers=1),
         "avg": lambda n: verify_avg_bound(n_a=3, n_b=3, trials=n, master_seed=17, workers=1),
     }
     for name, run in runs.items():
         short = render(*run(5), str(tmp_path / f"{name}-5.jsonl"))
-        long = render(*run(37), str(tmp_path / f"{name}-37.jsonl"))
+        long = render(*run(long_trials), str(tmp_path / f"{name}-long.jsonl"))
         records = short.split(b"\n")[:5]
         assert records == long.split(b"\n")[:5], name
 
