@@ -134,7 +134,9 @@ def problem(
     floor: float | None = None,
 ) -> UnitaryProblem:
     """The problem of minimizing ``cost(U, *data)`` from ``restart_bases``,
-    all drawn here, before any descent."""
+    all drawn here, before any descent: how to pose a cost of one's own for
+    :func:`search`, and the reference for the restarts that the harnesses
+    draw as stacks (``restart_draws`` Haar draws after the seeds)."""
     bases = restart_bases(n, opts, seed_unitaries, rng)
     return UnitaryProblem(cost, tuple(np.asarray(d) for d in data), bases, opts, floor)
 

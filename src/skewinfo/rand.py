@@ -138,12 +138,12 @@ def commuting_kraus_from_gaussians(u: np.ndarray, g: np.ndarray, n_b: int) -> np
     kraus_count = blocks.shape[-3]
     ut = u.swapaxes(-1, -2)
     projs = ut[..., :, :, None] * ut.conj()[..., :, None, :]  # |u_k><u_k|, (..., k, a, c)
-    # terms[k, j] = |u_k><u_k| ⊗ B_j^(k), entry (a b, c d) = P_k[a, c] B_j^(k)[b, d]
-    terms = projs[..., :, None, :, None, :, None] * blocks[..., :, :, None, :, None, :]
-    terms = terms.reshape(*u.shape[:-2], n_a, kraus_count, n_a * n_b, n_a * n_b)
-    ops = np.zeros((*u.shape[:-2], kraus_count, n_a * n_b, n_a * n_b), dtype=np.complex128)
-    for k in range(n_a):
-        ops += terms[..., k, :, :, :]  # from zero in ascending k: an einsum would reorder the additions
+    shape = (*u.shape[:-2], kraus_count, n_a * n_b, n_a * n_b)
+    ops = np.zeros(shape, dtype=np.complex128)
+    for k in range(n_a):  # from zero in ascending k: an einsum would reorder the additions
+        # |u_k><u_k| ⊗ B_j^(k), entry (a b, c d) = P_k[a, c] B_j^(k)[b, d]
+        term = projs[..., k, None, :, None, :, None] * blocks[..., k, :, None, :, None, :]
+        ops += term.reshape(shape)
     return require_complete(ops)
 
 

@@ -26,7 +26,6 @@ from .linalg import kron
 from .metrics import _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
 from .optim import OptimizerOptions, restart_draws
 from .rand import (
-    _check_kraus_count,
     commuting_kraus_from_gaussians,
     default_spectrum,
     ginibre_from_gaussians,
@@ -234,7 +233,6 @@ def _claim1_sample(params: tuple, master_seed: int, indices: tuple[int, ...]) ->
     on a larger side A, the LQU search's ``optim.problem`` (K_A's eigenbasis
     first) draw from the trial's stream in turn, with their checks."""
     n_a, n_b, kraus_count, opts = params
-    _check_kraus_count(kraus_count)
     d = n_b * kraus_count
     draws = restart_draws(opts, 1) if n_a > 2 else 0
     shapes = [(2, n_a, n_a), (2, n_b, n_b), (2, n_a, n_a), (n_a, 2, d, d), (draws, 2, n_a, n_a)]

@@ -35,6 +35,7 @@ from skewinfo import (
 )
 from skewinfo.metrics import _lqu_searched
 from skewinfo.steering import MeasurementBasis
+from skewinfo.verify import _CHUNK_TRIALS
 
 from conftest import (
     bell_pair,
@@ -289,15 +290,17 @@ def test_criterion_9_worker_determinism(tmp_path):
             blob += fh.read()
         return blob
 
-    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 40
-    # trials run in-process as one stack with any worker count (calls that
-    # reach the pool are compared in test_verify.py)
+    # claim1 at 3x2 and claim2 in argmin_K mode run stacked searches; 150
+    # trials are more than one chunk, so one worker runs them in-process
+    # and 2 or 4 workers in the pool
+    trials = 150
+    assert trials > _CHUNK_TRIALS
     runs = {
-        "claim1": lambda w: verify_claim1(trials=40, master_seed=90, workers=w),
-        "claim1_3x2": lambda w: verify_claim1(n_a=3, n_b=2, trials=40, master_seed=93, workers=w),
-        "claim2": lambda w: verify_claim2(trials=40, master_seed=91, workers=w),
-        "claim2_argmin": lambda w: verify_claim2(trials=40, master_seed=94, mode="argmin_K", workers=w),
-        "avg": lambda w: verify_avg_bound(trials=40, master_seed=92, workers=w),
+        "claim1": lambda w: verify_claim1(trials=trials, master_seed=90, workers=w),
+        "claim1_3x2": lambda w: verify_claim1(n_a=3, n_b=2, trials=trials, master_seed=93, workers=w),
+        "claim2": lambda w: verify_claim2(trials=trials, master_seed=91, workers=w),
+        "claim2_argmin": lambda w: verify_claim2(trials=trials, master_seed=94, mode="argmin_K", workers=w),
+        "avg": lambda w: verify_avg_bound(trials=trials, master_seed=92, workers=w),
     }
     for name, runner in runs.items():
         outs = {w: runner(w) for w in (1, 2, 4)}

@@ -90,11 +90,13 @@ def test_violated_flag_matches_margin_definition():
 
 
 def test_failed_trial_becomes_diagnostic_record():
+    # a channel with no Kraus operators (the harnesses reject kraus_count=0
+    # before any trial runs) fails its completeness check in every trial
     job = ("claim1", _claim1_body, (2, 2, 0, HARNESS_OPTS), (2, 2), 1e-7, False, 3, (0, 1, 2))
     results = _run_chunk(job)
     assert [record.trial_index for record, _, _ in results] == [0, 1, 2]
     for record, mono_ok, err in results:
-        assert err is not None and "kraus_count" in err
+        assert err == "InvalidChannel: completeness residual 1.000e+00 exceeds 1.0e-08"
         assert record.seed_tuple == (3, record.trial_index) and record.claim_id == "claim1"
         assert math.isnan(record.lhs) and math.isnan(record.rhs)
         assert not record.violated
