@@ -15,7 +15,7 @@ import numpy as np
 from . import optim
 from .errors import DimensionMismatch
 from .linalg import Side, partial_trace, side_dim, sqrtm_psd
-from .optim import OptimizerOptions, UnitaryProblem, UnitarySearchResult, restart_bases
+from .optim import OptimizerOptions, SearchResult, restart_bases
 from .states import (
     BipartiteState,
     DensityMatrix,
@@ -97,9 +97,13 @@ def q_local(rho_ab: BipartiteState, side: Side) -> float:
 
 
 def local_skew_forms(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
-    """``LocalSkewObjective.form`` of a joint state matrix on A ⊗ B, or of
-    each member of an ``(..., d, d)`` stack: ``(..., n^2, n^2)`` for the
-    side's dimension n."""
+    """I(rho_AB, K ⊗ I) (or I ⊗ K) as a quadratic form in the local
+    observable K, ``I = vec(K)^T form vec(K)``: the model behind both the
+    LQU search and the qubit-side closed form. The form of a joint state
+    matrix on A ⊗ B, or of each member of an ``(..., d, d)`` stack, is
+    ``(..., n^2, n^2)`` for the side's dimension n; it is built from the
+    reduced state and a rank-4 contraction of the state's square root, so
+    an evaluation touches only side-local matrices."""
     n = side_dim(dims, side)
     root = sqrtm_psd(rho)
     lead = rho.shape[:-2]
@@ -118,22 +122,9 @@ def local_skew_forms(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.n
     return 0.5 * (form + form.swapaxes(-1, -2))
 
 
-class LocalSkewObjective:
-    """I(rho_AB, K ⊗ I) (or I ⊗ K) as a quadratic form in the local observable
-    K: the model behind both the LQU search and the qubit-side closed form.
-
-    Precomputes the reduced state and a rank-4 contraction of the state's
-    square root (``local_skew_forms``) so each evaluation touches only
-    side-local matrices.
-    """
-
-    def __init__(self, rho_ab: BipartiteState, side: Side):
-        self.form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
-
-
 def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The skew information at K = U diag(lam) U^dagger under the quadratic
-    form ``LocalSkewObjective.form`` and its Riemannian gradient in U (the
+    form ``local_skew_forms`` and its Riemannian gradient in U (the
     cost contract of ``optim.search``), for one U, or member by member for
     an ``(m, n, n)`` stack of U with ``(m, n^2, n^2)`` forms and ``(m, n)``
     spectra (or one form and spectrum shared by every member).
@@ -214,31 +205,30 @@ def _lqu_searched(
     opts = opts or OptimizerOptions()
     bases = restart_bases(lam.size, opts, [s.eigenbasis for s in seeds], rng)
     form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
-    (value,), (basis,), (best,) = _lqu_search(form[None], lam, opts, bases[None])
-    return LquResult(float(value), NondegenerateObservable(lam, basis), best.restarts_used, best.converged)
+    (value,), (basis,), found = _lqu_search(form[None], lam, opts, bases[None])
+    return LquResult(
+        float(value), NondegenerateObservable(lam, basis), int(found.restarts_used[0]), bool(found.converged[0])
+    )
 
 
 def _lqu_search(
     forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[UnitarySearchResult]]:
+) -> tuple[np.ndarray, np.ndarray, SearchResult]:
     """LQU by restarted Riemannian BFGS descent over the eigenbases of the
     side's observables with the ascending spectrum ``lam``, for each local
     skew form of the stack ``forms`` (``local_skew_forms``), from its
-    restart bases ``bases[t]`` (``(restarts, n, n)``), all in one stacked
-    search: the clamped values, the minimizers' eigenbases (checked to be
-    unitary) and the search results.
+    restart bases ``bases[t]`` (``bases`` is ``(T, restarts, n, n)``), all
+    in one stacked search: the clamped values, the minimizers' eigenbases
+    (checked to be unitary) and the search result.
 
     Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
     the unitary group, in quasi-Newton directions built from its analytic
     gradient, for at most ``opts.max_iters`` accepted steps; restarts stop
     early once the value reaches ``LQU_FLOOR``.
     """
-    results = optim.search(
-        [UnitaryProblem(_eigenbasis_cost, (form, lam), b, opts, LQU_FLOOR) for form, b in zip(forms, bases)]
-    )
-    values = _clamp(np.array([r.value for r in results]))
-    eigenbases = require_unitary(np.stack([r.unitary for r in results]), "unitary eigenbasis")
-    return values, eigenbases, results
+    spectra = np.broadcast_to(lam, (len(forms), lam.size))
+    found = optim.search(_eigenbasis_cost, (forms, spectra), bases, opts, LQU_FLOOR)
+    return _clamp(found.values), require_unitary(found.unitaries, "unitary eigenbasis"), found
 
 
 def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +239,7 @@ def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarr
     Every such observable is K = (a+b)/2 I + (b-a)/2 n·sigma for a unit
     vector n, and the identity part commutes with the state's root, so
     I(rho_AB, K_S) = ((b-a)/2)^2 n^T Q n, with Q the real symmetric block
-    Q_ij = Re vec(sigma_i)^T form vec(sigma_j) of ``LocalSkewObjective.form``
+    Q_ij = Re vec(sigma_i)^T form vec(sigma_j) of ``local_skew_forms``
     on the Pauli directions. The minimum is ((b-a)/2)^2 lambda_min(Q) at the
     bottom eigenvector of Q: the closed form of Girolami, Tufarelli, Adesso
     (PRL 110, 240402, 2013), whose W_ij = Tr[sqrt(rho) sigma_i sqrt(rho)

@@ -25,10 +25,14 @@ that changes the gradient by y, Hinv takes the BFGS update when sᵀy > 0;
 the first update after Hinv = I starts from (sᵀy / yᵀy)·I. No Hessian of
 the cost is needed, and no evaluation beyond the line search's.
 
-Every restart of every problem in a :func:`search` call is one member of
-a stack. Each member keeps its own point, Hinv, step and stop rule, and a
-member's arithmetic never mixes with another's, so its result does not
-depend on what else is in the stack.
+``search(cost, data, bases, opts, floor)`` minimizes one cost for T
+problems: their data as ``(T, ...)`` row stacks and their restart bases
+as ``(T, R, n, n)``. Every restart of every problem is one member of a
+stack of T·R. Each member keeps its own point, Hinv, step and stop rule,
+and a member's arithmetic never mixes with another's, so its result does
+not depend on what else is in the stack. The :class:`SearchResult` holds
+``(T,)`` arrays, one entry per problem; a single problem is the stack
+with T = 1.
 """
 
 from __future__ import annotations
@@ -76,29 +80,18 @@ class OptimizerOptions:
             raise UsageError(f"max_iters must be non-negative, got {self.max_iters!r}")
 
 
-class UnitarySearchResult(NamedTuple):
-    """The best value and unitary of one problem, the restarts counted up
+class SearchResult(NamedTuple):
+    """Per problem of a :func:`search` stack, ``(T,)`` arrays (the unitaries
+    ``(T, n, n)``): the best value and its unitary, the restarts counted up
     to the floor, the convergence flag, and the work of all of the
     problem's restarts: cost evaluations and accepted steps."""
 
-    value: float
-    unitary: np.ndarray
-    restarts_used: int
-    converged: bool
-    evals: int
-    steps: int
-
-
-class UnitaryProblem(NamedTuple):
-    """One minimization for :func:`search`: ``cost(U, *data)`` over n x n
-    unitaries, restarted from each of ``bases`` (``(restarts, n, n)``) in
-    order, stopping early once the best value is at or below ``floor``."""
-
-    cost: Callable[..., tuple[np.ndarray, np.ndarray]]
-    data: tuple[np.ndarray, ...]
-    bases: np.ndarray
-    opts: OptimizerOptions
-    floor: float | None
+    values: np.ndarray
+    unitaries: np.ndarray
+    restarts_used: np.ndarray
+    converged: np.ndarray
+    evals: np.ndarray
+    steps: np.ndarray
 
 
 def restart_draws(opts: OptimizerOptions, seeds: int) -> int:
@@ -112,9 +105,10 @@ def restart_bases(
     seed_unitaries: Sequence[np.ndarray] = (),
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """The restart bases ``(restarts, n, n)`` of a problem: the caller-supplied
-    seed unitaries in order, then ``restart_draws`` Haar draws from ``rng``
-    (a fixed internal stream when omitted)."""
+    """The restart bases ``(restarts, n, n)`` of one problem, a row of
+    :func:`search`'s ``bases``: the caller-supplied seed unitaries in order,
+    then ``restart_draws`` Haar draws from ``rng`` (a fixed internal stream
+    when omitted). The harnesses draw the same rows as stacks."""
     if rng is None:
         rng = rand.stream(0x5EED, 0)
     draws = restart_draws(opts, len(seed_unitaries))
@@ -122,23 +116,6 @@ def restart_bases(
     if draws:
         bases.append(rand.haar_unitaries(n, draws, rng))
     return np.concatenate(bases)
-
-
-def problem(
-    cost: Callable[..., tuple[np.ndarray, np.ndarray]],
-    data: tuple[np.ndarray, ...],
-    n: int,
-    opts: OptimizerOptions,
-    seed_unitaries: Sequence[np.ndarray] = (),
-    rng: np.random.Generator | None = None,
-    floor: float | None = None,
-) -> UnitaryProblem:
-    """The problem of minimizing ``cost(U, *data)`` from ``restart_bases``,
-    all drawn here, before any descent: how to pose a cost of one's own for
-    :func:`search`, and the reference for the restarts that the harnesses
-    draw as stacks (``restart_draws`` Haar draws after the seeds)."""
-    bases = restart_bases(n, opts, seed_unitaries, rng)
-    return UnitaryProblem(cost, tuple(np.asarray(d) for d in data), bases, opts, floor)
 
 
 def geodesic(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,8 +178,8 @@ def _descend(
     data: tuple[np.ndarray, ...],
     max_iters: int,
     stop_gain: float,
-    floor: np.ndarray | None = None,
-    ends: np.ndarray | None = None,
+    floor: float | None = None,
+    restarts: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BFGS descent of every member of the stack ``u`` (with its rows of
     ``data``); returns the last accepted values and points, and per member
@@ -222,10 +199,11 @@ def _descend(
 
     The members advance in rounds. A round takes one stacked
     eigendecomposition for the members that turn to a new direction and
-    one stacked ``cost`` call for every member in a line search. When a
-    member stops at or below its ``floor``, the members after it up to
-    ``ends`` (one past the last restart of its problem) are dropped: the
-    restarts after one that reached the floor are never used.
+    one stacked ``cost`` call for every member in a line search. The stack
+    holds the problems' ``restarts`` consecutive members each; when a
+    member stops at or below ``floor``, the later members of its problem
+    are dropped: the restarts after one that reached the floor are never
+    used.
     """
     m, n = u.shape[0], u.shape[-1]
     rows, cols = np.triu_indices(n, 1)
@@ -299,25 +277,35 @@ def _descend(
                 fail(rej[step[rej] * sl[~ok] <= stop_gain])
 
         if floor is not None:
-            for j in np.flatnonzero(was_active & ~active & (value <= floor)):
-                active[j + 1 : ends[j]] = False
-                turning[j + 1 : ends[j]] = False
+            hit = (was_active & ~active & (value <= floor)).reshape(-1, restarts)
+            dropped = np.zeros_like(hit)
+            dropped[:, 1:] = np.logical_or.accumulate(hit, axis=1)[:, :-1]
+            active[dropped.ravel()] = False
+            turning[dropped.ravel()] = False
         if not active.any():
             return value, u, evals, iters
 
 
-def search(problems: Sequence[UnitaryProblem]) -> list[UnitarySearchResult]:
-    """Minimize every problem by restarted Riemannian BFGS descent, with the
-    restarts of all problems that share a cost, options and shapes
-    descending side by side as one stack.
+def search(
+    cost: Callable[..., tuple[np.ndarray, np.ndarray]],
+    data: tuple[np.ndarray, ...],
+    bases: np.ndarray,
+    opts: OptimizerOptions,
+    floor: float | None = None,
+) -> SearchResult:
+    """Minimize ``cost`` for each of T problems by restarted Riemannian BFGS
+    descent, all restarts of all problems descending side by side as one
+    stack.
 
-    ``cost(U, *data)`` takes a stack of unitaries with the matching stacks
-    of the problem's data rows and returns the values and Riemannian
-    gradients described in the module docstring. The objectives here
-    depend only on the projectors onto the columns of U, so their G has a
-    zero diagonal and the search never moves the column phases. For
-    n = 1 there is no direction to move in, and each restart evaluates
-    its base point.
+    ``data`` holds the problems' data as ``(T, ...)`` row stacks, and
+    ``bases`` ``(T, R, n, n)`` their R restart bases each (rows of
+    :func:`restart_bases`). ``cost(U, *data)`` takes a stack of unitaries
+    with the matching stacks of data rows and returns the values and
+    Riemannian gradients described in the module docstring. The
+    objectives here depend only on the projectors onto the columns of U,
+    so their G has a zero diagonal and the search never moves the column
+    phases. For n = 1 there is no direction to move in, and each restart
+    evaluates its base point.
 
     Each restart starts exactly at its base point and accepts only steps
     that lower the value, so it never ends above its start.
@@ -333,54 +321,29 @@ def search(problems: Sequence[UnitaryProblem]) -> list[UnitarySearchResult]:
     floor reached), and the cost evaluations and accepted steps of all
     its restarts, those dropped after the floor included.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, p in enumerate(problems):
-        key = (p.cost, p.opts, p.bases.shape[1:], tuple(d.shape for d in p.data))
-        groups.setdefault(key, []).append(i)
-    results: list[UnitarySearchResult] = [None] * len(problems)  # type: ignore[list-item]
-    for members in groups.values():
-        for i, result in zip(members, _search_stack([problems[i] for i in members])):
-            results[i] = result
-    return results
-
-
-def _search_stack(problems: list[UnitaryProblem]) -> list[UnitarySearchResult]:
-    first = problems[0]
-    counts = [len(p.bases) for p in problems]
-    owner = np.repeat(np.arange(len(problems)), counts)
-    data = tuple(np.stack([p.data[k] for p in problems])[owner] for k in range(len(first.data)))
-    floors = np.array([-np.inf if p.floor is None else p.floor for p in problems])
-    ends = np.cumsum(counts)
+    t, r, n = bases.shape[:3]
     values, units, evals, steps = _descend(
-        first.cost,
-        np.concatenate([p.bases for p in problems]),
-        data,
-        first.opts.max_iters,
-        1e-2 * first.opts.tol,
-        floors[owner] if np.isfinite(floors).any() else None,
-        ends[owner],
+        cost,
+        bases.reshape(t * r, n, n),
+        tuple(np.repeat(d, r, axis=0) for d in data),
+        opts.max_iters,
+        1e-2 * opts.tol,
+        floor,
+        r,
     )
-
-    results = []
-    for p, end, count in zip(problems, ends, counts):
-        start = end - count
-        best_val, best_u, used, floor_hit = np.inf, np.eye(p.bases.shape[-1], dtype=np.complex128), 0, False
-        for j in range(start, end):
-            used += 1
-            if values[j] < best_val:
-                best_val, best_u = values[j], units[j]
-            if p.floor is not None and best_val <= p.floor:
-                floor_hit = True
-                break
-        if floor_hit or used == 1:
-            converged = floor_hit
-        else:
-            ordered = np.sort(values[start : start + used])
-            converged = bool(ordered[1] - ordered[0] <= 10.0 * p.opts.tol)
-        work = slice(start, end)
-        results.append(
-            UnitarySearchResult(
-                float(best_val), best_u, used, converged, int(evals[work].sum()), int(steps[work].sum())
-            )
-        )
-    return results
+    values, units = values.reshape(t, r), units.reshape(t, r, n, n)
+    at_floor = np.zeros((t, r), dtype=bool) if floor is None else values <= floor
+    floor_hit = at_floor.any(axis=1)
+    used = np.where(floor_hit, at_floor.argmax(axis=1) + 1, r)
+    counted = np.where(np.arange(r) < used[:, None], values, np.inf)
+    best = counted.argmin(axis=1)
+    ordered = np.sort(counted, axis=1)
+    gap = ordered[:, 1] - ordered[:, 0] if r > 1 else np.full(t, np.inf)
+    return SearchResult(
+        counted[np.arange(t), best],
+        units[np.arange(t), best],
+        used,
+        floor_hit | (gap <= 10.0 * opts.tol),
+        evals.reshape(t, r).sum(axis=1),
+        steps.reshape(t, r).sum(axis=1),
+    )

@@ -25,7 +25,7 @@ from . import optim
 from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh
 from .metrics import ObservableLike
-from .optim import OptimizerOptions, UnitaryProblem, UnitarySearchResult, restart_bases
+from .optim import OptimizerOptions, SearchResult, restart_bases
 from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
@@ -222,15 +222,14 @@ def _maximize(
     data: tuple[np.ndarray, ...],
     opts: OptimizerOptions,
     bases: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[UnitarySearchResult]]:
+) -> tuple[np.ndarray, np.ndarray, SearchResult]:
     """Maximize a gain over the unitaries whose columns are A's measurement
     bases, for each member of the data stacks ``data`` from its restart
     bases ``bases[t]``, in one stacked search of ``cost(U, *data)``, the
     negated gain and its Riemannian gradient: the maxima, the maximizing
-    bases (checked to be unitary) and the search results."""
-    results = optim.search([UnitaryProblem(cost, d, b, opts, None) for d, b in zip(zip(*data), bases)])
-    maximizers = require_unitary(np.stack([r.unitary for r in results]), "orthonormal columns")
-    return -np.array([r.value for r in results]), maximizers, results
+    bases (checked to be unitary) and the search result."""
+    found = optim.search(cost, data, bases, opts)
+    return -found.values, require_unitary(found.unitaries, "orthonormal columns"), found
 
 
 def _maximized(
@@ -243,8 +242,10 @@ def _maximized(
     """One member of ``_maximize``, from ``restart_bases`` drawn from ``rng``."""
     opts = opts or OptimizerOptions()
     bases = restart_bases(n_a, opts, rng=rng)
-    (value,), (u,), (best,) = _maximize(cost, tuple(d[None] for d in data), opts, bases[None])
-    return SteeringSearchResult(float(value), MeasurementBasis(u), best.restarts_used, best.converged)
+    (value,), (u,), found = _maximize(cost, tuple(d[None] for d in data), opts, bases[None])
+    return SteeringSearchResult(
+        float(value), MeasurementBasis(u), int(found.restarts_used[0]), bool(found.converged[0])
+    )
 
 
 def steering_induced_skew(

@@ -109,17 +109,21 @@ def _failure(exc: Exception) -> tuple[float, float, bool, str]:
 def _attempt(body: Callable, params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[list, list]:
     """Run the trials ``indices`` of a chunk body as one stack: each trial's
     ``(lhs, rhs, monotonicity_ok)`` and an equal share of the seconds the
-    stack took. When the stack raises, each trial runs again alone, as a
-    stack of one, so only a trial that raises alone fails, with its own
-    exception in place of its triple."""
+    stack took. When the stack raises, each half of it runs again the same
+    way, so only the halves that raise are split further, and only a trial
+    that raises alone, as a stack of one, fails, with its own exception in
+    place of its triple."""
     start = perf_counter()
     try:
         lhs, rhs, mono_ok = body(params, master_seed, indices)
     except Exception as exc:
         if len(indices) == 1:
             return [exc], [perf_counter() - start]
-        alone = [_attempt(body, params, master_seed, (t,)) for t in indices]
-        return [out for (out,), _ in alone], [sec for _, (sec,) in alone]
+        half = len(indices) // 2
+        (out_a, sec_a), (out_b, sec_b) = (
+            _attempt(body, params, master_seed, part) for part in (indices[:half], indices[half:])
+        )
+        return out_a + out_b, sec_a + sec_b
     share = (perf_counter() - start) / len(indices)
     return [(float(a), float(b), bool(ok)) for a, b, ok in zip(lhs, rhs, mono_ok)], [share] * len(indices)
 
@@ -129,8 +133,9 @@ def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
     master_seed, indices)`` to the stacks ``(lhs, rhs, monotonicity_ok)``
     of those trials. A trial that raises alone becomes a record with NaN
     sides and the error message. With timing on, each record carries an
-    equal share of its chunk's wall time (its own time, when the chunk ran
-    again one trial at a time)."""
+    equal share of the wall time of the stack it ran clean in (the whole
+    chunk, or a part of it after a bisection), or its own time when it
+    failed alone."""
     claim_id, body, params, dims, tol, timing, master_seed, indices = job
     results = []
     for t, out, sec in zip(indices, *_attempt(body, params, master_seed, indices)):
@@ -230,8 +235,9 @@ class _Claim1Draws(NamedTuple):
 def _claim1_sample(params: tuple, master_seed: int, indices: tuple[int, ...]) -> _Claim1Draws:
     """Per trial, what ``ginibre_state`` (for A, then for B),
     ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and,
-    on a larger side A, the LQU search's ``optim.problem`` (K_A's eigenbasis
-    first) draw from the trial's stream in turn, with their checks."""
+    on a larger side A, the LQU search's ``optim.restart_bases`` (K_A's
+    eigenbasis first) draw from the trial's stream in turn, with their
+    checks."""
     n_a, n_b, kraus_count, opts = params
     d = n_b * kraus_count
     draws = restart_draws(opts, 1) if n_a > 2 else 0

@@ -92,10 +92,14 @@ def test_lqu_search_uses_caller_seed_as_feasible_start_on_qutrit_side(rng):
     state = BipartiteState(ginibre_state(6, rng=rng), 3, 2)
     spectrum = np.array([-1.0, 0.0, 1.0])
     seed_obs = random_nondegenerate_observable(3, spectrum, rng)
-    result = lqu(state, spectrum, "A", opts=OptimizerOptions(restarts=1, max_iters=1), seeds=(seed_obs,), rng=rng)
     seeded_value = skew_information(state.state, Observable(kron(seed_obs.matrix, np.eye(2))))
-    assert result.restarts_used == 1
-    assert result.value <= seeded_value + 1e-9
+    # one step, then a full descent: a one-restart search that stops above
+    # the floor counts its restart and is not converged
+    for opts in (OptimizerOptions(restarts=1, max_iters=1), OptimizerOptions(restarts=1)):
+        result = lqu(state, spectrum, "A", opts=opts, seeds=(seed_obs,), rng=rng)
+        assert result.restarts_used == 1
+        assert result.converged is False
+        assert result.value <= seeded_value + 1e-9
 
 
 def test_lqu_spectrum_validation(rng):

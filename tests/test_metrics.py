@@ -25,7 +25,7 @@ from skewinfo import (
     variance,
 )
 from skewinfo import metrics
-from skewinfo.metrics import LocalSkewObjective
+from skewinfo.metrics import local_skew_forms
 
 from conftest import (
     SIGMA_X,
@@ -231,7 +231,7 @@ def test_local_objective_matches_public_skew():
     for n_a, n_b in ((2, 2), (2, 3), (3, 2)):
         rho_ab = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
         for side, n_s in (("A", n_a), ("B", n_b)):
-            obj = LocalSkewObjective(rho_ab, side)
+            form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
             for _ in range(10):
                 k = random_nondegenerate_observable(n_s, rng=rng)
                 embedded = (
@@ -239,7 +239,7 @@ def test_local_objective_matches_public_skew():
                 )
                 direct = skew_information(rho_ab.state, Observable(embedded))
                 vec = k.matrix.ravel()
-                assert (vec @ obj.form @ vec).real == pytest.approx(direct, abs=1e-10)
+                assert (vec @ form @ vec).real == pytest.approx(direct, abs=1e-10)
 
 
 @pytest.mark.parametrize("side", ["C", "a"])
@@ -247,11 +247,11 @@ def test_local_objective_matches_public_skew():
     "entry",
     [
         lambda rho, side: q_local(rho, side),
-        lambda rho, side: LocalSkewObjective(rho, side),
+        lambda rho, side: local_skew_forms(rho.matrix, rho.dims, side),
         lambda rho, side: lqu(rho, default_spectrum(3), side=side),
         lambda rho, side: partial_trace(rho.matrix, rho.dims, side),
     ],
-    ids=["q_local", "LocalSkewObjective", "lqu", "partial_trace"],
+    ids=["q_local", "local_skew_forms", "lqu", "partial_trace"],
 )
 def test_unknown_side_is_rejected_before_any_root(entry, side, monkeypatch):
     # an unknown side must not be read as B, nor fail only after a full root

@@ -27,7 +27,7 @@ from skewinfo import (
     stream,
 )
 from skewinfo import optim
-from skewinfo.metrics import LocalSkewObjective, _eigenbasis_cost
+from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
 from skewinfo.optim import geodesic, walk
 from skewinfo.steering import _q_objective, _skew_objective, _tensor
 
@@ -79,9 +79,9 @@ def test_lqu_gradient_matches_central_difference(dims, rank, rng):
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rank=rank, rng=rng), n_a, n_b)
     for side, n_side in (("A", n_a), ("B", n_b)):
-        obj = LocalSkewObjective(state, side)
+        form = local_skew_forms(state.matrix, state.dims, side)
         lam = np.sort(rng.standard_normal(n_side))
-        assert_gradient(lambda u: _eigenbasis_cost(u, obj.form, lam), n_side, rng)
+        assert_gradient(lambda u: _eigenbasis_cost(u, form, lam), n_side, rng)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -138,9 +138,9 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
     if kind == "lqu":
-        obj = LocalSkewObjective(state, "A")
+        form = local_skew_forms(state.matrix, state.dims, "A")
         lam = np.sort(rng.standard_normal(n_a))
-        objective = lambda u: _eigenbasis_cost(u, obj.form, lam)  # noqa: E731
+        objective = lambda u: _eigenbasis_cost(u, form, lam)  # noqa: E731
     elif kind == "skew":
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
         objective = lambda u: _skew_objective(u, _tensor(state), km)  # noqa: E731
@@ -148,10 +148,11 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
         objective = lambda u: _q_objective(u, _tensor(state))  # noqa: E731
     seed_u = haar_unitary(n_a, rng)
     opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
-    (result,) = optim.search([optim.problem(objective, (), n_a, opts, [seed_u], rng)])
-    assert abs(result.value - objective(result.unitary)[0]) <= 1e-12
-    assert result.value <= objective(seed_u)[0]
-    assert 1 <= result.restarts_used <= 2
+    found = optim.search(objective, (), optim.restart_bases(n_a, opts, [seed_u], rng)[None], opts)
+    (value,), (unitary,), (restarts_used,) = found.values, found.unitaries, found.restarts_used
+    assert abs(value - objective(unitary)[0]) <= 1e-12
+    assert value <= objective(seed_u)[0]
+    assert 1 <= restarts_used <= 2
 
 
 def brockett(m, lam):
@@ -213,9 +214,9 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         lam = np.sort(rng.standard_normal(n))
         minimum = lam @ np.sort(mu)[::-1]
         opts = OptimizerOptions(restarts=2, tol=1e-12, max_iters=500)
-        (result,) = optim.search([optim.problem(brockett(m, lam), (), n, opts, rng=rng)])
-        assert abs(result.value - minimum) <= 1e-9
-        assert result.converged
+        found = optim.search(brockett(m, lam), (), optim.restart_bases(n, opts, rng=rng)[None], opts)
+        assert abs(found.values[0] - minimum) <= 1e-9
+        assert found.converged[0]
         # one restart from a fresh start: every accepted step lowers the value
         with monkeypatch.context() as patch:
             rec = Recorder(brockett(m, lam), patch)
@@ -288,13 +289,13 @@ def test_objectives_ignore_column_phases(dims, rng):
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     for side, n_side in (("A", n_a), ("B", n_b)):
-        obj = LocalSkewObjective(state, side)
+        form = local_skew_forms(state.matrix, state.dims, side)
         lam = np.sort(rng.standard_normal(n_side))
         for _ in range(10):
             u = haar_unitary(n_side, rng)
             ud = u * random_phases(n_side, rng)
             # the search cost of the LQU: I(rho, U diag(lam) U^dagger on the side)
-            assert abs(_eigenbasis_cost(u, obj.form, lam)[0] - _eigenbasis_cost(ud, obj.form, lam)[0]) <= 1e-12
+            assert abs(_eigenbasis_cost(u, form, lam)[0] - _eigenbasis_cost(ud, form, lam)[0]) <= 1e-12
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     for _ in range(10):
         u = haar_unitary(n_a, rng)
@@ -302,42 +303,49 @@ def test_objectives_ignore_column_phases(dims, rng):
         assert abs(_skew_objective(u, _tensor(state), km)[0] - _skew_objective(ud, _tensor(state), km)[0]) <= 1e-12
 
 
+def assert_stack_is_its_restarts_alone(cost, data, bases, opts, floor=None):
+    """Each restart's descent in the stack ``bases`` is bit for bit the
+    descent it makes alone, each result is the best of its problem's
+    restarts in order, up to the first that reaches the floor, and so is
+    the work the search counts, in any order of the problems."""
+    found = optim.search(cost, data, bases, opts, floor)
+    reordered = optim.search(cost, tuple(d[::-1] for d in data), bases[::-1], opts, floor)
+    for k, restarts in enumerate(bases):
+        rows = tuple(d[k : k + 1] for d in data)
+        alone = [optim.search(cost, rows, base[None, None], opts, floor) for base in restarts]
+        # the count runs to the first restart at or below the floor, else over all restarts
+        at_floor = [i for i, r in enumerate(alone) if floor is not None and r.values[0] <= floor]
+        assert found.restarts_used[k] == (at_floor[0] + 1 if at_floor else len(alone))
+        best = min(alone[: found.restarts_used[k]], key=lambda r: r.values[0])
+        assert found.values[k] == best.values[0]
+        np.testing.assert_array_equal(found.unitaries[k], best.unitaries[0])
+        single = optim.search(cost, rows, bases[k : k + 1], opts, floor)
+        work = (found.evals[k], found.steps[k])
+        assert work == (single.evals[0], single.steps[0]) == (reordered.evals[-1 - k], reordered.steps[-1 - k])
+        assert found.evals[k] > found.steps[k] >= 0
+    return found
+
+
 def test_search_stacks_problems_without_changing_their_results():
-    # three LQU problems (one on a product state, whose restarts reach the
-    # floor) and a steering problem in one call: each restart's descent is
-    # bit for bit the descent it makes alone, and each result is the best
-    # of its restarts in order, up to the first that reaches the floor
+    # three LQU problems in one stack, one on a product state whose restarts
+    # reach the floor, and a steering problem in a stack of its own
     rng = stream(61, 0)
     lam = np.array([-1.0, 0.0, 1.0])
     rho_a = ginibre_state(3, rng=rng).matrix
     product = BipartiteState(DensityMatrix(np.kron(rho_a, ginibre_state(2, rng=rng).matrix)), 3, 2)
     states = [BipartiteState(ginibre_state(6, rng=rng), 3, 2) for _ in range(2)] + [product]
     opts = OptimizerOptions(restarts=4, tol=1e-7, max_iters=150)
-    problems = [
-        optim.problem(_eigenbasis_cost, (LocalSkewObjective(s, "A").form, lam), 3, opts, rng=rng, floor=1e-11)
-        for s in states
-    ]
+    forms = np.stack([local_skew_forms(s.matrix, s.dims, "A") for s in states])
+    bases = np.stack([optim.restart_bases(3, opts, rng=rng) for _ in states])
     # the product state's second restart starts at a minimizer, an
     # eigenbasis of its A marginal, while the other restarts still descend
-    seeds = [haar_unitary(3, rng), np.linalg.eigh(rho_a)[1]]
-    problems[2] = problems[2]._replace(bases=np.concatenate([seeds, problems[2].bases[2:]]))
+    bases[2, :2] = [haar_unitary(3, rng), np.linalg.eigh(rho_a)[1]]
+    lqu_data = (forms, np.broadcast_to(lam, (3, 3)))
+    found = assert_stack_is_its_restarts_alone(_eigenbasis_cost, lqu_data, bases, opts, 1e-11)
+    assert found.restarts_used[2] < bases.shape[1]  # the floor stops the product's count
     km = random_nondegenerate_observable(2, rng=rng).matrix
-    problems.append(optim.problem(_skew_objective, (_tensor(states[0]), km), 3, opts, rng=rng))
-    results = optim.search(problems)
-    assert results[2].restarts_used < len(problems[2].bases)  # the floor stops the product's count
-    reversed_stack = optim.search(problems[::-1])[::-1]
-    for p, result, reordered in zip(problems, results, reversed_stack):
-        alone = [optim.search([p._replace(bases=base[None])])[0] for base in p.bases]
-        # the count runs to the first restart at or below the floor, else over all restarts
-        at_floor = [i for i, r in enumerate(alone) if p.floor is not None and r.value <= p.floor]
-        assert result.restarts_used == (at_floor[0] + 1 if at_floor else len(alone))
-        best = min(alone[: result.restarts_used], key=lambda r: r.value)
-        assert result.value == best.value
-        np.testing.assert_array_equal(result.unitary, best.unitary)
-        # so is the work the search counts, in any stack
-        (single,) = optim.search([p])
-        assert (result.evals, result.steps) == (single.evals, single.steps) == (reordered.evals, reordered.steps)
-        assert result.evals > result.steps >= 0
+    steering_data = (_tensor(states[0])[None], km[None])
+    assert_stack_is_its_restarts_alone(_skew_objective, steering_data, optim.restart_bases(3, opts, rng=rng)[None], opts)
 
 
 @pytest.mark.parametrize(

@@ -106,7 +106,8 @@ def test_failed_trial_becomes_diagnostic_record():
 def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
     # one trial of a six-trial chunk hands the stacked steering search an
     # indefinite joint state, so the search raises NotPSD for the whole
-    # chunk; run again one trial at a time, only that trial fails
+    # chunk; run again in halves, and in halves of the half that raises,
+    # only that trial fails
     clean_report, clean = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
     # the joint state tensor of trial 3, the first draw of its stream
     trial_3 = ginibre_state(4, rng=stream(21, 3)).matrix.reshape(2, 2, 2, 2)
@@ -114,14 +115,16 @@ def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
     real = optim.search
     sizes = []
 
-    def faulty(problems):
-        sizes.append(len(problems))
-        faults = [np.array_equal(p.data[0], trial_3) for p in problems]
-        return real([p._replace(data=(indefinite, p.data[1])) if f else p for p, f in zip(problems, faults)])
+    def faulty(cost, data, bases, opts, floor=None):
+        sizes.append(len(bases))
+        r4 = data[0].copy()
+        r4[[np.array_equal(member, trial_3) for member in r4]] = indefinite
+        return real(cost, (r4, *data[1:]), bases, opts, floor)
 
     monkeypatch.setattr(optim, "search", faulty)
     report, records = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
-    assert sizes == [6, 1, 1, 1, 1, 1, 1]
+    # the chunk, its halves, then the halves of the half holding trial 3
+    assert sizes == [6, 3, 3, 1, 2]
     assert report.failed == 1 and report.violations == 0
     ((index, message),) = report.failures
     assert index == 3 and message.startswith("NotPSD: minimum eigenvalue")
@@ -132,7 +135,7 @@ def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
 
 def test_indefinite_sampled_state_fails_only_its_trial(monkeypatch):
     # the chunk's stacked state check sees one indefinite input state on A,
-    # trial 2's; run again one trial at a time, only that trial fails, with
+    # trial 2's; run again in halves, only that trial fails, with
     # the message it gets in a chunk of its own
     params = (3, 2, 2, HARNESS_OPTS)
     job = ("claim1", _claim1_body, params, (3, 2), 1e-7, False, 8)
@@ -156,6 +159,39 @@ def test_indefinite_sampled_state_fails_only_its_trial(monkeypatch):
     assert [r[:2] for r in results[:2] + results[3:]] == [r[:2] for r in clean[:2] + clean[3:]]
 
 
+@pytest.mark.parametrize("bad, calls", [((77,), 15), ((5, 100), 27)])
+def test_failing_chunk_reruns_only_the_halves_that_raise(bad, calls, monkeypatch):
+    # a full chunk whose input states on A are indefinite for the trials
+    # ``bad``: the chunk, both halves of it, and then both halves of every
+    # part that raises run, 1 + 2 log2(_CHUNK_TRIALS) stacks for one bad
+    # trial, where running each trial alone took 1 + _CHUNK_TRIALS
+    trials = verify._CHUNK_TRIALS
+    _, clean = verify_claim1(trials=trials, master_seed=8, workers=1)
+    firsts = [stream(8, t).standard_normal((2, 2, 2)) for t in bad]  # each bad trial's first draw
+    real_states, real_body = verify.ginibre_from_gaussians, verify._claim1_body
+    sizes = []
+
+    def indefinite_bad(g):
+        states = real_states(g)
+        for k in np.flatnonzero([any(np.array_equal(member, f) for f in firsts) for member in g]):
+            states[k] = np.diag([1.1, -0.1]).astype(complex)
+        return states
+
+    def counted_body(params, master_seed, indices):
+        sizes.append(len(indices))
+        return real_body(params, master_seed, indices)
+
+    monkeypatch.setattr(verify, "ginibre_from_gaussians", indefinite_bad)
+    monkeypatch.setattr(verify, "_claim1_body", counted_body)
+    report, records = verify_claim1(trials=trials, master_seed=8, workers=1)
+    job = ("claim1", real_body, (2, 2, 2, HARNESS_OPTS), (2, 2), 1e-7, False, 8, bad[:1])
+    ((_, _, alone_error),) = _run_chunk(job)
+    assert len(sizes) == calls
+    assert report.failures == [(t, alone_error) for t in bad]
+    assert alone_error.startswith("InvalidState: ")
+    assert [r for r in records if r.trial_index not in bad] == [r for r in clean if r.trial_index not in bad]
+
+
 def test_chunk_draws_what_the_public_samplers_draw():
     # per trial, claim1's stacked sampling equals the public samplers run
     # one after another on the trial's own stream, bit for bit
@@ -167,12 +203,12 @@ def test_chunk_draws_what_the_public_samplers_draw():
         rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
         k_a = random_nondegenerate_observable(3, rng=rng)
         channel = commuting_kraus_channel(k_a, 2, 3, rng)
-        search = optim.problem(None, (), 3, HARNESS_OPTS, seed_unitaries=[k_a.eigenbasis], rng=rng)
+        restarts = optim.restart_bases(3, HARNESS_OPTS, [k_a.eigenbasis], rng)
         np.testing.assert_array_equal(draws.rho_a[k], rho_a.matrix)
         np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
         np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
         np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
-        np.testing.assert_array_equal(draws.restart_bases[k], search.bases)
+        np.testing.assert_array_equal(draws.restart_bases[k], restarts)
 
 
 def test_workers_below_one_are_rejected():
@@ -280,10 +316,10 @@ def test_search_counters_do_not_depend_on_the_other_trials_of_their_chunk(monkey
     counted = []
     search = optim.search
 
-    def counting_search(problems):
-        results = search(problems)
-        counted[-1].update((p.bases.tobytes(), (r.evals, r.steps)) for p, r in zip(problems, results))
-        return results
+    def counting_search(cost, data, bases, opts, floor=None):
+        found = search(cost, data, bases, opts, floor)
+        counted[-1].update((b.tobytes(), work) for b, work in zip(bases, zip(found.evals, found.steps)))
+        return found
 
     monkeypatch.setattr(optim, "search", counting_search)
     runs = {
