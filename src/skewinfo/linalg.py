@@ -59,15 +59,20 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
+def _solve_hermitian(solver, m):
+    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on a checked Hermitian
+    matrix or stack; a solver that does not converge raises ``NoConvergence``."""
+    m = require_hermitian(m)
+    try:
+        return solver(m)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(str(exc)) from exc
+
+
 def hermitian_eig(m) -> HermitianEigenSystem:
     """Eigendecompose a Hermitian matrix (or each matrix of a stack),
     eigenvalues ascending."""
-    m = require_hermitian(m)
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(str(exc)) from exc
-    return HermitianEigenSystem(w, v)
+    return HermitianEigenSystem(*_solve_hermitian(np.linalg.eigh, m))
 
 
 def sqrtm_psd(m) -> np.ndarray:
@@ -95,13 +100,28 @@ def psd_sqrt_eigh(m, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
     eigenvalues ``(..., n)`` and defaults to each member's largest one.
     """
     w, v = hermitian_eig(m)
+    return _psd_roots(w, scale), v
+
+
+def psd_sqrt_eigvalsh(m, scale: np.ndarray | None = None) -> np.ndarray:
+    """The eigenvalues of ``sqrtm_psd(m)``: ``psd_sqrt_eigh`` without the
+    eigenvectors, from the cheaper eigenvalue-only solver, with the same
+    checks and floor."""
+    return _psd_roots(_solve_hermitian(np.linalg.eigvalsh, m), scale)
+
+
+def _psd_roots(w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
+    """Square roots of the ascending eigenvalues ``w`` ``(..., n)`` of a PSD
+    matrix or stack, overwriting ``w``: anything below ``-PSD_TOL`` raises
+    ``NotPSD``, and eigenvalues below the noise floor ``n * eps * scale``
+    (``scale`` defaults to each member's largest eigenvalue) become 0."""
     lowest = w[..., 0].min()
     if lowest < -PSD_TOL:
         raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
     if scale is None:
         scale = np.maximum(w[..., -1:], 0.0)
     w[w < w.shape[-1] * _EPS * scale] = 0.0
-    return np.sqrt(w), v
+    return np.sqrt(w)
 
 
 def kron(a, b) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import optim
 from .errors import DimensionMismatch, InvalidState
-from .linalg import psd_sqrt_eigh
+from .linalg import psd_sqrt_eigh, psd_sqrt_eigvalsh
 from .metrics import ObservableLike
 from .optim import OptimizerOptions, SearchResult, restart_bases
 from .states import BipartiteState, require_unitary
@@ -79,18 +79,25 @@ def _condition(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
     return 0.5 * (c + c.conj().swapaxes(-1, -2))
 
 
-def _conditional_roots(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root eigenvalues and eigenvectors of the conditionals of ``_condition``.
+def _root_scale(c: np.ndarray) -> np.ndarray:
+    """The scale of the root noise floor of the conditionals ``c`` of
+    ``_condition``, n_A Tr rho per basis (the root kernels of ``linalg``
+    multiply it by n_B eps), shaped to broadcast against their eigenvalues.
 
     The einsum's rounding in c_i is absolute, of the order of eps Tr rho
-    whatever Tr c_i is, so the roots' noise floor is n_A n_B eps Tr rho per
-    basis, with Tr rho = sum_i Tr c_i. A floor of n_B eps lambda_max(c_i)
-    per conditional would let that rounding through on a low-probability
-    outcome. A null outcome has all roots 0.
+    whatever Tr c_i is, and Tr rho = sum_i Tr c_i. A floor of n_B eps
+    lambda_max(c_i) per conditional would let that rounding through on a
+    low-probability outcome. A null outcome has all roots 0.
     """
-    c = _condition(r4, u)
     total = np.einsum("...ibb->...i", c).real.sum(axis=-1)
-    return psd_sqrt_eigh(c, c.shape[-3] * total[..., None, None])
+    return c.shape[-3] * total[..., None, None]
+
+
+def _conditional_roots(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root eigenvalues and eigenvectors of the conditionals of ``_condition``,
+    floored as ``_root_scale`` says."""
+    c = _condition(r4, u)
+    return psd_sqrt_eigh(c, _root_scale(c))
 
 
 def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
@@ -115,9 +122,11 @@ def _steered_q(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
     n_B - sum_i (Tr sqrt(c_i))^2 for each basis of a ``(k, n_A, n_A)``
     stack of the state tensor ``r4`` (see ``_tensor``), given by the columns
     of its members, or for each ``(T, k, n_A, n_A)`` stack of bases of a
-    ``(T, 1, ...)`` stack of state tensors; null outcomes add exact zeros."""
-    sw, _ = _conditional_roots(r4, u)
-    tr = sw.sum(axis=-1)
+    ``(T, 1, ...)`` stack of state tensors; null outcomes add exact zeros.
+    Only the root eigenvalues enter, so no eigenvectors are computed; the
+    roots have the floor of ``_conditional_roots``."""
+    c = _condition(r4, u)
+    tr = psd_sqrt_eigvalsh(c, _root_scale(c)).sum(axis=-1)
     return r4.shape[-1] - np.sum(tr * tr, axis=-1)
 
 

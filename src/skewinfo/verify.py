@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from time import perf_counter
 from typing import Any, Callable, Literal, NamedTuple, get_args, get_type_hints
@@ -55,6 +57,13 @@ HARNESS_OPTS = OptimizerOptions(restarts=2, tol=1e-7, max_iters=150)
 # spreads NumPy's per-call overhead on small matrices over the whole chunk;
 # a call of at most this many trials runs in-process as one stack.
 _CHUNK_TRIALS = 128
+
+# The warm pool, by worker count: at most one pool, started by the first
+# call that needs one and reused by later calls with the same count. Calls
+# from several threads take turns on it, so that none replaces or drops a
+# pool that another is running on.
+_POOL: dict[int, ProcessPoolExecutor] = {}
+_POOL_LOCK = threading.Lock()
 
 Claim2Mode = Literal["argmin_K", "random_K"]
 
@@ -167,6 +176,41 @@ def _gaussians(master_seed: int, indices: tuple[int, ...], shapes: list[tuple[in
     return [block.reshape(len(indices), *shape) for block, shape in zip(blocks, shapes)]
 
 
+def _warm_pool(n_workers: int) -> ProcessPoolExecutor:
+    """The pool of ``n_workers`` processes, started when there is none for
+    that count; a pool of another count is shut down first. Its workers
+    stop at exit through the atexit hook of ``concurrent.futures``."""
+    pool = _POOL.get(n_workers)
+    if pool is None:
+        _drop_pool()
+        pool = _POOL[n_workers] = ProcessPoolExecutor(max_workers=n_workers)
+    return pool
+
+
+def _drop_pool() -> None:
+    for pool in _POOL.values():
+        pool.shutdown()
+    _POOL.clear()
+
+
+def _pooled_chunks(jobs: list[tuple], n_workers: int) -> list:
+    """Run chunk jobs on the warm pool. A pool that broke while it sat idle
+    (a worker died between calls) refuses the jobs before any of them runs,
+    and is replaced; one that breaks while the jobs run is dropped, so the
+    next call starts a fresh one, and this call raises ``BrokenProcessPool``."""
+    with _POOL_LOCK:
+        try:
+            futures = [_warm_pool(n_workers).submit(_run_chunk, job) for job in jobs]
+        except BrokenProcessPool:
+            _drop_pool()
+            futures = [_warm_pool(n_workers).submit(_run_chunk, job) for job in jobs]
+        try:
+            return [future.result() for future in futures]
+        except BrokenProcessPool:
+            _drop_pool()
+            raise
+
+
 def _run_trials(
     claim_id: str,
     body: Callable,
@@ -180,7 +224,14 @@ def _run_trials(
     in chunks of at most ``_CHUNK_TRIALS`` and aggregate them into a report.
     Dimensions, seed and tolerance come from ``config``, which the report
     echoes. A trial's record does not depend on the chunk it ran in. The
-    configuration is checked before any trial runs."""
+    configuration is checked before any trial runs.
+
+    A call larger than one chunk with more than one worker runs on the warm
+    pool, which is started once per process and reused (see ``_warm_pool``).
+    Its workers start once, with it (forked from this process on Linux), so
+    they run the package as it was then: a function patched into a module
+    afterwards never reaches them.
+    """
     counts = {"workers": workers, "trials": trials, **{name: config[name] for name in _COUNTS if name in config}}
     for name, value in counts.items():
         if value is not None and value < 1:
@@ -193,18 +244,14 @@ def _run_trials(
         raise UsageError(f"tol must be finite and non-negative, got {tol!r}")
     n_workers = worker_count() if workers is None else workers
     # A call that fits in one chunk runs in-process: splitting it over a
-    # pool costs more in start-up and in smaller stacks than it saves.
+    # pool costs more in smaller stacks and in passing them than it saves.
     in_process = n_workers == 1 or trials <= _CHUNK_TRIALS
     size = _CHUNK_TRIALS if in_process else min(_CHUNK_TRIALS, -(-trials // n_workers))
     jobs = [
         (claim_id, body, params, dims, tol, timing, master_seed, tuple(range(lo, min(lo + size, trials))))
         for lo in range(0, trials, size)
     ]
-    if in_process:
-        chunks = [_run_chunk(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(_run_chunk, jobs))
+    chunks = [_run_chunk(job) for job in jobs] if in_process else _pooled_chunks(jobs, n_workers)
     results = [r for chunk in chunks for r in chunk]
     records = [r[0] for r in results]
     failures = [(r[0].trial_index, r[2]) for r in results if r[2] is not None]

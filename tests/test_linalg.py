@@ -5,6 +5,7 @@ import pytest
 
 from skewinfo import (
     DimensionMismatch,
+    NoConvergence,
     NotHermitian,
     NotPSD,
     commutator,
@@ -15,7 +16,7 @@ from skewinfo import (
     stream,
     trace_inner,
 )
-from skewinfo.linalg import PSD_TOL, hermiticity_residual
+from skewinfo.linalg import PSD_TOL, hermiticity_residual, psd_sqrt_eigh, psd_sqrt_eigvalsh
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -149,6 +150,33 @@ def test_sqrtm_stack_noise_floor_per_member():
     np.testing.assert_allclose(roots[0], proj, atol=1e-12)
     np.testing.assert_allclose(roots[1], np.diag(np.sqrt([1e-3, 1e-13, 0.5])), atol=1e-15)
     np.testing.assert_allclose(roots[2], 1e3 * np.eye(3), atol=1e-9)
+
+
+def test_eigenvalue_only_root_has_the_checks_and_floor_of_the_eigh_root(monkeypatch):
+    # the same roots as psd_sqrt_eigh, with each member's own floor or with
+    # a given scale (here one that zeroes the 1e-13 eigenvalue), the same
+    # rejections, and a solver failure raised as NoConvergence
+    rng = stream(1, 5)
+    v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    v /= np.linalg.norm(v)
+    stack = np.stack([np.outer(v, v.conj()), np.diag([1e-3, 1e-13, 0.5]), 1e6 * np.eye(3)])
+    for scale, zeros in ((None, [2, 0, 0]), (np.full((3, 1), 1e3), [2, 1, 0])):
+        sw, _ = psd_sqrt_eigh(stack, scale)
+        roots = psd_sqrt_eigvalsh(stack, scale)
+        np.testing.assert_allclose(roots, sw, rtol=1e-12, atol=0.0)
+        assert [int(np.sum(r == 0.0)) for r in roots] == zeros
+    good = np.eye(2) / 2
+    with pytest.raises(NotPSD):
+        psd_sqrt_eigvalsh(np.stack([good, np.diag([1.0, -2 * PSD_TOL])]))
+    with pytest.raises(NotHermitian):
+        psd_sqrt_eigvalsh(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+    def no_convergence(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        psd_sqrt_eigvalsh(good)
 
 
 def test_kron_scalar_identity():

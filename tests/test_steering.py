@@ -265,6 +265,38 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
         assert len(skipped) > 2 and any(skipped)
 
 
+def eigh_steered_q(state: BipartiteState, u: np.ndarray) -> float:
+    """n_B - sum_i (Tr sqrt(c_i))^2 for the basis ``u``, one outcome at a
+    time: c_i = (<u_i| x I) rho (|u_i> x I) from the joint matrix, rooted
+    through its full eigendecomposition, with eigenvalues below the noise
+    floor n_A n_B eps Tr rho taken as 0."""
+    n_a, n_b = state.n_a, state.n_b
+    floor = n_a * n_b * np.finfo(float).eps * np.trace(state.matrix).real
+    total = 0.0
+    for i in range(n_a):
+        bra = np.kron(u[:, i].conj()[None, :], np.eye(n_b))
+        w, _ = np.linalg.eigh(bra @ state.matrix @ bra.conj().T)
+        total += np.sqrt(np.where(w < floor, 0.0, w)).sum() ** 2
+    return n_b - total
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3)])
+def test_eigenvalue_only_steered_q_equals_an_eigh_oracle(dims):
+    # the steered Q reads only the roots' eigenvalues, so it takes them from
+    # the eigenvalue-only solver; an eigendecomposition of each conditional
+    # gives the same sum on a full-rank state, a pure one, and a product
+    # state whose bases skip different outcomes. Solver rounding of order
+    # eps in an eigenvalue lambda moves its root by eps / (2 sqrt(lambda)),
+    # so 1e-14 holds here, where the nonzero eigenvalues of the
+    # conditionals are above 1e-3
+    n_a, n_b = dims
+    rng = stream(79, 10 * n_a + n_b)
+    states, bases = _skipping_states_and_bases(n_a, n_b, rng)
+    for state in states:
+        expected = [eigh_steered_q(state, u) for u in bases]
+        np.testing.assert_allclose(steering._steered_q(steering._tensor(state), bases), expected, rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_steered_skew_sum_equals_per_outcome_oracle(dims, monkeypatch):
     # the oracle validates each conditional as a DensityMatrix and takes its

@@ -2,7 +2,13 @@
 
 import math
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
+import skewinfo
 from skewinfo import optim, verify
 from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
@@ -101,6 +108,12 @@ def test_failed_trial_becomes_diagnostic_record():
         assert math.isnan(record.lhs) and math.isnan(record.rhs)
         assert not record.violated
         assert mono_ok
+
+
+# The tests that patch a module function run in-process, with one worker:
+# the warm pool's workers are forked once, when the pool starts, so a patch
+# applied after that never reaches them. No test relies on a pool that an
+# earlier test started.
 
 
 def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
@@ -233,7 +246,8 @@ def test_workers_below_one_are_rejected():
 def test_bad_configuration_is_rejected_before_any_trial(harness, kwargs, monkeypatch):
     # a bad mode would run as random_K, a negative count as an empty report,
     # a zero count as a report of failed trials, and a negative tol would
-    # count bounds that hold as violated
+    # count bounds that hold as violated (in-process: see the note on
+    # patched tests above)
     def no_trials(job):
         raise AssertionError("a trial ran")
 
@@ -251,6 +265,7 @@ def test_non_finite_violation_tol_is_rejected():
 
 def test_avg_rejects_a_non_unitary_basis_in_the_stack(monkeypatch):
     # the stacked harness still checks every basis it measures in
+    # (in-process: see the note on patched tests above)
     real = verify.haar_from_gaussians
 
     def one_bad_member(g):
@@ -288,6 +303,78 @@ def test_workers_do_not_change_reports(tmp_path):
         assert len(blobs) == 1, name
 
 
+def pooled_avg(workers):
+    # 150 trials are more than one chunk, so more than one worker runs
+    # them on the warm pool
+    return verify_avg_bound(n_a=3, n_b=3, trials=150, master_seed=19, workers=workers)
+
+
+def test_warm_pool_is_reused_and_replaced_without_changing_reports(tmp_path):
+    # one process runs pooled calls with 2, 2, 4 and 2 workers: the second
+    # call reuses the first one's pool, a new count replaces it, and every
+    # report is byte-identical to the in-process one
+    verify._drop_pool()
+    solo = render(*pooled_avg(1), str(tmp_path / "w1.jsonl"))
+    assert not verify._POOL
+    pools = []
+    for k, w in enumerate((2, 2, 4, 2)):
+        assert render(*pooled_avg(w), str(tmp_path / f"w{w}-{k}.jsonl")) == solo, (k, w)
+        assert list(verify._POOL) == [w]
+        pools.append(verify._POOL[w])
+    assert pools[1] is pools[0]
+    assert pools[2] is not pools[1] and pools[3] is not pools[0]
+    verify._drop_pool()
+
+
+def test_pool_whose_worker_died_is_replaced(tmp_path):
+    verify._drop_pool()
+    solo = render(*pooled_avg(1), str(tmp_path / "w1.jsonl"))
+    pooled_avg(2)
+    pool = verify._POOL[2]
+    os.kill(pool.submit(os.getpid).result(), signal.SIGKILL)
+    # wait until the pool has seen the death and refuses work
+    deadline = time.monotonic() + 60.0
+    while True:
+        assert time.monotonic() < deadline, "the pool did not notice its dead worker"
+        try:
+            pool.submit(int).result(timeout=10.0)
+        except BrokenProcessPool:
+            break
+    assert render(*pooled_avg(2), str(tmp_path / "w2.jsonl")) == solo
+    assert verify._POOL[2] is not pool
+    verify._drop_pool()
+
+
+def test_pooled_calls_from_threads_take_turns_on_the_pool(tmp_path):
+    # threads asking for different worker counts (more than the CPUs) at
+    # once: none shuts down the pool another is running on
+    verify._drop_pool()
+    solo = render(*pooled_avg(1), str(tmp_path / "w1.jsonl"))
+    outs = {}
+
+    def run(k, w):
+        outs[k] = render(*pooled_avg(w), str(tmp_path / f"t{k}.jsonl"))
+
+    threads = [threading.Thread(target=run, args=(k, w)) for k, w in enumerate((2, 3, 2, 3))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert outs == {k: solo for k in range(4)}
+    verify._drop_pool()
+
+
+def test_warm_pool_does_not_outlive_the_interpreter():
+    # the workers stop at exit through the atexit hook of concurrent.futures:
+    # a worker left running would keep the interpreter from exiting
+    code = "import skewinfo; skewinfo.verify_avg_bound(n_a=3, n_b=3, trials=300, workers=2)"
+    src = str(Path(skewinfo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
     # trials 0-4 run in a chunk of 5, then in the first (full) chunk of a
     # call longer than one chunk; claim1 at 2x2 takes the closed-form LQU
@@ -312,7 +399,8 @@ def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
 def test_search_counters_do_not_depend_on_the_other_trials_of_their_chunk(monkeypatch):
     # the cost evaluations and accepted steps a trial's search counts are
     # the same in a chunk of 5 as in the first chunk of a 37-trial call;
-    # a search is known by its restart bases, drawn from its trial's stream
+    # a search is known by its restart bases, drawn from its trial's stream.
+    # Both calls run in-process, where the patch reaches the search
     counted = []
     search = optim.search
 
