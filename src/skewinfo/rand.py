@@ -7,6 +7,8 @@ that does not depend on scheduling or worker count.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -23,18 +25,56 @@ _MASK64 = (1 << 64) - 1
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     """Philox generator keyed by (master_seed, index), both reduced mod 2^64."""
-    key = np.array([master_seed & _MASK64, index & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return next(streams(master_seed, (index,)))
+
+
+def streams(master_seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """``stream(master_seed, t)`` for each t of ``indices`` in turn, as one
+    generator that is re-keyed in place: each yielded stream draws what a
+    fresh ``stream(master_seed, t)`` draws until the next one is taken.
+
+    The Philox is built once per call, from a fixed seed, so no OS entropy
+    is read (a Philox built from a key alone reads it for a seed sequence
+    that the key then overrides). Each re-keying writes the state of a
+    fresh generator: the key (master_seed, t) mod 2^64, a zero counter and
+    an empty buffer.
+    """
+    gen = np.random.Generator(np.random.Philox(0))
+    for t in indices:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([master_seed & _MASK64, t & _MASK64], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
+def _isometries(g: np.ndarray, n: int) -> np.ndarray:
+    """The first n columns ``(..., m, n)`` of the Haar unitaries of the
+    Gaussian blocks ``(..., 2, m, m)`` (real, then imaginary part of each
+    member): the thin QR of those columns of the complex Gaussian, with each
+    member's R-diagonal phases fixed. Column j of a QR depends only on the
+    first j columns, so these are the full QR's first n columns: bit for bit
+    while LAPACK factors both unblocked (the rand tests check m up to 12),
+    and equal to rounding once the full QR of a large m is blocked (at m =
+    128 they differ by about 1e-17)."""
+    z = (g[..., 0, :, :n] + 1j * g[..., 1, :, :n]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_from_gaussians(g: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries ``(..., n, n)`` from Gaussian blocks
     ``(..., 2, n, n)`` (real, then imaginary part of each member), via one
     stacked QR with each member's R-diagonal phases fixed."""
-    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    return _isometries(g, g.shape[-1])
 
 
 def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,10 +148,12 @@ def _check_kraus_count(kraus_count: int) -> None:
 def cptp_from_gaussians(g: np.ndarray, n: int) -> np.ndarray:
     """Random CPTP Kraus sets ``(..., J, n, n)``: the blocks of the Stinespring
     isometry formed by the first n columns of the Haar unitary on n·J
-    dimensions of each member of ``g`` ``(..., 2, n·J, n·J)``; each set is
-    checked for completeness."""
-    u = haar_from_gaussians(g)
-    return require_complete(u[..., :n].reshape(*u.shape[:-2], -1, n, n))
+    dimensions of each member of ``g`` ``(..., 2, n·J, n·J)``, taken as the
+    thin QR of those columns alone (``_isometries``, the full unitary's
+    columns, bit for bit at small n·J); each set is checked for
+    completeness."""
+    v = _isometries(g, n)
+    return require_complete(v.reshape(*v.shape[:-2], -1, n, n))
 
 
 def random_cptp(n: int, kraus_count: int, rng: np.random.Generator) -> KrausChannel:

@@ -15,11 +15,9 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 from time import perf_counter
-from typing import Any, Callable, Literal, NamedTuple, get_args, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -32,7 +30,7 @@ from .rand import (
     default_spectrum,
     ginibre_from_gaussians,
     haar_from_gaussians,
-    stream,
+    streams,
 )
 from .states import (
     apply_kraus,
@@ -43,6 +41,9 @@ from .states import (
     require_unitary,
 )
 from .steering import _maximize, _skew_objective, _steered_q
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 DEFAULT_VIOLATION_TOL = 1e-7
 MONOTONICITY_TOL = 1e-8
@@ -61,7 +62,8 @@ _CHUNK_TRIALS = 128
 # The warm pool, by worker count: at most one pool, started by the first
 # call that needs one and reused by later calls with the same count. Calls
 # from several threads take turns on it, so that none replaces or drops a
-# pool that another is running on.
+# pool that another is running on. The pool's modules (multiprocessing
+# among them) are imported by the first pooled call, not with the package.
 _POOL: dict[int, ProcessPoolExecutor] = {}
 _POOL_LOCK = threading.Lock()
 
@@ -169,9 +171,15 @@ def _gaussians(master_seed: int, indices: tuple[int, ...], shapes: list[tuple[in
     """Each trial's standard Gaussian blocks of the given shapes, drawn in
     order from the trial's own stream ``stream(master_seed, t)``, each block
     stacked over the trials into ``(len(indices), *shape)``. One draw of
-    all of a trial's values equals the successive draws of the blocks."""
+    all of a trial's values equals the successive draws of the blocks.
+
+    The streams are one Philox of this call, re-keyed for each trial
+    (``rand.streams``), and each trial's values are drawn straight into its
+    row: row t is bit for bit ``stream(master_seed, t).standard_normal``."""
     sizes = [math.prod(shape) for shape in shapes]
-    flat = np.stack([stream(master_seed, t).standard_normal(sum(sizes)) for t in indices])
+    flat = np.empty((len(indices), sum(sizes)))
+    for row, gen in zip(flat, streams(master_seed, indices)):
+        gen.standard_normal(out=row)
     blocks = np.split(flat, np.cumsum(sizes)[:-1], axis=1)
     return [block.reshape(len(indices), *shape) for block, shape in zip(blocks, shapes)]
 
@@ -180,6 +188,8 @@ def _warm_pool(n_workers: int) -> ProcessPoolExecutor:
     """The pool of ``n_workers`` processes, started when there is none for
     that count; a pool of another count is shut down first. Its workers
     stop at exit through the atexit hook of ``concurrent.futures``."""
+    from concurrent.futures import ProcessPoolExecutor
+
     pool = _POOL.get(n_workers)
     if pool is None:
         _drop_pool()
@@ -198,6 +208,8 @@ def _pooled_chunks(jobs: list[tuple], n_workers: int) -> list:
     (a worker died between calls) refuses the jobs before any of them runs,
     and is replaced; one that breaks while the jobs run is dropped, so the
     next call starts a fresh one, and this call raises ``BrokenProcessPool``."""
+    from concurrent.futures.process import BrokenProcessPool
+
     with _POOL_LOCK:
         try:
             futures = [_warm_pool(n_workers).submit(_run_chunk, job) for job in jobs]

@@ -18,6 +18,7 @@ from skewinfo import (
     random_nondegenerate_observable,
     stream,
 )
+from skewinfo.rand import cptp_from_gaussians, haar_from_gaussians, streams
 
 # Frozen once from stream(7, 0): the determinism contract of the seeding scheme.
 HAAR_7_0_N2 = np.array(
@@ -43,6 +44,20 @@ def test_haar_columns_normalized():
 def test_haar_seed_reproducibility():
     np.testing.assert_allclose(haar_unitary(2, stream(7, 0)), HAAR_7_0_N2, atol=1e-15)
     np.testing.assert_array_equal(haar_unitary(2, stream(7, 0)), haar_unitary(2, stream(7, 0)))
+
+
+@pytest.mark.parametrize("master_seed,index", [(7, 0), (-3, 2), (2**64 + 5, 2**64 + 1)])
+def test_stream_draws_what_numpys_keyed_philox_draws(master_seed, index):
+    # the re-keyed generator behind stream and streams is the Philox that
+    # NumPy builds from the key (master_seed, index), both reduced mod 2^64;
+    # a generator taken from streams draws the same after another stream
+    # left values in its buffer
+    key = np.array([master_seed % 2**64, index % 2**64], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(9)
+    np.testing.assert_array_equal(stream(master_seed, index).standard_normal(9), expected)
+    gens = streams(master_seed, (index + 1, index))
+    next(gens).integers(0, 2**32, size=3)
+    np.testing.assert_array_equal(next(gens).standard_normal(9), expected)
 
 
 def test_haar_unitaries_equal_sequential_draws():
@@ -137,6 +152,27 @@ def test_random_cptp_completeness(rng):
     channel = random_cptp(4, 3, rng)
     total = sum(e.conj().T @ e for e in channel.kraus_ops)
     assert np.max(np.abs(total - np.eye(4))) < 1e-9
+
+
+@pytest.mark.parametrize("n,kraus_count,stack", [(3, 1, (4,)), (2, 3, (64, 3)), (3, 4, (5,))])
+def test_cptp_isometry_is_the_haar_unitarys_first_columns(n, kraus_count, stack):
+    # the Kraus blocks come from the thin QR of the first n Gaussian columns
+    # alone; they are bit for bit the first n columns of the full Haar
+    # unitary, in the square case (one Kraus operator) and in tall ones
+    d = n * kraus_count
+    g = stream(31, d).standard_normal((*stack, 2, d, d))
+    expected = haar_from_gaussians(g)[..., :n].reshape(*stack, kraus_count, n, n)
+    np.testing.assert_array_equal(cptp_from_gaussians(g, n), expected)
+
+
+def test_cptp_isometry_past_lapacks_blocking_crossover():
+    # at 128 dimensions LAPACK blocks the full QR but not the thin one, so
+    # the columns agree to rounding rather than bit for bit
+    n, kraus_count = 2, 64
+    d = n * kraus_count
+    g = stream(31, d).standard_normal((2, 2, d, d))
+    expected = haar_from_gaussians(g)[..., :n].reshape(2, kraus_count, n, n)
+    np.testing.assert_allclose(cptp_from_gaussians(g, n), expected, rtol=0.0, atol=1e-14)
 
 
 def test_random_cptp_preserves_trace(rng):

@@ -265,6 +265,25 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
         assert len(skipped) > 2 and any(skipped)
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (3, 3), (1, 3)])
+def test_steered_q_of_the_avg_harness_stack_equals_per_basis_sum_bit_for_bit(dims):
+    # the avg harness conditions (T, 1) states on (T, 20) bases, so each
+    # state's 20 bases fold into the rows of one product (60 rows at 3x3);
+    # every member still equals the per-basis sum bit for bit, in that
+    # layout and as a 20-basis stack of one state
+    n_a, n_b = dims
+    rng = stream(97, 10 * n_a + n_b)
+    states, bases = _skipping_states_and_bases(n_a, n_b, rng)
+    stacks = np.array([np.concatenate([bases[:n_a], haar_unitaries(n_a, 20 - n_a, rng)]) for _ in states])
+    per_basis = np.array(
+        [[steered_q_sum(state, MeasurementBasis(u)) for u in row] for state, row in zip(states, stacks)]
+    )
+    r4 = np.array([steering._tensor(state) for state in states])
+    np.testing.assert_array_equal(steering._steered_q(r4[:, None], stacks), per_basis)
+    for t, state in enumerate(states):
+        np.testing.assert_array_equal(steering._steered_q(steering._tensor(state), stacks[t]), per_basis[t])
+
+
 def eigh_steered_q(state: BipartiteState, u: np.ndarray) -> float:
     """n_B - sum_i (Tr sqrt(c_i))^2 for the basis ``u``, one outcome at a
     time: c_i = (<u_i| x I) rho (|u_i> x I) from the joint matrix, rooted
@@ -278,6 +297,42 @@ def eigh_steered_q(state: BipartiteState, u: np.ndarray) -> float:
         w, _ = np.linalg.eigh(bra @ state.matrix @ bra.conj().T)
         total += np.sqrt(np.where(w < floor, 0.0, w)).sum() ** 2
     return n_b - total
+
+
+def kron_conditionals(rho: np.ndarray, u: np.ndarray, n_b: int) -> np.ndarray:
+    """(<u_i| x I) rho (|u_i> x I) for each column u_i of the basis ``u``,
+    built from the joint matrix with ``np.kron``."""
+    bras = [np.kron(u[:, i].conj()[None, :], np.eye(n_b)) for i in range(u.shape[1])]
+    return np.array([bra @ rho @ bra.conj().T for bra in bras])
+
+
+@pytest.mark.parametrize("dims", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_condition_equals_a_kron_oracle_in_every_layout(dims):
+    # one basis of one state, a stack of bases of one state, (T, k) bases of
+    # (T, 1, ...) states, member by member, and (k, T) bases of (T, ...)
+    # states: each conditional equals the kron-built one, on a full-rank, a
+    # pure and a product state
+    n_a, n_b = dims
+    rng = stream(89, 10 * n_a + n_b)
+    product, _ = product_state(n_a, n_b, rng)
+    states = [
+        ginibre_state(n_a * n_b, rng=rng).matrix,
+        ginibre_state(n_a * n_b, rank=1, rng=rng).matrix,
+        product.state.matrix,
+    ]
+    bases = haar_unitaries(n_a, 4 * len(states), rng).reshape(len(states), 4, n_a, n_a)
+    r4 = np.array(states).reshape(len(states), n_a, n_b, n_a, n_b)
+    expected = np.array([[kron_conditionals(rho, u, n_b) for u in row] for rho, row in zip(states, bases)])
+
+    def check(got, want):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    for t in range(len(states)):
+        check(steering._condition(r4[t], bases[t, 0]), expected[t, 0])
+        check(steering._condition(r4[t], bases[t]), expected[t])
+    check(steering._condition(r4[:, None], bases), expected)
+    check(steering._condition(r4, bases[:, 0]), expected[:, 0])
+    check(steering._condition(r4, bases.swapaxes(0, 1)), expected.swapaxes(0, 1))
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3)])

@@ -224,6 +224,47 @@ def test_chunk_draws_what_the_public_samplers_draw():
         np.testing.assert_array_equal(draws.restart_bases[k], restarts)
 
 
+@pytest.mark.parametrize("master_seed", [-3, 2**64 + 5])
+def test_gaussians_rows_are_the_trials_own_streams(master_seed):
+    # one re-keyed Philox per call draws, per trial, bit for bit what a fresh
+    # stream of the trial draws; both reduce the seeds mod 2^64
+    shapes = [(2, 3, 3), (4, 2, 2, 2)]
+    indices = (0, 3, 2**64 + 1, 9)
+    blocks = verify._gaussians(master_seed, indices, shapes)
+    flat = np.concatenate([b.reshape(len(indices), -1) for b in blocks], axis=1)
+    for row, t in zip(flat, indices):
+        np.testing.assert_array_equal(row, stream(master_seed, t).standard_normal(flat.shape[1]))
+
+
+def test_gaussians_calls_from_two_threads_draw_their_own_values():
+    # each call re-keys a Philox of its own, so calls interleaved from two
+    # threads draw what they draw alone; a short switch interval makes the
+    # threads trade places within calls
+    shapes = [(2, 9, 9), (20, 2, 3, 3)]
+    indices = tuple(range(64))
+    alone = {seed: verify._gaussians(seed, indices, shapes) for seed in (11, 12)}
+    barrier = threading.Barrier(2)
+    mismatches = []
+
+    def draw(seed):
+        barrier.wait()
+        for _ in range(20):
+            got = verify._gaussians(seed, indices, shapes)
+            mismatches.extend(not np.array_equal(a, b) for a, b in zip(got, alone[seed]))
+
+    threads = [threading.Thread(target=draw, args=(seed,)) for seed in alone]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(mismatches) == 2 * 20 * len(shapes) and not any(mismatches)
+
+
 def test_workers_below_one_are_rejected():
     for bad in (0, -3):
         with pytest.raises(UsageError):
@@ -367,8 +408,12 @@ def test_pooled_calls_from_threads_take_turns_on_the_pool(tmp_path):
 
 def test_warm_pool_does_not_outlive_the_interpreter():
     # the workers stop at exit through the atexit hook of concurrent.futures:
-    # a worker left running would keep the interpreter from exiting
-    code = "import skewinfo; skewinfo.verify_avg_bound(n_a=3, n_b=3, trials=300, workers=2)"
+    # a worker left running would keep the interpreter from exiting. The
+    # pool's modules load with the first pooled call, not with the package
+    code = (
+        "import sys, skewinfo; assert 'multiprocessing' not in sys.modules; "
+        "skewinfo.verify_avg_bound(n_a=3, n_b=3, trials=300, workers=2)"
+    )
     src = str(Path(skewinfo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
