@@ -49,12 +49,13 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Coerce a matrix or an (..., n, n) stack to complex128 and check it is Hermitian."""
+    """Coerce a matrix or an (..., n, n) stack to complex128 and check it is
+    Hermitian; a non-finite entry has a NaN residual and fails the check."""
     m = _as_stack(m)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     res = hermiticity_residual(m)
-    if res > tol:
+    if not res <= tol:
         raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {tol:.1e}")
     return m
 
@@ -62,7 +63,11 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
 def _solve_hermitian(solver, m):
     """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on a checked Hermitian
     matrix or stack; a solver that does not converge raises ``NoConvergence``."""
-    m = require_hermitian(m)
+    return _solve(solver, require_hermitian(m))
+
+
+def _solve(solver, m):
+    """``_solve_hermitian`` on a matrix or stack already checked."""
     try:
         return solver(m)
     except np.linalg.LinAlgError as exc:
@@ -105,9 +110,84 @@ def psd_sqrt_eigh(m, scale: np.ndarray | None = None) -> tuple[np.ndarray, np.nd
 
 def psd_sqrt_eigvalsh(m, scale: np.ndarray | None = None) -> np.ndarray:
     """The eigenvalues of ``sqrtm_psd(m)``: ``psd_sqrt_eigh`` without the
-    eigenvectors, from the cheaper eigenvalue-only solver, with the same
-    checks and floor."""
-    return _psd_roots(_solve_hermitian(np.linalg.eigvalsh, m), scale)
+    eigenvectors, with the same checks and floor.
+
+    The eigenvalues come from a stacked closed form for n = 2 and n = 3
+    (``_eigvalsh_closed``), which avoids LAPACK's call per matrix, and from
+    ``np.linalg.eigvalsh`` for larger n and for the 3x3 members the closed
+    form does not resolve as well as LAPACK: scalar matrices, near-degenerate
+    spectra (whose cosine argument r has |r| >= 0.99) and spectra whose
+    smallest eigenvalue is below 1e-3 of the largest.
+    """
+    m = require_hermitian(m)
+    n = m.shape[-1]
+    if n in (2, 3):
+        w = _eigvalsh_closed(m.reshape(-1, n, n)).reshape(m.shape[:-1])
+    else:
+        w = _solve(np.linalg.eigvalsh, m)
+    return _psd_roots(w, scale)
+
+
+_FALLBACK_R = 0.99
+_FALLBACK_LOW = 1e-3
+
+
+def _eigvalsh_closed(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues ``(N, n)`` of a checked Hermitian ``(N, n, n)``
+    stack with n = 2 or 3, member by member in closed form.
+
+    For n = 2 they are (a + d) / 2 -/+ hypot((a - d) / 2, |b|) for the
+    diagonal a, d and the off-diagonal entry b. For n = 3 they follow the
+    trigonometric solution of the characteristic cubic (Smith, Comm. ACM 4,
+    168, 1961): with q = Tr A / 3, B = A - q I, p^2 = Tr B^2 / 6,
+    r = det B / (2 p^3) and phi = arccos(r) / 3, the smallest and the
+    largest are q + 2 p cos(phi + 2 pi / 3) and q + 2 p cos(phi), and the
+    middle one is 3 q less both, clamped between them (a nearly scalar
+    member's three are equal to rounding, which could otherwise leave them
+    out of order).
+
+    Two kinds of 3x3 member go to ``eigvalsh`` instead. As |r| nears 1 two
+    eigenvalues merge and arccos amplifies the rounding in r, so members
+    with |r| >= 0.99, and p = 0, go there (Kopp, Int. J. Mod. Phys. C 19,
+    523, 2008). The cancellation in q + 2 p cos leaves the smallest
+    eigenvalue an absolute error of a few eps lambda_max, which its square
+    root amplifies when it is small, so members whose smallest eigenvalue
+    is below 1e-3 of the largest go there too, indefinite ones among them.
+    Each member's result depends only on that member.
+    """
+    d = m.diagonal(axis1=-2, axis2=-1).real
+    if m.shape[-1] == 2:
+        mean = 0.5 * (d[:, 0] + d[:, 1])
+        half = np.hypot(0.5 * (d[:, 0] - d[:, 1]), np.abs(m[:, 0, 1]))
+        return np.stack([mean - half, mean + half], axis=-1)
+    q = d.sum(axis=-1) / 3.0
+    b = d - q[:, None]
+    a01, a02, a12 = m[:, 0, 1], m[:, 0, 2], m[:, 1, 2]
+    n01, n02, n12 = _abs2(a01), _abs2(a02), _abs2(a12)
+    p = np.sqrt((b * b).sum(axis=-1) / 6.0 + (n01 + n02 + n12) / 3.0)
+    det = (
+        b[:, 0] * b[:, 1] * b[:, 2]
+        + 2.0 * (a01 * a12 * a02.conj()).real
+        - b[:, 0] * n12
+        - b[:, 1] * n02
+        - b[:, 2] * n01
+    )
+    two_p3 = 2.0 * p * p * p
+    closed = np.abs(det) < _FALLBACK_R * two_p3
+    phi = np.arccos(np.where(closed, det, 0.0) / np.where(closed, two_p3, 1.0)) / 3.0
+    hi = q + 2.0 * p * np.cos(phi)
+    lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    mid = np.minimum(np.maximum(3.0 * q - lo - hi, lo), hi)
+    w = np.stack([lo, mid, hi], axis=-1)
+    closed &= lo >= _FALLBACK_LOW * hi
+    if not closed.all():
+        w[~closed] = _solve(np.linalg.eigvalsh, m[~closed])
+    return w
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, without the square root of ``np.abs``."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def _psd_roots(w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:

@@ -23,9 +23,10 @@ MIN_SPECTRAL_GAP = 1e-6
 def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
     """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is
     unitary within ``UNITARY_TOL``; otherwise raise ``InvalidState`` with
-    the caller's ``invariant`` label and the largest residual."""
+    the caller's ``invariant`` label and the largest residual (NaN for a
+    non-finite entry)."""
     res = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
-    if res > UNITARY_TOL:
+    if not res <= UNITARY_TOL:
         raise InvalidState(invariant, res)
     return u
 
@@ -33,9 +34,9 @@ def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
 def require_observables(m: np.ndarray) -> np.ndarray:
     """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is
     Hermitian within ``HERMITIAN_TOL``; otherwise raise ``InvalidState`` with
-    the largest residual."""
+    the largest residual (NaN for a non-finite entry)."""
     res = hermiticity_residual(m)
-    if res > HERMITIAN_TOL:
+    if not res <= HERMITIAN_TOL:
         raise InvalidState("hermiticity", res)
     return m
 

@@ -5,10 +5,12 @@ import pytest
 
 from skewinfo import (
     DimensionMismatch,
+    InvalidState,
     NoConvergence,
     NotHermitian,
     NotPSD,
     commutator,
+    haar_unitaries,
     hermitian_eig,
     kron,
     partial_trace,
@@ -16,7 +18,15 @@ from skewinfo import (
     stream,
     trace_inner,
 )
-from skewinfo.linalg import PSD_TOL, hermiticity_residual, psd_sqrt_eigh, psd_sqrt_eigvalsh
+from skewinfo.linalg import (
+    PSD_TOL,
+    _eigvalsh_closed,
+    hermiticity_residual,
+    psd_sqrt_eigh,
+    psd_sqrt_eigvalsh,
+    require_hermitian,
+)
+from skewinfo.states import require_states, require_unitary
 
 from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -174,9 +184,130 @@ def test_eigenvalue_only_root_has_the_checks_and_floor_of_the_eigh_root(monkeypa
     def no_convergence(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
+    # the 2x2 closed form runs no solver; a scalar 3x3 matrix falls back to
+    # eigvalsh, and a 4x4 one has no closed form
     monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
-    with pytest.raises(NoConvergence, match="did not converge"):
-        psd_sqrt_eigvalsh(good)
+    for scalar in (np.eye(3) / 3, np.eye(4) / 4):
+        with pytest.raises(NoConvergence, match="did not converge"):
+            psd_sqrt_eigvalsh(scalar)
+
+
+def eigvalsh_roots(m):
+    """Root eigenvalues from LAPACK's eigvalsh, floored as the kernel floors
+    them (below n eps lambda_max is 0)."""
+    w = np.linalg.eigvalsh(m)
+    w[w < w.shape[-1] * np.finfo(float).eps * np.maximum(w[..., -1:], 0.0)] = 0.0
+    return np.sqrt(w)
+
+
+def conjugated_spectra(spectrum, count, rng):
+    """``count`` Haar conjugates of diag(spectrum)."""
+    u = haar_unitaries(len(spectrum), count, rng)
+    return (u * np.asarray(spectrum, dtype=float)) @ u.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_eigenvalues_equal_eigvalsh(n, monkeypatch):
+    # on random stacks, ascending and within 1e-14 lambda_max of LAPACK, with
+    # few PSD members handed to eigvalsh. Nearly scalar members have all
+    # their eigenvalues within rounding of each other
+    rng = stream(1, 40 + n)
+    z = rng.standard_normal((2000, n, n)) + 1j * rng.standard_normal((2000, n, n))
+    h = z + z.conj().swapaxes(-1, -2)
+    scalar = np.eye(n) * rng.uniform(0.1, 1.0, (2000, 1, 1))
+    stacks = (h, z @ z.conj().swapaxes(-1, -2), scalar + 1e-17 * h)
+    expected = [np.linalg.eigvalsh(m) for m in stacks]
+    handed = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        handed.append(m.reshape(-1, n, n).shape[0])
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    for m, want in zip(stacks, expected):
+        w = _eigvalsh_closed(m)
+        assert np.all(np.diff(w, axis=-1) >= 0.0)
+        assert np.all(np.abs(w - want) <= 1e-14 * np.abs(want).max(axis=-1, keepdims=True))
+    # the random Hermitian 3x3 members are mostly indefinite, and those go to
+    # eigvalsh; about 4% of the PSD and 11% of the nearly scalar ones do
+    assert sum(handed) <= (len(z) if n == 3 else 0) + 2 * len(z) // 10
+
+
+@pytest.mark.parametrize("g", [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.5])
+def test_closed_form_roots_are_as_accurate_as_eigvalsh_near_degeneracy(g):
+    # spectra {g, g + delta, 1}: near-degenerate, and rank-deficient for
+    # small g. Each member's root sum is no further from the exact sum than
+    # LAPACK's, and its eigenvalues are within 1e-14 of LAPACK's (a merging
+    # pair errs in opposite directions, which the sum does not see)
+    rng = stream(2, int(-np.log10(g)) if g else 0)
+    for delta in [0.0] + [10.0**-k for k in range(14, 0, -1)]:
+        spectrum = np.array([g, g + delta, 1.0])
+        c = conjugated_spectra(spectrum, 40, rng)
+        exact = np.sqrt(spectrum).sum()
+        ours = np.abs(psd_sqrt_eigvalsh(c).sum(axis=-1) - exact)
+        lapack = np.abs(eigvalsh_roots(c).sum(axis=-1) - exact)
+        assert np.all(ours <= lapack + 1e-12), (g, delta)
+        np.testing.assert_allclose(_eigvalsh_closed(c), np.linalg.eigvalsh(c), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_roots_of_zero_rank_one_and_indefinite_matrices(n):
+    rng = stream(3, n)
+    assert np.all(psd_sqrt_eigvalsh(np.zeros((4, n, n), dtype=complex)) == 0.0)
+    # rank 1: Tr sqrt(c) = sqrt(Tr c), at traces from about 1e-6 to 1e2
+    v = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+    v *= np.logspace(-3, 1, 50)[:, None]
+    rank1 = v[:, :, None] * v[:, None, :].conj()
+    np.testing.assert_allclose(
+        psd_sqrt_eigvalsh(rank1).sum(axis=-1), np.sqrt(np.trace(rank1, axis1=-2, axis2=-1).real), rtol=1e-14
+    )
+    # NotPSD at a smallest eigenvalue of -1e-8, never on PSD inputs
+    top = np.linspace(0.3, 1.0, n - 1)
+    with pytest.raises(NotPSD):
+        psd_sqrt_eigvalsh(conjugated_spectra([-1e-8, *top], 20, rng))
+    for low in (0.0, 1e-12, 1e-3):
+        psd_sqrt_eigvalsh(conjugated_spectra([low, *top], 200, rng))
+    psd_sqrt_eigvalsh(np.array([random_psd(n, rng) for _ in range(200)]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_roots_of_a_member_do_not_depend_on_its_stack(n):
+    # every member equals its own call bit for bit, in stacks of several
+    # lengths, closed-form members and members handed to eigvalsh alike
+    rng = stream(4, n)
+    stack = np.array([random_psd(n, rng) for _ in range(37)])
+    stack[3] = 0.0
+    stack[4] = np.eye(n)
+    stack[5] = np.outer(stack[6][:, 0], stack[6][:, 0].conj())
+    stack[7] = conjugated_spectra([1e-6, *np.linspace(0.5, 1.0, n - 1)], 1, rng)[0]
+    full = psd_sqrt_eigvalsh(stack)
+    for i, member in enumerate(stack):
+        np.testing.assert_array_equal(psd_sqrt_eigvalsh(member), full[i])
+    for size in (2, 5, 16):
+        for start in range(0, len(stack) - size, 3):
+            np.testing.assert_array_equal(psd_sqrt_eigvalsh(stack[start : start + size]), full[start : start + size])
+    np.testing.assert_array_equal(psd_sqrt_eigvalsh(stack.reshape(37, 1, n, n)), full.reshape(37, 1, n))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrices_fail_every_check(bad):
+    # a NaN residual is not within any tolerance
+    m = np.eye(3, dtype=complex) / 3
+    m[0, 0] = bad
+    stack = np.stack([np.eye(3) / 3, m])
+    for check in (require_hermitian, psd_sqrt_eigvalsh, psd_sqrt_eigh, sqrtm_psd):
+        for x in (m, stack):
+            with pytest.raises(NotHermitian):
+                check(x)
+    for x in (m, stack):
+        with pytest.raises(InvalidState, match="hermiticity"):
+            require_states(x)
+    u = np.eye(2, dtype=complex)
+    u[1, 0] = bad
+    with pytest.raises(InvalidState):
+        require_unitary(u, "orthonormal columns")
 
 
 def test_kron_scalar_identity():

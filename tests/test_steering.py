@@ -190,6 +190,40 @@ def test_steered_sums_are_exact_on_pure_states(dims):
             assert abs(steered_skew_sum(state, theta, k_b) - expected) <= 1e-12
 
 
+def classical_quantum_state(n_a, n_b, rng):
+    """sum_i p_i |i><i| x rho_i with Haar conjugates rho_i of known spectra,
+    one of them rank-deficient, and the exact n_B - sum_i p_i (Tr sqrt(rho_i))^2."""
+    p = rng.dirichlet(np.ones(n_a))
+    spectra = rng.dirichlet(np.ones(n_b), size=n_a)
+    spectra[0, 0] = 0.0
+    spectra[0] /= spectra[0].sum()
+    u = haar_unitaries(n_b, n_a, rng)
+    blocks = (u * spectra[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    rho = np.zeros((n_a, n_b, n_a, n_b), dtype=complex)
+    for i in range(n_a):
+        rho[i, :, i, :] = p[i] * blocks[i]
+    rho = rho.reshape(n_a * n_b, n_a * n_b)
+    return BipartiteState(DensityMatrix(0.5 * (rho + rho.conj().T)), n_a, n_b), n_b - p @ np.sqrt(spectra).sum(-1) ** 2
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_steered_q_equals_exact_oracles_on_pure_and_classical_quantum_states(dims):
+    # a pure joint state has rank-1 conditionals, whose steered Q is n_B - 1
+    # in every basis; a classical-quantum state measured in its classical
+    # basis (up to phases and the order of the outcomes) has conditionals
+    # p_i rho_i, whose roots the known spectra give exactly
+    n_a, n_b = dims
+    rng = stream(101, 10 * n_a + n_b)
+    for _ in range(5):
+        pure = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
+        values = steering._steered_q(steering._tensor(pure), haar_unitaries(n_a, 20, rng))
+        np.testing.assert_allclose(values, n_b - 1.0, rtol=0.0, atol=1e-13)
+        cq, expected = classical_quantum_state(n_a, n_b, rng)
+        phases = np.exp(2j * np.pi * rng.random((4, n_a)))
+        bases = np.array([np.diag(ph)[:, np.roll(np.arange(n_a), s)] for s, ph in enumerate(phases)])
+        np.testing.assert_allclose(steering._steered_q(steering._tensor(cq), bases), expected, rtol=0.0, atol=1e-13)
+
+
 def test_steering_induced_skew_product_saturates(rng):
     state, tau_b = product_state(2, 2, rng)
     k_b = random_nondegenerate_observable(2, rng=rng)
