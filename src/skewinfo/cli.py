@@ -68,6 +68,7 @@ _FLAGS = {
     "--format": dict(dest="out_format", choices=tuple(_FORMATS)),
     "--out": dict(dest="out_path", metavar="PATH"),
 }
+_EXACT_LQU = "--restarts does not apply to {}: side A is a qubit, so its LQU is exact and no search runs"
 _VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
 COMMANDS = {
     "skew": ("--state-file", "--spectrum", "--basis-file", "--out"),
@@ -294,6 +295,8 @@ def _run_q(config: RunConfig) -> int:
 
 def _run_lqu(config: RunConfig) -> int:
     state = _require_state(config, bipartite=True)
+    if config.restarts is not None and state.n_a == 2:
+        raise UsageError(_EXACT_LQU.format(config.command))
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
     result = lqu(state, lam, "A", opts=opts, rng=stream(config.master_seed, 0))
@@ -335,6 +338,8 @@ def _run_verify(config: RunConfig) -> int:
     harness, field = _HARNESSES[config.command]
     kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", "master_seed", field)}
     if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
+        if config.command == "verify claim1" and config.n_a == 2:
+            raise UsageError(_EXACT_LQU.format(config.command))
         kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
     report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))

@@ -44,19 +44,27 @@ def _as_stack(m) -> np.ndarray:
 
 
 def hermiticity_residual(m: np.ndarray) -> float:
-    """Max-abs deviation from Hermitian symmetry, over a whole stack."""
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
+    """Max-abs deviation from Hermitian symmetry, over a whole stack; NaN,
+    without a warning, when an entry is not finite."""
+    with np.errstate(invalid="ignore"):
+        return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Coerce a matrix or an (..., n, n) stack to complex128 and check it is
-    Hermitian; a non-finite entry has a NaN residual and fails the check."""
+    Hermitian: each member's residual within ``HERMITIAN_TOL`` times its
+    scale max(1, max|m|), so a member whose entries are at most 1 in
+    modulus meets the absolute ``HERMITIAN_TOL``. A non-finite entry has a
+    NaN residual and fails the check."""
     m = _as_stack(m)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
     res = hermiticity_residual(m)
-    if not res <= tol:
-        raise NotHermitian(f"hermiticity residual {res:.3e} exceeds {tol:.1e}")
+    if not res <= HERMITIAN_TOL:  # within the absolute bound every member is within its own
+        with np.errstate(invalid="ignore"):
+            res = hermiticity_residual(m / np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True)))
+        if not res <= HERMITIAN_TOL:
+            raise NotHermitian(f"hermiticity residual {res:.3e} of max(1, max|m|) exceeds {HERMITIAN_TOL:.1e}")
     return m
 
 
@@ -84,8 +92,9 @@ def sqrtm_psd(m) -> np.ndarray:
     """Hermitian square root of a PSD matrix, or of each matrix in an
     ``(..., n, n)`` stack.
 
-    Eigenvalues in ``[-PSD_TOL, 0)`` are clamped to 0 before the root;
-    anything below ``-PSD_TOL`` in any member raises ``NotPSD``. Positive
+    Eigenvalues in ``[-PSD_TOL s, 0)``, with s = max(1, lambda_max) the
+    member's scale, are clamped to 0 before the root; anything below
+    ``-PSD_TOL s`` in any member raises ``NotPSD``. Positive
     eigenvalues below each member's eigensolver noise floor
     (n * eps * lambda_max) are zeroed too: their square roots would
     otherwise inject ~1e-8 artifacts into the root of a rank-deficient
@@ -192,12 +201,13 @@ def _abs2(z: np.ndarray) -> np.ndarray:
 
 def _psd_roots(w: np.ndarray, scale: np.ndarray | None) -> np.ndarray:
     """Square roots of the ascending eigenvalues ``w`` ``(..., n)`` of a PSD
-    matrix or stack, overwriting ``w``: anything below ``-PSD_TOL`` raises
-    ``NotPSD``, and eigenvalues below the noise floor ``n * eps * scale``
-    (``scale`` defaults to each member's largest eigenvalue) become 0."""
-    lowest = w[..., 0].min()
+    matrix or stack, overwriting ``w``: a member with an eigenvalue below
+    ``-PSD_TOL max(1, lambda_max)`` raises ``NotPSD``, and eigenvalues below
+    the noise floor ``n * eps * scale`` (``scale`` defaults to each member's
+    largest eigenvalue) become 0."""
+    lowest = (w[..., 0] / np.maximum(1.0, w[..., -1])).min()
     if lowest < -PSD_TOL:
-        raise NotPSD(f"minimum eigenvalue {lowest:.3e} below -{PSD_TOL:.1e}")
+        raise NotPSD(f"minimum eigenvalue {lowest:.3e} of max(1, lambda_max) below -{PSD_TOL:.1e}")
     if scale is None:
         scale = np.maximum(w[..., -1:], 0.0)
     w[w < w.shape[-1] * _EPS * scale] = 0.0

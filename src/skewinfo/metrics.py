@@ -124,10 +124,9 @@ def local_skew_forms(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.n
 
 def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The skew information at K = U diag(lam) U^dagger under the quadratic
-    form ``local_skew_forms`` and its Riemannian gradient in U (the
-    cost contract of ``optim.search``), for one U, or member by member for
-    an ``(m, n, n)`` stack of U with ``(m, n^2, n^2)`` forms and ``(m, n)``
-    spectra (or one form and spectrum shared by every member).
+    form ``local_skew_forms`` and its Riemannian gradient in U, member by
+    member for an ``(m, n, n)`` stack of U with ``(m, n^2, n^2)`` forms and
+    ``(m, n)`` spectra (the cost contract of ``optim.search``).
 
     With vec(B) = form vec(K), dI = Tr(D dK) for D = 2 B^T, which is
     KM + MK - 2 A^T with A_qr = sum_ps C_pqrs K_sp (the cross term is

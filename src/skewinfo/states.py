@@ -25,7 +25,8 @@ def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
     unitary within ``UNITARY_TOL``; otherwise raise ``InvalidState`` with
     the caller's ``invariant`` label and the largest residual (NaN for a
     non-finite entry)."""
-    res = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
+    with np.errstate(invalid="ignore"):
+        res = float(np.max(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))))
     if not res <= UNITARY_TOL:
         raise InvalidState(invariant, res)
     return u

@@ -64,48 +64,30 @@ class SteeringEnsemble:
 
 
 def _tensor(rho_ab: BipartiteState) -> np.ndarray:
-    """The joint state as the tensor r4[a, b, c, d] = <a b|rho|c d>."""
-    return rho_ab.matrix.reshape(rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
-
-
-def _blocks(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], int]:
-    """The state tensor ``r4`` (see ``_tensor``) as blocks R[(a c), (b d)] =
-    r4[a, b, c, d], stacked over the states S; the batch shape of ``r4`` and
-    the bases ``u`` broadcast together; and the length of S. S is that
-    shape's leading axes up to the last one on which ``r4`` is not a unit
-    axis; the axes past S run over the bases of each state, which
-    ``_condition`` folds into the rows of one product per state."""
-    n_a, n_b = r4.shape[-4], r4.shape[-3]
-    lead = np.broadcast_shapes(r4.shape[:-4], u.shape[:-2])
-    states = [1] * (len(lead) + 4 - r4.ndim) + list(r4.shape[:-4])
-    while states and states[-1] == 1:
-        states.pop()
-    r = r4.reshape(*states, n_a, n_b, n_a, n_b).swapaxes(-3, -2).reshape(*states, n_a * n_a, n_b * n_b)
-    return r, lead, len(states)
+    """The joint state as the one-row stack r4[0, a, b, c, d] = <a b|rho|c d>."""
+    return rho_ab.matrix.reshape(1, rho_ab.n_a, rho_ab.n_b, rho_ab.n_a, rho_ab.n_b)
 
 
 def _condition(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The Hermitized unnormalized conditional states c_i = <u_i|rho|u_i> of
-    B, ``(..., n_A, n_B, n_B)``, for measuring A of the state tensor ``r4``
-    (see ``_tensor``) in the columns of ``u``: one basis, a ``(k, n_A, n_A)``
-    stack of bases of one state, ``(T, k, n_A, n_A)`` bases of a
-    ``(T, 1, ...)`` stack of states, or member by member for a ``(k, ...)``
-    stack of states too. Tr c_i is the probability of outcome i.
+    B, ``(S, k, n_A, n_B, n_B)``, for measuring A of each state tensor of
+    the stack ``r4`` ``(S, n_A, n_B, n_A, n_B)`` (see ``_tensor``) in the
+    columns of each of its k bases ``u`` ``(S, k, n_A, n_A)``. Tr c_i is the
+    probability of outcome i.
 
-    c_i = sum_ac conj(u_ai) u_ci R_ac on the blocks of ``_blocks``, so the
-    conditionals of all the bases of a state are one matrix product: the
-    weights W[i, (a c)] = conj(u_ai) u_ci, with the bases folded into W's
-    rows, times R. A row of the product does not depend on the rows beside
-    it, so a stack of bases gives the conditionals of its members one by
-    one bit for bit (the steering tests hold the BLAS to that, up to the 20
-    bases per state of the avg harness).
+    With the blocks R[(a c), (b d)] = r4[a, b, c, d] of a state,
+    c_i = sum_ac conj(u_ai) u_ci R_ac, so the conditionals of all the bases
+    of a state are one matrix product: the weights W[(j i), (a c)] =
+    conj(u_ai) u_ci of its bases j, times R. A row of the product does not
+    depend on the rows beside it, so a stack of bases gives the
+    conditionals of its members one by one bit for bit (the steering tests
+    hold the BLAS to that, up to the 20 bases per state of the avg harness).
     """
-    n_a, n_b = r4.shape[-4], r4.shape[-3]
-    r, lead, k = _blocks(r4, u)
+    s, n_a, n_b = r4.shape[:3]
+    r = r4.swapaxes(2, 3).reshape(s, n_a * n_a, n_b * n_b)
     ut = u.swapaxes(-1, -2)
-    w = ut.conj()[..., :, :, None] * ut[..., :, None, :]
-    w = np.broadcast_to(w, (*lead, n_a, n_a, n_a)).reshape(*lead[:k], -1, n_a * n_a)
-    c = (w @ r).reshape(*lead, n_a, n_b, n_b)
+    w = (ut.conj()[..., :, :, None] * ut[..., :, None, :]).reshape(s, -1, n_a * n_a)
+    c = (w @ r).reshape(s, -1, n_a, n_b, n_b)
     return 0.5 * (c + c.conj().swapaxes(-1, -2))
 
 
@@ -124,9 +106,10 @@ def _root_scale(c: np.ndarray) -> np.ndarray:
 
 
 def _conditional_roots(r4: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root eigenvalues and eigenvectors of the conditionals of ``_condition``,
-    floored as ``_root_scale`` says."""
-    c = _condition(r4, u)
+    """Root eigenvalues and eigenvectors of the conditionals of ``_condition``
+    for one basis ``u[m]`` per state tensor ``r4[m]`` (the layout of the
+    costs), floored as ``_root_scale`` says."""
+    c = _condition(r4, u[:, None])[:, 0]
     return psd_sqrt_eigh(c, _root_scale(c))
 
 
@@ -138,7 +121,7 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
     probabilities and are not re-validated one by one.
     """
     _require_basis(rho_ab, theta)
-    c = _condition(_tensor(rho_ab), theta.unitary)
+    c = _condition(_tensor(rho_ab), theta.unitary[None, None])[0, 0]
     p = np.einsum("ibb->i", c).real
     residual = abs(float(np.sum(p)) - 1.0)
     if residual > 1e-9:
@@ -149,20 +132,19 @@ def steer(rho_ab: BipartiteState, theta: MeasurementBasis) -> SteeringEnsemble:
 
 def _steered_q(r4: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Steered total uncertainty sum_i p_i (n_B - (Tr sqrt(rho_i))^2) =
-    n_B - sum_i (Tr sqrt(c_i))^2 for each basis of a ``(k, n_A, n_A)``
-    stack of the state tensor ``r4`` (see ``_tensor``), given by the columns
-    of its members, or for each ``(T, k, n_A, n_A)`` stack of bases of a
-    ``(T, 1, ...)`` stack of state tensors; null outcomes add exact zeros.
-    Only the root eigenvalues enter, so no eigenvectors are computed; the
-    roots have the floor of ``_conditional_roots``."""
+    n_B - sum_i (Tr sqrt(c_i))^2, ``(S, k)``, for each of the k bases ``u``
+    of each state tensor of the stack ``r4``, in the layout of
+    ``_condition``; null outcomes add exact zeros. Only the root
+    eigenvalues enter, so no eigenvectors are computed; the roots have the
+    floor of ``_conditional_roots``."""
     c = _condition(r4, u)
     tr = psd_sqrt_eigvalsh(c, _root_scale(c)).sum(axis=-1)
     return r4.shape[-1] - np.sum(tr * tr, axis=-1)
 
 
 def _basis_gradient(r4: np.ndarray, u: np.ndarray, sw: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Riemannian gradient in ``u`` (one basis, or a stack as in
-    ``_condition``) of sum_i h(c_i), where c_i = <u_i|rho|u_i> is the
+    """Riemannian gradient in each basis of the stack ``u`` (the layout of
+    ``_conditional_roots``) of sum_i h(c_i), where c_i = <u_i|rho|u_i> is the
     unnormalized conditional state of B and dh = Tr(Gamma_i dc_i) with
     Gamma_i the Daleckii-Krein map of W_i.
 
@@ -183,10 +165,10 @@ def _basis_gradient(r4: np.ndarray, u: np.ndarray, sw: np.ndarray, v: np.ndarray
 
 
 def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negated steered skew-information sum for the basis given by the
-    columns of ``u``, and its Riemannian gradient: for one basis of the
-    state tensor ``r4`` with observable ``km`` on B, or member by member for
-    stacks of any of the three (the cost contract of ``optim.search``).
+    """Negated steered skew-information sum and its Riemannian gradient,
+    for each basis (the columns of a member) of the ``(m, n_A, n_A)`` stack
+    ``u`` with the ``(m, ...)`` rows of the state tensors ``r4`` and of the
+    observables ``km`` on B (the cost contract of ``optim.search``).
 
     In the eigenbasis of c_i, with kappa = V^dagger K V and root eigenvalues
     s, p_i I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2. The sum is
@@ -204,8 +186,7 @@ def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.n
 
 def _q_objective(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negated steered total uncertainty (as ``_steered_q``) and its
-    Riemannian gradient, for one basis or member by member for stacks (as
-    ``_skew_objective``).
+    Riemannian gradient, in the layout of ``_skew_objective``.
 
     The sum is n_B - sum_i (Tr sqrt(c_i))^2, whose derivative in c_i is the
     Daleckii-Krein map of W = 2 Tr(sqrt(c_i)) I.
@@ -223,24 +204,25 @@ def _require_basis(rho_ab: BipartiteState, theta: MeasurementBasis) -> None:
 
 
 def _observable_on_b(rho_ab: BipartiteState, k_b: ObservableLike) -> np.ndarray:
+    """The observable on B as a one-row stack, like ``_tensor``."""
     km = k_b.matrix
     if km.shape[0] != rho_ab.n_b:
         raise DimensionMismatch(f"observable dim {km.shape[0]} vs side B dim {rho_ab.n_b}")
-    return km
+    return km[None]
 
 
 def steered_skew_sum(rho_ab: BipartiteState, theta: MeasurementBasis, k_b: ObservableLike) -> float:
     """Probability-weighted skew information of the steered states of B: the
     value of the maximization's cost at ``theta``, negated."""
     _require_basis(rho_ab, theta)
-    value, _ = _skew_objective(theta.unitary, _tensor(rho_ab), _observable_on_b(rho_ab, k_b))
+    (value,), _ = _skew_objective(theta.unitary[None], _tensor(rho_ab), _observable_on_b(rho_ab, k_b))
     return -float(value)
 
 
 def steered_q_sum(rho_ab: BipartiteState, theta: MeasurementBasis) -> float:
     """Probability-weighted total uncertainty of the steered states of B."""
     _require_basis(rho_ab, theta)
-    return float(_steered_q(_tensor(rho_ab), theta.unitary[None])[0])
+    return float(_steered_q(_tensor(rho_ab), theta.unitary[None, None])[0, 0])
 
 
 @dataclass
@@ -278,10 +260,11 @@ def _maximized(
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
 ) -> SteeringSearchResult:
-    """One member of ``_maximize``, from ``restart_bases`` drawn from ``rng``."""
+    """``_maximize`` on the one-row data stacks ``data``, from
+    ``restart_bases`` drawn from ``rng``."""
     opts = opts or OptimizerOptions()
     bases = restart_bases(n_a, opts, rng=rng)
-    (value,), (u,), found = _maximize(cost, tuple(d[None] for d in data), opts, bases[None])
+    (value,), (u,), found = _maximize(cost, data, opts, bases[None])
     return SteeringSearchResult(
         float(value), MeasurementBasis(u), int(found.restarts_used[0]), bool(found.converged[0])
     )

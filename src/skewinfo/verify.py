@@ -441,7 +441,7 @@ def _avg_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tupl
     rho = require_states(ginibre_from_gaussians(g_rho))
     rhs = q_locals(rho, (n_a, n_b), "B")
     bases = require_unitary(haar_from_gaussians(g_bases), "orthonormal columns")
-    lhs = _steered_q(rho.reshape(-1, 1, n_a, n_b, n_a, n_b), bases).max(axis=-1)
+    lhs = _steered_q(rho.reshape(-1, n_a, n_b, n_a, n_b), bases).max(axis=-1)
     return lhs, rhs, np.ones(len(indices), dtype=bool)
 
 

@@ -132,10 +132,22 @@ def test_run_q_monopartite(tmp_path, capsys):
 
 def test_run_lqu_bell(tmp_path, capsys):
     state = write(tmp_path, "bell.txt", BELL)
-    assert main(["lqu", "--state-file", state, "--spectrum", "-1,1", "--restarts", "4"]) == 0
+    assert main(["lqu", "--state-file", state, "--spectrum", "-1,1"]) == 0
     out = capsys.readouterr().out
     assert "lqu = 1.000000" in out
-    assert "restarts_used = 0" in out  # exact on a qubit side; --restarts has no effect
+    assert "restarts_used = 0" in out  # exact on a qubit side
+
+
+def test_restarts_is_a_usage_error_where_side_a_is_a_qubit(tmp_path, capsys):
+    # a qubit side A has an exact LQU and no search for --restarts to size;
+    # claim2's steering search on A still reads it, and a qutrit A's LQU search
+    state = write(tmp_path, "bell.txt", BELL)
+    for argv in (["lqu", "--state-file", state, "--restarts", "9"], "verify claim1 --trials 2 --restarts 7".split()):
+        assert main(argv) == 2
+        assert "side A is a qubit, so its LQU is exact" in capsys.readouterr().err
+    assert main("verify claim1 --dim-a 3 --trials 2 --restarts 3".split()) == 0
+    assert "config.opt_restarts=3" in capsys.readouterr().out
+    assert main("verify claim2 --trials 2 --restarts 3".split()) == 0
 
 
 def test_run_q_on_bipartite(tmp_path, capsys):

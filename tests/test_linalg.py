@@ -19,6 +19,7 @@ from skewinfo import (
     trace_inner,
 )
 from skewinfo.linalg import (
+    HERMITIAN_TOL,
     PSD_TOL,
     _eigvalsh_closed,
     hermiticity_residual,
@@ -290,10 +291,38 @@ def test_closed_form_roots_of_a_member_do_not_depend_on_its_stack(n):
     np.testing.assert_array_equal(psd_sqrt_eigvalsh(stack.reshape(37, 1, n, n)), full.reshape(37, 1, n))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("trace", [1e6, 1e-6])
+def test_root_checks_scale_with_the_member(trace):
+    # the checks compare with PSD_TOL max(1, lambda_max) and HERMITIAN_TOL
+    # max(1, max|m|): rank-1 members v v^dagger, whose null eigenvalues the
+    # solvers put near -eps Tr (below -PSD_TOL at trace 1e6), are roots of
+    # themselves over sqrt(Tr); a member at twice either bound still raises,
+    # one at half of it does not, and at trace 1e-6 the bounds are absolute
+    rng = stream(6, int(trace > 1))
+    v = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+    v *= np.sqrt(trace) / np.linalg.norm(v, axis=-1, keepdims=True)
+    rank1 = v[:, :, None] * v[:, None, :].conj()
+    np.testing.assert_allclose(sqrtm_psd(rank1), rank1 / np.sqrt(trace), rtol=0.0, atol=1e-12 * np.sqrt(trace))
+    for roots in (psd_sqrt_eigvalsh(rank1), psd_sqrt_eigh(rank1)[0]):
+        np.testing.assert_allclose(roots.sum(axis=-1), np.sqrt(trace), rtol=1e-12)
+    scale = max(1.0, trace)
+    asymmetric = np.zeros((3, 3), dtype=complex)
+    asymmetric[0, 1] = HERMITIAN_TOL * max(1.0, np.abs(rank1[0]).max())
+    for factor, raises in ((0.5, False), (2.0, True)):
+        indefinite = conjugated_spectra([-factor * PSD_TOL * scale, 0.5 * trace, trace], 1, rng)
+        for check in (psd_sqrt_eigvalsh, psd_sqrt_eigh, sqrtm_psd):
+            for bad, error in ((indefinite, NotPSD), (rank1[:1] + factor * asymmetric, NotHermitian)):
+                if raises:
+                    with pytest.raises(error):
+                        check(np.concatenate([rank1[1:4], bad]))
+                else:
+                    check(np.concatenate([rank1[1:4], bad]))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_matrices_fail_every_check(bad):
-    # a NaN residual is not within any tolerance
+    # a NaN residual is not within any tolerance, and no check warns on the way
     m = np.eye(3, dtype=complex) / 3
     m[0, 0] = bad
     stack = np.stack([np.eye(3) / 3, m])

@@ -57,6 +57,13 @@ def pure_steered_skew(psi, dims, u, km):
     return total
 
 
+def at_one(cost, *rows):
+    """``cost``, which takes a stack of U with one data row each (the cost
+    contract of ``optim.search``), at one U with the one-row stacks ``rows``:
+    that member's value and gradient."""
+    return lambda u: tuple(x[0] for x in cost(u[None], *rows))
+
+
 def assert_gradient(objective, n, rng, reference=None):
     """G is antihermitian with a zero diagonal, and Re Tr(G† Omega) is the
     derivative of ``reference`` (default: the objective's own value) along
@@ -81,7 +88,7 @@ def test_lqu_gradient_matches_central_difference(dims, rank, rng):
     for side, n_side in (("A", n_a), ("B", n_b)):
         form = local_skew_forms(state.matrix, state.dims, side)
         lam = np.sort(rng.standard_normal(n_side))
-        assert_gradient(lambda u: _eigenbasis_cost(u, form, lam), n_side, rng)
+        assert_gradient(at_one(_eigenbasis_cost, form[None], lam[None]), n_side, rng)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -90,8 +97,8 @@ def test_steering_gradients_match_central_difference(dims, rng):
     state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     r4 = _tensor(state)
-    assert_gradient(lambda u: _skew_objective(u, r4, km), n_a, rng)
-    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng)
+    assert_gradient(at_one(_skew_objective, r4, km[None]), n_a, rng)
+    assert_gradient(at_one(_q_objective, r4), n_a, rng)
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -105,9 +112,9 @@ def test_steering_gradients_on_pure_states(dims, rng):
     km = random_nondegenerate_observable(n_b, rng=rng).matrix
     r4 = _tensor(state)
     assert_gradient(
-        lambda u: _skew_objective(u, r4, km), n_a, rng, reference=lambda u: -pure_steered_skew(psi, dims, u, km)
+        at_one(_skew_objective, r4, km[None]), n_a, rng, reference=lambda u: -pure_steered_skew(psi, dims, u, km)
     )
-    assert_gradient(lambda u: _q_objective(u, r4), n_a, rng, reference=lambda u: 1.0 - n_b)
+    assert_gradient(at_one(_q_objective, r4), n_a, rng, reference=lambda u: 1.0 - n_b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -139,16 +146,16 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
     if kind == "lqu":
         form = local_skew_forms(state.matrix, state.dims, "A")
-        lam = np.sort(rng.standard_normal(n_a))
-        objective = lambda u: _eigenbasis_cost(u, form, lam)  # noqa: E731
+        cost, rows = _eigenbasis_cost, (form[None], np.sort(rng.standard_normal(n_a))[None])
     elif kind == "skew":
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
-        objective = lambda u: _skew_objective(u, _tensor(state), km)  # noqa: E731
+        cost, rows = _skew_objective, (_tensor(state), km[None])
     else:
-        objective = lambda u: _q_objective(u, _tensor(state))  # noqa: E731
+        cost, rows = _q_objective, (_tensor(state),)
+    objective = at_one(cost, *rows)
     seed_u = haar_unitary(n_a, rng)
     opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
-    found = optim.search(objective, (), optim.restart_bases(n_a, opts, [seed_u], rng)[None], opts)
+    found = optim.search(cost, rows, optim.restart_bases(n_a, opts, [seed_u], rng)[None], opts)
     (value,), (unitary,), (restarts_used,) = found.values, found.unitaries, found.restarts_used
     assert abs(value - objective(unitary)[0]) <= 1e-12
     assert value <= objective(seed_u)[0]
@@ -290,17 +297,17 @@ def test_objectives_ignore_column_phases(dims, rng):
     state = BipartiteState(ginibre_state(n_a * n_b, rng=rng), n_a, n_b)
     for side, n_side in (("A", n_a), ("B", n_b)):
         form = local_skew_forms(state.matrix, state.dims, side)
-        lam = np.sort(rng.standard_normal(n_side))
+        # the search cost of the LQU: I(rho, U diag(lam) U^dagger on the side)
+        cost = at_one(_eigenbasis_cost, form[None], np.sort(rng.standard_normal(n_side))[None])
         for _ in range(10):
             u = haar_unitary(n_side, rng)
             ud = u * random_phases(n_side, rng)
-            # the search cost of the LQU: I(rho, U diag(lam) U^dagger on the side)
-            assert abs(_eigenbasis_cost(u, form, lam)[0] - _eigenbasis_cost(ud, form, lam)[0]) <= 1e-12
-    km = random_nondegenerate_observable(n_b, rng=rng).matrix
+            assert abs(cost(u)[0] - cost(ud)[0]) <= 1e-12
+    cost = at_one(_skew_objective, _tensor(state), random_nondegenerate_observable(n_b, rng=rng).matrix[None])
     for _ in range(10):
         u = haar_unitary(n_a, rng)
         ud = u * random_phases(n_a, rng)
-        assert abs(_skew_objective(u, _tensor(state), km)[0] - _skew_objective(ud, _tensor(state), km)[0]) <= 1e-12
+        assert abs(cost(u)[0] - cost(ud)[0]) <= 1e-12
 
 
 def assert_stack_is_its_restarts_alone(cost, data, bases, opts, floor=None):
@@ -344,7 +351,7 @@ def test_search_stacks_problems_without_changing_their_results():
     found = assert_stack_is_its_restarts_alone(_eigenbasis_cost, lqu_data, bases, opts, 1e-11)
     assert found.restarts_used[2] < bases.shape[1]  # the floor stops the product's count
     km = random_nondegenerate_observable(2, rng=rng).matrix
-    steering_data = (_tensor(states[0])[None], km[None])
+    steering_data = (_tensor(states[0]), km[None])
     assert_stack_is_its_restarts_alone(_skew_objective, steering_data, optim.restart_bases(3, opts, rng=rng)[None], opts)
 
 

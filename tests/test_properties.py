@@ -88,8 +88,8 @@ def test_steered_q_of_every_basis_is_bounded_by_q_local(seed, dims, rank_frac, p
     else:
         n = n_a * n_b
         state = BipartiteState(ginibre_state(n, rank=1 + int(rank_frac * (n - 1)), rng=rng), n_a, n_b)
-    values = _steered_q(_tensor(state), haar_unitaries(n_a, count, rng))
-    assert values.shape == (count,)
+    values = _steered_q(_tensor(state), haar_unitaries(n_a, count, rng)[None])
+    assert values.shape == (1, count)
     assert values.max() <= q_local(state, "B") + 1e-12
 
 
@@ -166,4 +166,4 @@ def test_bounds_hold_on_boundary_states(seed, dims, rank_frac, kraus_count, at_g
     bases = haar_unitaries(n_a, 8, rng)
     for u in bases:
         assert steered_skew_sum(state, MeasurementBasis(u), k_b) <= joint + 1e-8
-    assert _steered_q(_tensor(state), bases).max() <= q_local(state, "B") + 1e-8
+    assert _steered_q(_tensor(state), bases[None]).max() <= q_local(state, "B") + 1e-8

@@ -179,7 +179,7 @@ def test_steered_sums_are_exact_on_pure_states(dims):
     for _ in range(5):
         state = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
         bases = haar_unitaries(n_a, 20, rng)
-        values = steering._steered_q(steering._tensor(state), bases)
+        values = steering._steered_q(steering._tensor(state), bases[None])
         np.testing.assert_allclose(values, n_b - 1.0, rtol=0.0, atol=1e-12)
         for u in bases:
             theta = MeasurementBasis(u)
@@ -216,12 +216,13 @@ def test_steered_q_equals_exact_oracles_on_pure_and_classical_quantum_states(dim
     rng = stream(101, 10 * n_a + n_b)
     for _ in range(5):
         pure = BipartiteState(ginibre_state(n_a * n_b, rank=1, rng=rng), n_a, n_b)
-        values = steering._steered_q(steering._tensor(pure), haar_unitaries(n_a, 20, rng))
+        values = steering._steered_q(steering._tensor(pure), haar_unitaries(n_a, 20, rng)[None])
         np.testing.assert_allclose(values, n_b - 1.0, rtol=0.0, atol=1e-13)
         cq, expected = classical_quantum_state(n_a, n_b, rng)
         phases = np.exp(2j * np.pi * rng.random((4, n_a)))
         bases = np.array([np.diag(ph)[:, np.roll(np.arange(n_a), s)] for s, ph in enumerate(phases)])
-        np.testing.assert_allclose(steering._steered_q(steering._tensor(cq), bases), expected, rtol=0.0, atol=1e-13)
+        values = steering._steered_q(steering._tensor(cq), bases[None])
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-13)
 
 
 def test_steering_induced_skew_product_saturates(rng):
@@ -292,7 +293,7 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
     states, bases = _skipping_states_and_bases(n_a, n_b, rng)
     for state in states:
         per_basis = np.array([steered_q_sum(state, MeasurementBasis(u)) for u in bases])
-        np.testing.assert_array_equal(steering._steered_q(steering._tensor(state), bases), per_basis)
+        np.testing.assert_array_equal(steering._steered_q(steering._tensor(state), bases[None])[0], per_basis)
     if n_a > 1:
         # the product state really has null outcomes, and not the same ones in every basis
         skipped = {tuple(steer(states[0], MeasurementBasis(u)).skipped) for u in bases}
@@ -301,10 +302,10 @@ def test_stacked_steered_q_equals_per_basis_sum_bit_for_bit(dims):
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 3), (1, 3)])
 def test_steered_q_of_the_avg_harness_stack_equals_per_basis_sum_bit_for_bit(dims):
-    # the avg harness conditions (T, 1) states on (T, 20) bases, so each
-    # state's 20 bases fold into the rows of one product (60 rows at 3x3);
-    # every member still equals the per-basis sum bit for bit, in that
-    # layout and as a 20-basis stack of one state
+    # the avg harness conditions T states on (T, 20) bases, so each state's
+    # 20 bases fold into the rows of one product (60 rows at 3x3); every
+    # member still equals the per-basis sum bit for bit, in that stack and
+    # in a stack of one state
     n_a, n_b = dims
     rng = stream(97, 10 * n_a + n_b)
     states, bases = _skipping_states_and_bases(n_a, n_b, rng)
@@ -312,10 +313,11 @@ def test_steered_q_of_the_avg_harness_stack_equals_per_basis_sum_bit_for_bit(dim
     per_basis = np.array(
         [[steered_q_sum(state, MeasurementBasis(u)) for u in row] for state, row in zip(states, stacks)]
     )
-    r4 = np.array([steering._tensor(state) for state in states])
-    np.testing.assert_array_equal(steering._steered_q(r4[:, None], stacks), per_basis)
+    r4 = np.concatenate([steering._tensor(state) for state in states])
+    np.testing.assert_array_equal(steering._steered_q(r4, stacks), per_basis)
     for t, state in enumerate(states):
-        np.testing.assert_array_equal(steering._steered_q(steering._tensor(state), stacks[t]), per_basis[t])
+        values = steering._steered_q(steering._tensor(state), stacks[t : t + 1])
+        np.testing.assert_array_equal(values, per_basis[t : t + 1])
 
 
 def eigh_steered_q(state: BipartiteState, u: np.ndarray) -> float:
@@ -342,10 +344,11 @@ def kron_conditionals(rho: np.ndarray, u: np.ndarray, n_b: int) -> np.ndarray:
 
 @pytest.mark.parametrize("dims", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_condition_equals_a_kron_oracle_in_every_layout(dims):
-    # one basis of one state, a stack of bases of one state, (T, k) bases of
-    # (T, 1, ...) states, member by member, and (k, T) bases of (T, ...)
-    # states: each conditional equals the kron-built one, on a full-rank, a
-    # pure and a product state
+    # the stacks its callers pass: one basis of one state (the single
+    # calls), k bases of one state, k bases of each of T states (the avg
+    # harness) and one basis of each of T states (the search costs); each
+    # conditional equals the kron-built one, on a full-rank, a pure and a
+    # product state
     n_a, n_b = dims
     rng = stream(89, 10 * n_a + n_b)
     product, _ = product_state(n_a, n_b, rng)
@@ -362,11 +365,10 @@ def test_condition_equals_a_kron_oracle_in_every_layout(dims):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
     for t in range(len(states)):
-        check(steering._condition(r4[t], bases[t, 0]), expected[t, 0])
-        check(steering._condition(r4[t], bases[t]), expected[t])
-    check(steering._condition(r4[:, None], bases), expected)
-    check(steering._condition(r4, bases[:, 0]), expected[:, 0])
-    check(steering._condition(r4, bases.swapaxes(0, 1)), expected.swapaxes(0, 1))
+        check(steering._condition(r4[t : t + 1], bases[t : t + 1, :1]), expected[t : t + 1, :1])
+        check(steering._condition(r4[t : t + 1], bases[t : t + 1]), expected[t : t + 1])
+    check(steering._condition(r4, bases), expected)
+    check(steering._condition(r4, bases[:, :1]), expected[:, :1])
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (1, 3)])
@@ -383,7 +385,8 @@ def test_eigenvalue_only_steered_q_equals_an_eigh_oracle(dims):
     states, bases = _skipping_states_and_bases(n_a, n_b, rng)
     for state in states:
         expected = [eigh_steered_q(state, u) for u in bases]
-        np.testing.assert_allclose(steering._steered_q(steering._tensor(state), bases), expected, rtol=0.0, atol=1e-14)
+        values = steering._steered_q(steering._tensor(state), bases[None])[0]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
