@@ -39,7 +39,7 @@ class RunConfig:
     restarts: int | None = None  # None means the subcommand's default budget
     mode: str = "random_K"  # claim2 only
     tol: float = 1e-7
-    master_seed: int = 42
+    master_seed: int | None = None  # None means the default seed, 42
     kraus_count: int = 2
     bases_per_trial: int = 20
     out_path: str | None = None
@@ -68,7 +68,8 @@ _FLAGS = {
     "--format": dict(dest="out_format", choices=tuple(_FORMATS)),
     "--out": dict(dest="out_path", metavar="PATH"),
 }
-_EXACT_LQU = "--restarts does not apply to {}: side A is a qubit, so its LQU is exact and no search runs"
+_EXACT_LQU = "{} does not apply to {}: side A is a qubit, so its LQU is exact and no search runs"
+_SEED = 42
 _VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
 COMMANDS = {
     "skew": ("--state-file", "--spectrum", "--basis-file", "--out"),
@@ -295,11 +296,14 @@ def _run_q(config: RunConfig) -> int:
 
 def _run_lqu(config: RunConfig) -> int:
     state = _require_state(config, bipartite=True)
-    if config.restarts is not None and state.n_a == 2:
-        raise UsageError(_EXACT_LQU.format(config.command))
+    # --restarts sizes the search and --seed draws its restarts
+    for flag, value in (("--restarts", config.restarts), ("--seed", config.master_seed)):
+        if value is not None and state.n_a == 2:
+            raise UsageError(_EXACT_LQU.format(flag, config.command))
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
-    result = lqu(state, lam, "A", opts=opts, rng=stream(config.master_seed, 0))
+    seed = _SEED if config.master_seed is None else config.master_seed
+    result = lqu(state, lam, "A", opts=opts, rng=stream(seed, 0))
     _emit(
         [
             f"lqu = {result.value:.6f}",
@@ -314,7 +318,8 @@ def _run_lqu(config: RunConfig) -> int:
 
 def _run_steer(config: RunConfig) -> int:
     state = _require_state(config, bipartite=True)
-    basis = MeasurementBasis(haar_unitary(state.n_a, stream(config.master_seed, 0)))
+    seed = _SEED if config.master_seed is None else config.master_seed
+    basis = MeasurementBasis(haar_unitary(state.n_a, stream(seed, 0)))
     ensemble = steer(state, basis)
     lines = [f"outcomes = {len(ensemble.probabilities)}", f"skipped = {len(ensemble.skipped)}"]
     for idx, (p, rho_i) in enumerate(zip(ensemble.probabilities, ensemble.states)):
@@ -336,10 +341,11 @@ _HARNESSES = {
 
 def _run_verify(config: RunConfig) -> int:
     harness, field = _HARNESSES[config.command]
-    kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", "master_seed", field)}
+    kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", field)}
+    kwargs["master_seed"] = _SEED if config.master_seed is None else config.master_seed
     if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
         if config.command == "verify claim1" and config.n_a == 2:
-            raise UsageError(_EXACT_LQU.format(config.command))
+            raise UsageError(_EXACT_LQU.format("--restarts", config.command))
         kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
     report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))

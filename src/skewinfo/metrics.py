@@ -98,12 +98,13 @@ def q_local(rho_ab: BipartiteState, side: Side) -> float:
 
 def local_skew_forms(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
     """I(rho_AB, K ⊗ I) (or I ⊗ K) as a quadratic form in the local
-    observable K, ``I = vec(K)^T form vec(K)``: the model behind both the
-    LQU search and the qubit-side closed form. The form of a joint state
-    matrix on A ⊗ B, or of each member of an ``(..., d, d)`` stack, is
-    ``(..., n^2, n^2)`` for the side's dimension n; it is built from the
-    reduced state and a rank-4 contraction of the state's square root, so
-    an evaluation touches only side-local matrices."""
+    observable K, ``I = vec(K)^T form vec(K)``: the one model of a side-local
+    skew value, behind the LQU's search and qubit closed form and, through
+    ``_eigenbasis_cost``, the claim harnesses' values at a given K. The form
+    of a joint state matrix on A ⊗ B, or of each member of an ``(..., d,
+    d)`` stack, is ``(..., n^2, n^2)`` for the side's dimension n; it is
+    built from the reduced state and a rank-4 contraction of the state's
+    square root, so an evaluation touches only side-local matrices."""
     n = side_dim(dims, side)
     root = sqrtm_psd(rho)
     lead = rho.shape[:-2]
@@ -222,8 +223,8 @@ def _lqu_search(
 
     Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
     the unitary group, in quasi-Newton directions built from its analytic
-    gradient, for at most ``opts.max_iters`` accepted steps; restarts stop
-    early once the value reaches ``LQU_FLOOR``.
+    gradient, for at most ``opts.max_iters`` accepted steps; the restarts
+    after the first that reaches ``LQU_FLOOR`` are left out of the result.
     """
     spectra = np.broadcast_to(lam, (len(forms), lam.size))
     found = optim.search(_eigenbasis_cost, (forms, spectra), bases, opts, LQU_FLOOR)

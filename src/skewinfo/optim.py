@@ -178,8 +178,6 @@ def _descend(
     data: tuple[np.ndarray, ...],
     max_iters: int,
     stop_gain: float,
-    floor: float | None = None,
-    restarts: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """BFGS descent of every member of the stack ``u`` (with its rows of
     ``data``); returns the last accepted values and points, and per member
@@ -199,11 +197,7 @@ def _descend(
 
     The members advance in rounds. A round takes one stacked
     eigendecomposition for the members that turn to a new direction and
-    one stacked ``cost`` call for every member in a line search. The stack
-    holds the problems' ``restarts`` consecutive members each; when a
-    member stops at or below ``floor``, the later members of its problem
-    are dropped: the restarts after one that reached the floor are never
-    used.
+    one stacked ``cost`` call for every member in a line search.
     """
     m, n = u.shape[0], u.shape[-1]
     rows, cols = np.triu_indices(n, 1)
@@ -229,8 +223,6 @@ def _descend(
         hinv[reset], fresh[reset], turning[reset] = eye, True, True
 
     while True:
-        if floor is not None:
-            was_active = active.copy()
         turn = np.flatnonzero(turning)
         if turn.size:
             turning[turn] = False
@@ -276,12 +268,6 @@ def _descend(
                 step[rej] = 0.5 * t[~ok]
                 fail(rej[step[rej] * sl[~ok] <= stop_gain])
 
-        if floor is not None:
-            hit = (was_active & ~active & (value <= floor)).reshape(-1, restarts)
-            dropped = np.zeros_like(hit)
-            dropped[:, 1:] = np.logical_or.accumulate(hit, axis=1)[:, :-1]
-            active[dropped.ravel()] = False
-            turning[dropped.ravel()] = False
         if not active.any():
             return value, u, evals, iters
 
@@ -313,24 +299,18 @@ def search(
     restart also ends when a step from Hinv = I gains at most
     ``opts.tol / 100`` or has no room to. The restarts count in order, and
     the count stops at the first one that brings the best value to
-    ``floor`` or below.
+    ``floor`` or below: every restart descends to its own stop, and those
+    after that one are left out of the result.
 
     Returns, per problem, the best value found (the first restart
     attaining it), its unitary, the number of restarts used, a
     convergence flag (best two restarts agreeing within 10x tol, or the
     floor reached), and the cost evaluations and accepted steps of all
-    its restarts, those dropped after the floor included.
+    its restarts, those after the floor included.
     """
     t, r, n = bases.shape[:3]
-    values, units, evals, steps = _descend(
-        cost,
-        bases.reshape(t * r, n, n),
-        tuple(np.repeat(d, r, axis=0) for d in data),
-        opts.max_iters,
-        1e-2 * opts.tol,
-        floor,
-        r,
-    )
+    data = tuple(np.repeat(d, r, axis=0) for d in data)
+    values, units, evals, steps = _descend(cost, bases.reshape(t * r, n, n), data, opts.max_iters, 1e-2 * opts.tol)
     values, units = values.reshape(t, r), units.reshape(t, r, n, n)
     at_floor = np.zeros((t, r), dtype=bool) if floor is None else values <= floor
     floor_hit = at_floor.any(axis=1)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import UsageError
 from .linalg import kron
-from .metrics import _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
+from .metrics import _clamp, _eigenbasis_cost, _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
 from .optim import OptimizerOptions, restart_draws
 from .rand import (
     commuting_kraus_from_gaussians,
@@ -36,7 +36,6 @@ from .states import (
     apply_kraus,
     check_spectrum,
     observable_matrices,
-    require_observables,
     require_states,
     require_unitary,
 )
@@ -319,17 +318,14 @@ def _claim1_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> t
     n_a, n_b, _, opts = params
     rho_a, tau_b, k_basis, kraus_ops, bases = _claim1_sample(params, master_seed, indices)
     lam = check_spectrum(default_spectrum(n_a))
-    k_a = observable_matrices(k_basis, lam)
     evolved = require_states(apply_kraus(kraus_ops, require_states(kron(rho_a, tau_b))))
-
-    rhs = skew_informations(rho_a, k_a)
-    # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs
-    k_full = require_observables(kron(k_a, np.eye(n_b)))
-    mono_ok = skew_informations(evolved, k_full) <= rhs + MONOTONICITY_TOL
-
+    rhs = skew_informations(rho_a, observable_matrices(k_basis, lam))
     forms = local_skew_forms(evolved, (n_a, n_b), "A")
+    # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs, and the
+    # monotonicity check bounds I(eps(sigma), K_A ⊗ I): the LQU search's value at its first point, K_A
+    seed = _eigenbasis_cost(k_basis, forms, np.broadcast_to(lam, (len(forms), n_a)))[0]
     lhs = _lqu_qubit(forms, lam)[0] if n_a == 2 else _lqu_search(forms, lam, opts, bases)[0]
-    return lhs, rhs, mono_ok
+    return lhs, rhs, seed <= rhs + MONOTONICITY_TOL
 
 
 def verify_claim1(
@@ -370,29 +366,29 @@ def verify_claim1(
 
 def _claim2_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     # Per trial, the draws of ginibre_state; then in argmin_K mode the LQU
-    # search's restart bases on a larger side B (none on a qubit B), or in
-    # random_K mode the eigenbasis of random_nondegenerate_observable; then
-    # the steering search's restart bases.
+    # search's restart bases on B (none on a qubit B, whose LQU is a closed
+    # form), or in random_K mode the eigenbasis of
+    # random_nondegenerate_observable; then the steering search's restart
+    # bases.
     n_a, n_b, mode, opts = params
     d = n_a * n_b
     if mode == "argmin_K":
-        draws_b = restart_draws(opts, 0) if n_b > 2 else 0
+        draws_b = restart_draws(opts, 0) if n_b != 2 else 0
     else:
         draws_b = 1
     shapes = [(2, d, d), (draws_b, 2, n_b, n_b), (restart_draws(opts, 0), 2, n_a, n_a)]
     g_rho, g_b, g_a = _gaussians(master_seed, indices, shapes)
     rho = require_states(ginibre_from_gaussians(g_rho))
     lam = check_spectrum(default_spectrum(n_b))
-    if mode == "argmin_K":
-        forms = local_skew_forms(rho, (n_a, n_b), "B")
-        if n_b == 2:
-            rhs, k_basis = _lqu_qubit(forms, lam)
-        else:
-            rhs, k_basis, _ = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))
-        km = observable_matrices(k_basis, lam)
+    forms = local_skew_forms(rho, (n_a, n_b), "B")
+    if mode == "random_K":
+        k_basis = require_unitary(haar_from_gaussians(g_b[:, 0]), "unitary eigenbasis")
+        rhs = _clamp(_eigenbasis_cost(k_basis, forms, np.broadcast_to(lam, (len(forms), n_b)))[0])
+    elif n_b == 2:
+        rhs, k_basis = _lqu_qubit(forms, lam)
     else:
-        km = observable_matrices(require_unitary(haar_from_gaussians(g_b[:, 0]), "unitary eigenbasis"), lam)
-        rhs = skew_informations(rho, require_observables(kron(np.eye(n_a), km)))
+        rhs, k_basis, _ = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))
+    km = observable_matrices(k_basis, lam)
     r4 = rho.reshape(-1, n_a, n_b, n_a, n_b)
     lhs, _, _ = _maximize(_skew_objective, (r4, km), opts, haar_from_gaussians(g_a))
     return lhs, rhs, np.ones(len(indices), dtype=bool)

@@ -36,7 +36,7 @@ def test_parse_defaults():
     config = parse_args(["verify", "claim2"])
     assert (config.n_a, config.n_b) == (2, 2)
     assert config.trials == 1000
-    assert config.master_seed == 42
+    assert config.master_seed is None  # the default seed, 42; lqu tells it from a given one
     assert config.restarts is None  # each subcommand picks its own budget
     assert config.tol == 1e-7
     assert config.kraus_count == 2
@@ -139,12 +139,26 @@ def test_run_lqu_bell(tmp_path, capsys):
 
 
 def test_restarts_is_a_usage_error_where_side_a_is_a_qubit(tmp_path, capsys):
-    # a qubit side A has an exact LQU and no search for --restarts to size;
-    # claim2's steering search on A still reads it, and a qutrit A's LQU search
+    # a qubit side A has an exact LQU and no search for --restarts to size,
+    # nor restarts for lqu's --seed to draw; claim2's steering search on A
+    # still reads --restarts, and a qutrit A's LQU search both flags
     state = write(tmp_path, "bell.txt", BELL)
-    for argv in (["lqu", "--state-file", state, "--restarts", "9"], "verify claim1 --trials 2 --restarts 7".split()):
+    for argv in (
+        ["lqu", "--state-file", state, "--restarts", "9"],
+        ["lqu", "--state-file", state, "--seed", "1"],
+        ["lqu", "--state-file", state, "--seed", "42"],
+        "verify claim1 --trials 2 --restarts 7".split(),
+    ):
         assert main(argv) == 2
-        assert "side A is a qubit, so its LQU is exact" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{argv[-2]} does not apply to" in err and "side A is a qubit, so its LQU is exact" in err
+    diagonal = ("0.25", "0.25", "0.125", "0.125", "0.125", "0.125")
+    rows = [" ".join(v if i == j else "0" for j in range(6)) for i, v in enumerate(diagonal)]
+    qutrit = write(tmp_path, "diag32.txt", "dims: 3 2\n" + "\n".join(rows) + "\n")
+    assert main(["lqu", "--state-file", qutrit]) == 0
+    default = capsys.readouterr().out
+    assert main(["lqu", "--state-file", qutrit, "--seed", "42", "--restarts", "16"]) == 0
+    assert capsys.readouterr().out == default  # the defaults are seed 42 and 16 restarts
     assert main("verify claim1 --dim-a 3 --trials 2 --restarts 3".split()) == 0
     assert "config.opt_restarts=3" in capsys.readouterr().out
     assert main("verify claim2 --trials 2 --restarts 3".split()) == 0
@@ -249,7 +263,7 @@ def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
 
 
 def test_seed_and_format_take_their_defaults_after_the_check(tmp_path, capsys):
-    assert parse_args(["lqu"]).master_seed == 42
+    assert parse_args(["lqu"]).master_seed is None  # 42 when it is drawn from
     assert parse_args("steer --seed 7".split()).master_seed == 7
     assert parse_args("verify avg --format json".split()).out_format == "json-lines"
     assert parse_args("verify avg --format csv".split()).out_format == "csv"

@@ -1,26 +1,35 @@
-"""Reference checks of the steering harnesses: each record recomputed from
-the paper's definitions, one trial, basis and outcome at a time.
+"""Reference checks of the harnesses: each record recomputed from the
+paper's definitions, one trial, basis and outcome at a time.
 
 Each trial is redrawn from its own stream ``stream(master_seed, t)`` with
-the public samplers, in the order the harnesses document. The conditional
-states are built explicitly as (<u_i| x I) rho (|u_i> x I), and every
-square root is SciPy's ``sqrtm``; nothing is stacked. The one package
-value used is claim2's ``argmin_K`` observable, which the public ``lqu``
-recomputes from the trial's own draws: the check it enters is one-sided.
+the public samplers, in the order the harnesses document. The channel
+output is the explicit Kraus sum, the conditional states are built
+explicitly as (<u_i| x I) rho (|u_i> x I), and every square root is
+SciPy's ``sqrtm`` (the qubit-side LQU oracle of ``conftest`` roots with
+SciPy's ``eigh``); nothing is stacked. The package values used are the
+searched LQU minimizers, claim1's on a larger side A and claim2's
+``argmin_K`` observable, which the public ``lqu`` recomputes from the
+trial's own draws: the record must be the skew information at claim1's,
+and claim2's enters a one-sided check.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import oracle_lqu_qubit
 from skewinfo import (
     BipartiteState,
+    DensityMatrix,
+    apply_channel,
+    commuting_kraus_channel,
     ginibre_state,
     haar_unitaries,
     lqu,
     random_nondegenerate_observable,
     stream,
     verify_avg_bound,
+    verify_claim1,
     verify_claim2,
 )
 from skewinfo.optim import restart_bases
@@ -30,11 +39,14 @@ from skewinfo.verify import HARNESS_OPTS
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 TRIALS = 32
 MASTER_SEED = 5
-# avg: both sides are closed forms; SciPy's Schur root and the package's
-# stacked eigenvalue roots agree to a few 1e-15 on full-rank Ginibre states
+# the closed-form sides (avg, claim1 rhs, claim2 random_K rhs, and the LQU
+# on a qubit side): SciPy's roots and the package's stacked roots agree to
+# a few 1e-15 on full-rank Ginibre states
 EXACT_TOL = 1e-13
-# claim2: the steering search starts at each restart basis and never ends
-# below its start, so lhs is at least the steered sum at each of them
+# the searched sides: claim1's LQU search starts at K_A's eigenbasis and
+# never ends above its start, so lhs is at most I(eps(sigma), K_A x I);
+# the steering search starts at each restart basis and never ends below
+# its start, so claim2 lhs is at least the steered sum at each of them
 SEARCH_TOL = 1e-12
 
 
@@ -96,6 +108,35 @@ def test_avg_records_equal_the_definitions(dims):
         assert abs(record.rhs - q_local_b(rho, n_a, n_b)) <= EXACT_TOL, record.trial_index
 
 
+@pytest.mark.parametrize("dims", DIMS)
+def test_claim1_records_against_the_definitions(dims):
+    # per trial: ginibre_state on A, then on B, random_nondegenerate_observable
+    # K_A, commuting_kraus_channel(K_A, n_B, kraus_count), and on a larger
+    # side A the LQU search's restart bases (K_A's eigenbasis first), which
+    # lqu draws to recompute the search's minimizer
+    n_a, n_b = dims
+    _, records = verify_claim1(n_a, n_b, trials=TRIALS, master_seed=MASTER_SEED, workers=1)
+    lam = default_spectrum(n_a)
+    for record in records:
+        rng = stream(MASTER_SEED, record.trial_index)
+        rho_a, tau_b = ginibre_state(n_a, rng=rng).matrix, ginibre_state(n_b, rng=rng).matrix
+        observable = random_nondegenerate_observable(n_a, rng=rng)
+        k_a, sigma = observable.matrix, np.kron(rho_a, tau_b)
+        channel = commuting_kraus_channel(observable, n_b, 2, rng)
+        evolved = sum(e @ sigma @ e.conj().T for e in channel.kraus_ops)
+        assert abs(record.rhs - skew(rho_a, k_a)) <= EXACT_TOL, record.trial_index
+        start = skew(evolved, np.kron(k_a, np.eye(n_b)))
+        assert record.lhs <= start + SEARCH_TOL, (record.trial_index, record.lhs - start)
+        if n_a == 2:
+            exact = oracle_lqu_qubit(evolved, dims, "A", lam)
+            assert abs(record.lhs - exact) <= EXACT_TOL, (record.trial_index, record.lhs - exact)
+        else:
+            state = BipartiteState(apply_channel(channel, DensityMatrix(sigma)), n_a, n_b)
+            k = lqu(state, lam, "A", opts=HARNESS_OPTS, seeds=(observable,), rng=rng).minimizer.matrix
+            at_k = skew(evolved, np.kron(k, np.eye(n_b)))
+            assert abs(record.lhs - at_k) <= EXACT_TOL, (record.trial_index, record.lhs - at_k)
+
+
 @pytest.mark.parametrize("mode", ["argmin_K", "random_K"])
 @pytest.mark.parametrize("dims", DIMS)
 def test_claim2_lhs_is_at_least_the_steered_sum_at_each_restart_basis(dims, mode):
@@ -113,6 +154,9 @@ def test_claim2_lhs_is_at_least_the_steered_sum_at_each_restart_basis(dims, mode
         rho = state.matrix
         if mode == "argmin_K":
             k = lqu(BipartiteState(state, n_a, n_b), lam, "B", opts=HARNESS_OPTS, rng=rng).minimizer.matrix
+            if n_b == 2:
+                exact = oracle_lqu_qubit(rho, dims, "B", lam)
+                assert abs(record.rhs - exact) <= EXACT_TOL, (record.trial_index, record.rhs - exact)
         else:
             k = random_nondegenerate_observable(n_b, rng=rng).matrix
             assert abs(record.rhs - skew(rho, np.kron(np.eye(n_a), k))) <= EXACT_TOL, record.trial_index

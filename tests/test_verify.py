@@ -36,7 +36,8 @@ from skewinfo import (
     write_report,
 )
 import skewinfo
-from skewinfo import optim, verify
+from skewinfo import metrics, optim, verify
+from skewinfo.optim import restart_draws
 from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
@@ -80,6 +81,45 @@ def test_claim2_both_modes_no_violations():
         assert report.failed == 0
         assert report.config["mode"] == mode
         assert all(not math.isnan(r.margin) for r in records)
+
+
+def test_claim2_argmin_on_a_one_level_side_b():
+    # a 1-level B has no qubit closed form, so its LQU search runs on the
+    # drawn restarts; every observable on it is a multiple of the identity
+    for n_a in (2, 3):
+        report, records = verify_claim2(n_a=n_a, n_b=1, trials=4, master_seed=5, mode="argmin_K", workers=1)
+        assert report.failed == 0 and report.violations == 0
+        assert all(r.lhs == 0.0 for r in records)
+        # the form's value at the identity, zero up to rounding
+        assert all(0.0 <= r.rhs <= 1e-14 for r in records)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
+def test_claim1_lhs_is_at_most_the_monotonicity_value(dims, monkeypatch):
+    # the monotonicity check reads I(eps(sigma), K_A x I) from the local skew
+    # form at K_A's eigenbasis: on a larger side A, bit for bit the search's
+    # first value at its first restart, which it never ends above; on a
+    # qubit side A, at least the exact minimum
+    n_a, n_b = dims
+    checked, searched = [], []
+    cost = metrics._eigenbasis_cost
+
+    def recorded(into):
+        def record(u, forms, spectra):
+            into.append(cost(u, forms, spectra))
+            return into[-1]
+
+        return record
+
+    monkeypatch.setattr(verify, "_eigenbasis_cost", recorded(checked))
+    monkeypatch.setattr(metrics, "_eigenbasis_cost", recorded(searched))
+    report, records = verify_claim1(n_a=n_a, n_b=n_b, trials=40, master_seed=11, workers=1)
+    ((seed_values, _),) = checked
+    assert report.failed == 0 and report.monotonicity_violations == 0
+    assert all(r.lhs <= seed for r, seed in zip(records, seed_values))
+    if n_a > 2:
+        restarts = restart_draws(HARNESS_OPTS, 1) + 1
+        np.testing.assert_array_equal(searched[0][0][::restarts], seed_values)
 
 
 def test_avg_bound_no_violations():
