@@ -1,10 +1,11 @@
 """Command-line frontend.
 
 Subcommands: ``skew``, ``q``, ``lqu``, ``steer``, and ``verify
-claim1|claim2|avg``. Exit status is 0 on success, 1 when a verification
-finds violations (or an operation fails), and 2 on usage errors. Given
-the same command line and seed, stdout and output files are
-byte-identical across runs.
+claim1|claim2|avg``. Exit status is 0 on success, 1 when an operation
+fails or a verification reports violations, failed trials or
+monotonicity violations (after its summary and ``--out`` files are
+written), and 2 on usage errors. Given the same command line and seed,
+stdout and output files are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -351,7 +352,7 @@ def _run_verify(config: RunConfig) -> int:
     sys.stdout.write(verify_mod.summary_text(report))
     if config.out_path is not None:
         verify_mod.write_report(report, records, config.out_path, config.out_format)
-    return 1 if report.violations else 0
+    return 1 if report.violations or report.failed or report.monotonicity_violations else 0
 
 
 _RUNNERS = dict(skew=_run_skew, q=_run_q, lqu=_run_lqu, steer=_run_steer, **dict.fromkeys(_HARNESSES, _run_verify))

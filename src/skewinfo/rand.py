@@ -58,22 +58,36 @@ def streams(master_seed: int, indices: Iterable[int]) -> Iterator[np.random.Gene
 def _isometries(g: np.ndarray, n: int) -> np.ndarray:
     """The first n columns ``(..., m, n)`` of the Haar unitaries of the
     Gaussian blocks ``(..., 2, m, m)`` (real, then imaginary part of each
-    member): the thin QR of those columns of the complex Gaussian, with each
-    member's R-diagonal phases fixed. Column j of a QR depends only on the
-    first j columns, so these are the full QR's first n columns: bit for bit
-    while LAPACK factors both unblocked (the rand tests check m up to 12),
-    and equal to rounding once the full QR of a large m is blocked (at m =
-    128 they differ by about 1e-17)."""
-    z = (g[..., 0, :, :n] + 1j * g[..., 1, :, :n]) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    member): the Q of the QR with a positive real R diagonal of those
+    columns of the complex Gaussian Z = g_re + i g_im, which is Haar
+    distributed (Mezzadri, Notices AMS 54, 592, 2007). Q does not depend on
+    Z's scale, so Z is not scaled to unit variance.
+
+    Q is built by classical Gram-Schmidt with the projection applied twice,
+    which leaves it orthonormal to working precision (Giraud, Langou and
+    Rozloznik, Numer. Math. 101, 87, 2005): column j is
+    z_j - Q_{<j}(Q_{<j}^† z_j), taken twice, then normalized. Each step is
+    one stacked matmul pair, so the work is O(n) NumPy calls whatever the
+    stack. Column j reads only Z's first j columns and the same arithmetic
+    produces it whatever n is, so these are the full unitary's first n
+    columns bit for bit at every m."""
+    z = g[..., 0, :, :n] + 1j * g[..., 1, :, :n]
+    q = np.empty_like(z)
+    for j in range(z.shape[-1]):
+        v = z[..., j : j + 1]
+        if j:
+            prev = q[..., :j]
+            prev_h = prev.conj().swapaxes(-1, -2)
+            for _ in range(2):
+                v = v - prev @ (prev_h @ v)
+        q[..., j : j + 1] = v / np.linalg.norm(v, axis=-2, keepdims=True)
+    return q
 
 
 def haar_from_gaussians(g: np.ndarray) -> np.ndarray:
     """Haar-distributed unitaries ``(..., n, n)`` from Gaussian blocks
-    ``(..., 2, n, n)`` (real, then imaginary part of each member), via one
-    stacked QR with each member's R-diagonal phases fixed."""
+    ``(..., 2, n, n)`` (real, then imaginary part of each member), by one
+    stacked Gram-Schmidt pass over each member's columns (``_isometries``)."""
     return _isometries(g, g.shape[-1])
 
 
@@ -148,10 +162,9 @@ def _check_kraus_count(kraus_count: int) -> None:
 def cptp_from_gaussians(g: np.ndarray, n: int) -> np.ndarray:
     """Random CPTP Kraus sets ``(..., J, n, n)``: the blocks of the Stinespring
     isometry formed by the first n columns of the Haar unitary on n·J
-    dimensions of each member of ``g`` ``(..., 2, n·J, n·J)``, taken as the
-    thin QR of those columns alone (``_isometries``, the full unitary's
-    columns, bit for bit at small n·J); each set is checked for
-    completeness."""
+    dimensions of each member of ``g`` ``(..., 2, n·J, n·J)``, built from
+    those Gaussian columns alone (``_isometries``: bit for bit the full
+    unitary's columns); each set is checked for completeness."""
     v = _isometries(g, n)
     return require_complete(v.reshape(*v.shape[:-2], -1, n, n))
 

@@ -46,15 +46,25 @@ def require_states(m: np.ndarray) -> np.ndarray:
     """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is a
     density matrix: Hermitian (``require_observables``), of unit trace within
     ``TRACE_TOL`` and PSD within ``PSD_TOL``; otherwise raise
-    ``InvalidState`` with the largest residual."""
+    ``InvalidState`` with the largest residual. An empty stack passes.
+
+    PSD is first tried as a Cholesky factorization of m + (PSD_TOL/2) I.
+    Where it succeeds, every member has lambda_min > -PSD_TOL: at unit
+    trace the factorization's backward error is about n^2 eps, far below
+    PSD_TOL/2. Only a stack it rejects has its smallest eigenvalues
+    computed, which decides the verdict and gives the residual. Both read
+    the lower triangle."""
     require_observables(m)
     tr = np.trace(m, axis1=-2, axis2=-1)
-    tr = float(np.max(np.abs(tr.real - 1.0) + np.abs(tr.imag)))
+    tr = float(np.max(np.abs(tr.real - 1.0) + np.abs(tr.imag), initial=0.0))
     if tr > TRACE_TOL:
         raise InvalidState("unit trace", tr)
-    min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
-    if min_eig < -PSD_TOL:
-        raise InvalidState("positive semidefiniteness", -min_eig)
+    try:
+        np.linalg.cholesky(m + 0.5 * PSD_TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        min_eig = float(np.linalg.eigvalsh(m)[..., 0].min())
+        if min_eig < -PSD_TOL:
+            raise InvalidState("positive semidefiniteness", -min_eig) from None
     return m
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skewinfo import BipartiteState, DensityMatrix, InvalidState, ParseError, UsageError
+from skewinfo import verify as verify_mod
 from skewinfo.cli import COMMANDS, RunConfig, load_state, main, parse_args, run
 
 MIXED_2 = "dim: 2\n0.5+0j 0+0j\n0+0j 0.5+0j\n"
@@ -189,6 +190,29 @@ def test_run_verify_claim2_exit_zero(capsys):
     # --restarts overrides only the restart count of the harness budget
     assert "config.opt_restarts=3" in out
     assert "config.opt_max_iters=150" in out
+
+
+@pytest.mark.parametrize("fault,line", [("raise", "failed=1"), ("monotonicity", "monotonicity_violations=1")])
+def test_run_verify_exits_1_when_a_trial_fails(monkeypatch, tmp_path, capsys, fault, line):
+    # trial 2 of four raises (and fails alone after the bisection), or
+    # breaks the monotonicity check; no bound is violated, yet the run
+    # exits 1, after writing its summary and --out files
+    real = verify_mod._avg_body
+
+    def faulty(params, master_seed, indices):
+        lhs, rhs, mono_ok = real(params, master_seed, indices)
+        if 2 in indices and fault == "raise":
+            raise InvalidState("unit trace", 1.0)
+        return lhs, rhs, mono_ok & (np.array(indices) != 2)
+
+    monkeypatch.setenv("UQ_THREADS", "1")  # in-process, where the patch applies
+    monkeypatch.setattr(verify_mod, "_avg_body", faulty)
+    out_path = str(tmp_path / "avg.jsonl")
+    assert main(["verify", "avg", "--trials", "4", "--bases", "3", "--out", out_path]) == 1
+    out = capsys.readouterr().out
+    assert "violations=0" in out.splitlines() and line in out.splitlines()
+    assert open(out_path + ".summary").read() == out
+    assert len(open(out_path).read().splitlines()) == 4
 
 
 def test_run_verify_claim2_mode_is_echoed(capsys):

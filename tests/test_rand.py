@@ -18,7 +18,7 @@ from skewinfo import (
     random_nondegenerate_observable,
     stream,
 )
-from skewinfo.rand import cptp_from_gaussians, haar_from_gaussians, streams
+from skewinfo.rand import _isometries, cptp_from_gaussians, haar_from_gaussians, streams
 
 # Frozen once from stream(7, 0): the determinism contract of the seeding scheme.
 HAAR_7_0_N2 = np.array(
@@ -156,23 +156,82 @@ def test_random_cptp_completeness(rng):
 
 @pytest.mark.parametrize("n,kraus_count,stack", [(3, 1, (4,)), (2, 3, (64, 3)), (3, 4, (5,))])
 def test_cptp_isometry_is_the_haar_unitarys_first_columns(n, kraus_count, stack):
-    # the Kraus blocks come from the thin QR of the first n Gaussian columns
-    # alone; they are bit for bit the first n columns of the full Haar
-    # unitary, in the square case (one Kraus operator) and in tall ones
+    # the Kraus blocks come from the first n Gaussian columns alone; they
+    # are bit for bit the first n columns of the full Haar unitary, in the
+    # square case (one Kraus operator) and in tall ones
     d = n * kraus_count
     g = stream(31, d).standard_normal((*stack, 2, d, d))
     expected = haar_from_gaussians(g)[..., :n].reshape(*stack, kraus_count, n, n)
     np.testing.assert_array_equal(cptp_from_gaussians(g, n), expected)
 
 
-def test_cptp_isometry_past_lapacks_blocking_crossover():
-    # at 128 dimensions LAPACK blocks the full QR but not the thin one, so
-    # the columns agree to rounding rather than bit for bit
+def test_cptp_isometry_at_128_dimensions_is_the_haar_unitarys_first_columns():
+    # column j of the Gram-Schmidt pass reads only the first j Gaussian
+    # columns, with the same arithmetic whatever the number of columns
+    # taken, so thin and full agree bit for bit at large sizes too
     n, kraus_count = 2, 64
     d = n * kraus_count
     g = stream(31, d).standard_normal((2, 2, d, d))
     expected = haar_from_gaussians(g)[..., :n].reshape(2, kraus_count, n, n)
-    np.testing.assert_allclose(cptp_from_gaussians(g, n), expected, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(cptp_from_gaussians(g, n), expected)
+
+
+def householder_isometries(g, n):
+    """Oracle for ``_isometries``: LAPACK's Householder QR of the first n
+    columns of each complex Gaussian Z = g_re + i g_im, with each member's
+    R-diagonal phases moved into Q, so that R's diagonal is positive and
+    real. Also returns Z."""
+    z = g[..., 0, :, :n] + 1j * g[..., 1, :, :n]
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :], z
+
+
+# Q of a QR with a positive real R diagonal is unique, and a backward-stable
+# factorization moves it by about n eps cond(Z), so each member is held to
+# ORACLE_SPREAD n eps cond(Z). Over these draws the two differ by at most
+# 2.3 eps cond(Z) (the 1x1 members, cond 1) and by at most 1e-14 in any
+# entry.
+ORACLE_SPREAD = 10.0
+
+
+@pytest.mark.parametrize(
+    "m,n,count",
+    [(1, 1, 500), (2, 2, 500), (3, 3, 500), (4, 4, 500), (12, 12, 100), (40, 40, 20), (6, 3, 500), (128, 2, 10)],
+)
+def test_isometries_match_householder_qr(m, n, count):
+    # square shapes through haar_from_gaussians, tall ones (n < m) through
+    # cptp_from_gaussians, whose Kraus blocks stack the isometry's rows
+    g = stream(43, 1000 * m + n).standard_normal((count, 2, m, m))
+    got = haar_from_gaussians(g) if n == m else cptp_from_gaussians(g, n).reshape(count, m, n)
+    expected, z = householder_isometries(g, n)
+    spread = np.abs(got - expected).max(axis=(-2, -1)) / (n * np.finfo(float).eps * np.linalg.cond(z))
+    assert spread.max() <= ORACLE_SPREAD
+    # orthonormal columns within the 1e-14 the 3x3 test below asks of 10^5 draws
+    assert np.abs(got.conj().swapaxes(-1, -2) @ got - np.eye(n)).max() <= 1e-14
+
+
+def test_haar_3x3_draws_are_unitary_to_working_precision():
+    # projecting twice keeps Gram-Schmidt orthonormal to working precision
+    # (Giraud, Langou and Rozloznik, 2005), with no growth in the tail of
+    # 10^5 draws
+    u = haar_from_gaussians(stream(44, 0).standard_normal((100_000, 2, 3, 3)))
+    assert np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(3)).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "shape,n",
+    [((3, 2, 0, 0), 2), ((2, 0, 0), 2), ((0, 2, 3, 3), 3), ((0, 2, 3, 3), 2), ((4, 0, 2, 3, 3), 3), ((2, 2, 3, 3), 0)],
+)
+def test_isometries_of_zero_size_shapes_are_the_oracles(shape, n):
+    # empty stacks, zero-dimensional spaces and zero columns come out with
+    # the shape and dtype LAPACK's QR gives them; (3, 2, 0, 0) is the draw
+    # of kraus_count = 0, whose empty Kraus sets then fail completeness (see
+    # test_failed_trial_becomes_diagnostic_record)
+    g = np.ones(shape)
+    got = _isometries(g, n)
+    expected, _ = householder_isometries(g, n)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
 
 
 def test_random_cptp_preserves_trace(rng):

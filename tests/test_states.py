@@ -1,5 +1,7 @@
 """Domain type validation, channel application, and the test oracle's operator basis."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,122 @@ from skewinfo import (
     NondegenerateObservable,
     Observable,
     apply_channel,
+    ginibre_state,
+    haar_unitaries,
+    stream,
 )
-
-from skewinfo.states import require_complete, require_states
+from skewinfo.linalg import HERMITIAN_TOL, PSD_TOL
+from skewinfo.states import TRACE_TOL, require_complete, require_states
 
 from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, ObservableBasis, gell_mann_basis
+
+
+def eigvalsh_state_verdict(m):
+    """Oracle for ``require_states``: ``None`` when every member of the stack
+    is a state, else the ``(invariant, residual)`` of the first check the
+    stack fails, in the order Hermiticity, unit trace, PSD, each taken over
+    the whole stack; PSD by each member's smallest eigenvalue."""
+    members = m.reshape(-1, *m.shape[-2:])
+    if len(members) == 0:
+        return None
+    with np.errstate(invalid="ignore"):
+        herm = float(np.max([np.abs(x - x.conj().T).max() for x in members]))  # NaN if any is
+    if not herm <= HERMITIAN_TOL:
+        return "hermiticity", herm
+    tr = max(abs(np.trace(x).real - 1.0) + abs(np.trace(x).imag) for x in members)
+    if tr > TRACE_TOL:
+        return "unit trace", float(tr)
+    min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in members)
+    if min_eig < -PSD_TOL:
+        return "positive semidefiniteness", -min_eig
+    return None
+
+
+def assert_same_verdict(stack):
+    """``require_states`` passes or fails the stack as the oracle does, with
+    the same message, and warns of nothing."""
+    expected = eigvalsh_state_verdict(stack)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if expected is None:
+            assert require_states(stack) is stack
+            return
+        with pytest.raises(InvalidState) as err:
+            require_states(stack)
+    assert err.value.invariant == expected[0]
+    np.testing.assert_equal(err.value.residual, expected[1])  # NaN equals NaN
+    assert str(err.value) == str(InvalidState(*expected))
+
+
+def states_with_least_eigenvalue(n, least, count, seed):
+    """``count`` unit-trace n x n Hermitian matrices U diag(w) U† with
+    smallest eigenvalue ``least``, a random U and the other n - 1 of w
+    positive."""
+    rng = stream(seed, n)
+    u = haar_unitaries(n, count, rng)
+    w = rng.uniform(0.1, 1.0, (count, n))
+    w[:, 0] = 0.0
+    w *= (1.0 - least) / w.sum(axis=1, keepdims=True)
+    w[:, 0] = least
+    m = (u * w[:, None, :]) @ u.conj().swapaxes(-1, -2)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9])
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_require_states_at_the_psd_boundary_is_the_eigvalsh_test(n, scale, side):
+    # smallest eigenvalue just inside and just outside -PSD_TOL, where the
+    # eigenvalues decide, and about -PSD_TOL/2, the Cholesky shift, where
+    # the factorization passes or hands over to them; every verdict is the
+    # eigvalsh test's
+    stack = states_with_least_eigenvalue(n, -PSD_TOL * scale * side, 16, seed=int(1e6 * side) + n)
+    for member in stack:
+        assert_same_verdict(member)
+    assert_same_verdict(stack)
+
+
+def test_require_states_passes_pure_states_without_eigenvalues(monkeypatch):
+    # rank-1 states (and full-rank Ginibre ones) pass at the Cholesky step:
+    # no eigenvalue is computed
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a stack of states")
+
+    rng = stream(52, 0)
+    for n in (1, 2, 3, 4, 9):
+        psi = rng.standard_normal((64, n)) + 1j * rng.standard_normal((64, n))
+        psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+        pure = psi[:, :, None] * psi[:, None, :].conj()
+        mixed = np.stack([ginibre_state(n, rng=rng).matrix for _ in range(8)])
+        for stack in (pure, mixed):
+            assert eigvalsh_state_verdict(stack) is None
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+                assert require_states(stack) is stack
+
+
+def test_require_states_passes_an_empty_stack():
+    assert_same_verdict(np.zeros((0, 3, 3), dtype=complex))
+
+
+@pytest.mark.parametrize("least", [-PSD_TOL * (1 + 1e-3), -PSD_TOL * (1 - 1e-3), -1e-3])
+def test_require_states_on_a_stack_with_one_bad_member(least):
+    # 95 Ginibre 9x9 states and one with a negative eigenvalue, in the middle
+    rng = stream(53, 0)
+    stack = np.stack([ginibre_state(9, rng=rng).matrix for _ in range(96)])
+    stack[40] = states_with_least_eigenvalue(9, least, 1, seed=54)[0]
+    assert_same_verdict(stack)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)])
+def test_require_states_rejects_non_finite_entries_by_hermiticity(bad, entry):
+    # the Hermiticity check comes first and rejects a NaN or an infinite
+    # entry, on or off the diagonal, without a NumPy warning
+    stack = np.stack([np.eye(3, dtype=complex) / 3] * 4)
+    stack[2][entry] = bad
+    assert eigvalsh_state_verdict(stack)[0] == "hermiticity"
+    assert_same_verdict(stack)
 
 
 def test_density_matrix_accepts_valid():
