@@ -70,6 +70,7 @@ _FLAGS = {
     "--out": dict(dest="out_path", metavar="PATH"),
 }
 _EXACT_LQU = "{} does not apply to {}: side A is a qubit, so its LQU is exact and no search runs"
+_ONE_LEVEL = "{} does not apply to {}: side A has one level, so its LQU is 0 and no restarts are drawn"
 _SEED = 42
 _VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
 COMMANDS = {
@@ -167,12 +168,7 @@ def parse_args(argv: list[str]) -> RunConfig:
         fields["spectrum"] = _parse_spectrum(fields["spectrum"])
     if "out_format" in fields:
         fields["out_format"] = _FORMATS[fields["out_format"]]
-    config = RunConfig(command, **fields)
-    for name in ("n_a", "n_b", "trials", "restarts", "kraus_count", "bases_per_trial"):
-        value = getattr(config, name)
-        if value is not None and value < 1:
-            raise UsageError(f"{name} must be positive")
-    return config
+    return RunConfig(command, **fields)
 
 
 def _parse_matrix_lines(path: str) -> tuple[tuple[int, int] | None, np.ndarray]:
@@ -345,8 +341,8 @@ def _run_verify(config: RunConfig) -> int:
     kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", field)}
     kwargs["master_seed"] = _SEED if config.master_seed is None else config.master_seed
     if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
-        if config.command == "verify claim1" and config.n_a == 2:
-            raise UsageError(_EXACT_LQU.format("--restarts", config.command))
+        if config.command == "verify claim1" and config.n_a in (1, 2):
+            raise UsageError((_ONE_LEVEL, _EXACT_LQU)[config.n_a - 1].format("--restarts", config.command))
         kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
     report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))

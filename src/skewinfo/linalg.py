@@ -68,14 +68,10 @@ def require_hermitian(m) -> np.ndarray:
     return m
 
 
-def _solve_hermitian(solver, m):
-    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on a checked Hermitian
-    matrix or stack; a solver that does not converge raises ``NoConvergence``."""
-    return _solve(solver, require_hermitian(m))
-
-
 def _solve(solver, m):
-    """``_solve_hermitian`` on a matrix or stack already checked."""
+    """``solver`` (``np.linalg.eigh`` or ``eigvalsh``) on a Hermitian matrix
+    or stack already checked; a solver that does not converge raises
+    ``NoConvergence``."""
     try:
         return solver(m)
     except np.linalg.LinAlgError as exc:
@@ -85,7 +81,7 @@ def _solve(solver, m):
 def hermitian_eig(m) -> HermitianEigenSystem:
     """Eigendecompose a Hermitian matrix (or each matrix of a stack),
     eigenvalues ascending."""
-    return HermitianEigenSystem(*_solve_hermitian(np.linalg.eigh, m))
+    return HermitianEigenSystem(*_solve(np.linalg.eigh, require_hermitian(m)))
 
 
 def sqrtm_psd(m) -> np.ndarray:

@@ -26,7 +26,6 @@ from .states import (
 )
 
 CLAMP_WINDOW = 1e-10
-LQU_FLOOR = 1e-11
 
 ObservableLike = Union[Observable, NondegenerateObservable]
 
@@ -176,8 +175,8 @@ def lqu(
     Caller-supplied seed observables contribute their eigenbases as the
     first restart points; the remaining restarts are Haar draws from ``rng``
     (a fixed internal stream when omitted, so results are reproducible).
-    The searched value is an upper bound on the true minimum, never above
-    the value at the first seed.
+    ``restarts_used`` counts them all. The searched value is an upper bound
+    on the true minimum, never above the value at the first seed.
     """
     n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
@@ -186,49 +185,32 @@ def lqu(
     for s in seeds:
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
+    form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None]
     if n_side == 2:
-        (value,), (basis,) = _lqu_qubit(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam)
+        (value,), (basis,) = _lqu_qubit(form, lam)
         return LquResult(float(value), NondegenerateObservable(lam, basis), restarts_used=0, converged=True)
-    return _lqu_searched(rho_ab, lam, side, opts, seeds, rng)
-
-
-def _lqu_searched(
-    rho_ab: BipartiteState,
-    lam: np.ndarray,
-    side: Side,
-    opts: OptimizerOptions | None,
-    seeds: tuple[NondegenerateObservable, ...],
-    rng: np.random.Generator | None,
-) -> LquResult:
-    """``lqu`` by its search, on a side of any size: one member of
-    ``_lqu_search``."""
     opts = opts or OptimizerOptions()
-    bases = restart_bases(lam.size, opts, [s.eigenbasis for s in seeds], rng)
-    form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)
-    (value,), (basis,), found = _lqu_search(form[None], lam, opts, bases[None])
+    bases = restart_bases(n_side, opts, [s.eigenbasis for s in seeds], rng)
+    found = _lqu_search(form, lam, opts, bases[None])
     return LquResult(
-        float(value), NondegenerateObservable(lam, basis), int(found.restarts_used[0]), bool(found.converged[0])
+        float(found.values[0]), NondegenerateObservable(lam, found.unitaries[0]), len(bases), bool(found.converged[0])
     )
 
 
-def _lqu_search(
-    forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, SearchResult]:
+def _lqu_search(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray) -> SearchResult:
     """LQU by restarted Riemannian BFGS descent over the eigenbases of the
     side's observables with the ascending spectrum ``lam``, for each local
     skew form of the stack ``forms`` (``local_skew_forms``), from its
     restart bases ``bases[t]`` (``bases`` is ``(T, restarts, n, n)``), all
-    in one stacked search: the clamped values, the minimizers' eigenbases
-    (checked to be unitary) and the search result.
+    in one stacked search: the search result, its values clamped.
 
     Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
     the unitary group, in quasi-Newton directions built from its analytic
-    gradient, for at most ``opts.max_iters`` accepted steps; the restarts
-    after the first that reaches ``LQU_FLOOR`` are left out of the result.
+    gradient, for at most ``opts.max_iters`` accepted steps.
     """
     spectra = np.broadcast_to(lam, (len(forms), lam.size))
-    found = optim.search(_eigenbasis_cost, (forms, spectra), bases, opts, LQU_FLOOR)
-    return _clamp(found.values), require_unitary(found.unitaries, "unitary eigenbasis"), found
+    found = optim.search(_eigenbasis_cost, (forms, spectra), bases, opts)
+    return found._replace(values=_clamp(found.values))
 
 
 def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,7 @@ that changes the gradient by y, Hinv takes the BFGS update when sᵀy > 0;
 the first update after Hinv = I starts from (sᵀy / yᵀy)·I. No Hessian of
 the cost is needed, and no evaluation beyond the line search's.
 
-``search(cost, data, bases, opts, floor)`` minimizes one cost for T
+``search(cost, data, bases, opts)`` minimizes one cost for T
 problems: their data as ``(T, ...)`` row stacks and their restart bases
 as ``(T, R, n, n)``. Every restart of every problem is one member of a
 stack of T·R. Each member keeps its own point, Hinv, step and stop rule,
@@ -45,6 +45,7 @@ import numpy as np
 
 from . import rand
 from .errors import UsageError
+from .states import require_unitary
 
 # Sufficient-decrease constant of the Armijo test.
 _ARMIJO = 1e-4
@@ -82,13 +83,12 @@ class OptimizerOptions:
 
 class SearchResult(NamedTuple):
     """Per problem of a :func:`search` stack, ``(T,)`` arrays (the unitaries
-    ``(T, n, n)``): the best value and its unitary, the restarts counted up
-    to the floor, the convergence flag, and the work of all of the
-    problem's restarts: cost evaluations and accepted steps."""
+    ``(T, n, n)``): the best value and its unitary, the convergence flag,
+    and the work of all of the problem's restarts: cost evaluations and
+    accepted steps."""
 
     values: np.ndarray
     unitaries: np.ndarray
-    restarts_used: np.ndarray
     converged: np.ndarray
     evals: np.ndarray
     steps: np.ndarray
@@ -277,7 +277,6 @@ def search(
     data: tuple[np.ndarray, ...],
     bases: np.ndarray,
     opts: OptimizerOptions,
-    floor: float | None = None,
 ) -> SearchResult:
     """Minimize ``cost`` for each of T problems by restarted Riemannian BFGS
     descent, all restarts of all problems descending side by side as one
@@ -297,33 +296,24 @@ def search(
     that lower the value, so it never ends above its start.
     ``opts.max_iters`` caps the accepted steps of one restart, and a
     restart also ends when a step from Hinv = I gains at most
-    ``opts.tol / 100`` or has no room to. The restarts count in order, and
-    the count stops at the first one that brings the best value to
-    ``floor`` or below: every restart descends to its own stop, and those
-    after that one are left out of the result.
+    ``opts.tol / 100`` or has no room to.
 
-    Returns, per problem, the best value found (the first restart
-    attaining it), its unitary, the number of restarts used, a
-    convergence flag (best two restarts agreeing within 10x tol, or the
-    floor reached), and the cost evaluations and accepted steps of all
-    its restarts, those after the floor included.
+    Returns, per problem, the least value over its R restarts (the first
+    restart attaining it), its unitary (checked to be unitary), a
+    convergence flag (best two restarts agreeing within 10x tol), and the
+    cost evaluations and accepted steps of all its restarts.
     """
     t, r, n = bases.shape[:3]
     data = tuple(np.repeat(d, r, axis=0) for d in data)
     values, units, evals, steps = _descend(cost, bases.reshape(t * r, n, n), data, opts.max_iters, 1e-2 * opts.tol)
     values, units = values.reshape(t, r), units.reshape(t, r, n, n)
-    at_floor = np.zeros((t, r), dtype=bool) if floor is None else values <= floor
-    floor_hit = at_floor.any(axis=1)
-    used = np.where(floor_hit, at_floor.argmax(axis=1) + 1, r)
-    counted = np.where(np.arange(r) < used[:, None], values, np.inf)
-    best = counted.argmin(axis=1)
-    ordered = np.sort(counted, axis=1)
+    best = values.argmin(axis=1)
+    ordered = np.sort(values, axis=1)
     gap = ordered[:, 1] - ordered[:, 0] if r > 1 else np.full(t, np.inf)
     return SearchResult(
-        counted[np.arange(t), best],
-        units[np.arange(t), best],
-        used,
-        floor_hit | (gap <= 10.0 * opts.tol),
+        values[np.arange(t), best],
+        require_unitary(units[np.arange(t), best], "unitary search result"),
+        gap <= 10.0 * opts.tol,
         evals.reshape(t, r).sum(axis=1),
         steps.reshape(t, r).sum(axis=1),
     )

@@ -25,7 +25,7 @@ from . import optim
 from .errors import DimensionMismatch, InvalidState
 from .linalg import psd_sqrt_eigh, psd_sqrt_eigvalsh
 from .metrics import ObservableLike
-from .optim import OptimizerOptions, SearchResult, restart_bases
+from .optim import OptimizerOptions, restart_bases
 from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
@@ -238,21 +238,6 @@ class SteeringSearchResult:
     converged: bool
 
 
-def _maximize(
-    cost: Callable[..., tuple[np.ndarray, np.ndarray]],
-    data: tuple[np.ndarray, ...],
-    opts: OptimizerOptions,
-    bases: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, SearchResult]:
-    """Maximize a gain over the unitaries whose columns are A's measurement
-    bases, for each member of the data stacks ``data`` from its restart
-    bases ``bases[t]``, in one stacked search of ``cost(U, *data)``, the
-    negated gain and its Riemannian gradient: the maxima, the maximizing
-    bases (checked to be unitary) and the search result."""
-    found = optim.search(cost, data, bases, opts)
-    return -found.values, require_unitary(found.unitaries, "orthonormal columns"), found
-
-
 def _maximized(
     cost: Callable[..., tuple[np.ndarray, np.ndarray]],
     data: tuple[np.ndarray, ...],
@@ -260,13 +245,15 @@ def _maximized(
     opts: OptimizerOptions | None,
     rng: np.random.Generator | None,
 ) -> SteeringSearchResult:
-    """``_maximize`` on the one-row data stacks ``data``, from
+    """Maximize a gain over the unitaries whose columns are A's measurement
+    bases, for the one-row data stacks ``data``, by searching ``cost(U,
+    *data)``, the negated gain and its Riemannian gradient, from
     ``restart_bases`` drawn from ``rng``."""
     opts = opts or OptimizerOptions()
     bases = restart_bases(n_a, opts, rng=rng)
-    (value,), (u,), found = _maximize(cost, data, opts, bases[None])
+    found = optim.search(cost, data, bases[None], opts)
     return SteeringSearchResult(
-        float(value), MeasurementBasis(u), int(found.restarts_used[0]), bool(found.converged[0])
+        -float(found.values[0]), MeasurementBasis(found.unitaries[0]), len(bases), bool(found.converged[0])
     )
 
 

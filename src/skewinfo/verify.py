@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Callable, Literal, NamedTuple, get_args, 
 
 import numpy as np
 
+from . import optim
 from .errors import UsageError
 from .linalg import kron
 from .metrics import _clamp, _eigenbasis_cost, _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
@@ -39,7 +40,7 @@ from .states import (
     require_states,
     require_unitary,
 )
-from .steering import _maximize, _skew_objective, _steered_q
+from .steering import _skew_objective, _steered_q
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -387,10 +388,10 @@ def _claim2_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> t
     elif n_b == 2:
         rhs, k_basis = _lqu_qubit(forms, lam)
     else:
-        rhs, k_basis, _ = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))
+        rhs, k_basis = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))[:2]
     km = observable_matrices(k_basis, lam)
     r4 = rho.reshape(-1, n_a, n_b, n_a, n_b)
-    lhs, _, _ = _maximize(_skew_objective, (r4, km), opts, haar_from_gaussians(g_a))
+    lhs = -optim.search(_skew_objective, (r4, km), haar_from_gaussians(g_a), opts).values
     return lhs, rhs, np.ones(len(indices), dtype=bool)
 
 

@@ -7,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from skewinfo import BipartiteState, DensityMatrix, DimensionMismatch, InvalidState, Observable, stream
+from skewinfo.metrics import _lqu_search, local_skew_forms
+from skewinfo.optim import OptimizerOptions, restart_bases
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -153,6 +155,17 @@ def oracle_lqu_qubit(rho: np.ndarray, dims: tuple[int, int], side: str, spectrum
     w = np.array([[np.trace(root @ si @ root @ sj).real for sj in sigma] for si in sigma])
     half_gap = 0.5 * (spectrum[1] - spectrum[0])
     return half_gap * half_gap * (1.0 - np.linalg.eigvalsh(0.5 * (w + w.T))[-1])
+
+
+def searched_lqu(
+    state: BipartiteState, spectrum: np.ndarray, side: str, opts: OptimizerOptions, rng: np.random.Generator
+) -> float:
+    """The LQU by the package's search on a side of any size, a qubit side
+    (where ``lqu`` takes the closed form) included: one row of
+    ``_lqu_search`` from the ``restart_bases`` that ``rng`` draws."""
+    form = local_skew_forms(state.matrix, state.dims, side)
+    bases = restart_bases(len(spectrum), opts, rng=rng)
+    return float(_lqu_search(form[None], np.asarray(spectrum, dtype=float), opts, bases[None]).values[0])
 
 
 @pytest.fixture

@@ -33,7 +33,6 @@ from skewinfo import (
     verify_claim2,
     write_report,
 )
-from skewinfo.metrics import _lqu_searched
 from skewinfo.steering import MeasurementBasis
 from skewinfo.verify import _CHUNK_TRIALS
 
@@ -42,6 +41,7 @@ from conftest import (
     gell_mann_basis,
     oracle_q_local,
     oracle_q_total,
+    searched_lqu,
     summed_q_local,
     summed_q_total,
 )
@@ -180,24 +180,24 @@ def test_criterion_4_lqu_cross_oracle():
     for n_b in (2, 3):
         for _ in range(100):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            numeric = _lqu_searched(state, PM_ONE, "A", opts, (), rng).value
+            numeric = searched_lqu(state, PM_ONE, "A", opts, rng)
             assert abs(numeric - lqu(state, PM_ONE, "A").value) <= 1e-6
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = product_state(2, n_b, rng)
-        assert _lqu_searched(state, PM_ONE, "A", opts, (), rng).value <= 1e-7
+        assert searched_lqu(state, PM_ONE, "A", opts, rng) <= 1e-7
     for idx in range(50):
         n_b = (2, 3)[idx % 2]
         state = classical_quantum_state(2, n_b, rng)
-        assert _lqu_searched(state, PM_ONE, "A", opts, (), rng).value <= 1e-7
-    bell_value = _lqu_searched(bell_pair(), PM_ONE, "A", opts, (), rng).value
+        assert searched_lqu(state, PM_ONE, "A", opts, rng) <= 1e-7
+    bell_value = searched_lqu(bell_pair(), PM_ONE, "A", opts, rng)
     assert abs(bell_value - 1.0) <= 1e-6
     # side B with a spectrum other than {-1, +1}
     spectrum = np.array([0.3, 2.0])
     for n_a in (2, 3):
         for _ in range(50):
             state = BipartiteState(ginibre_state(2 * n_a, rng=rng), n_a, 2)
-            numeric = _lqu_searched(state, spectrum, "B", opts, (), rng).value
+            numeric = searched_lqu(state, spectrum, "B", opts, rng)
             assert abs(numeric - lqu(state, spectrum, "B").value) <= 1e-6
     _verdict(4, "lqu search vs qubit-side closed form", budget)
 

@@ -165,6 +165,14 @@ def test_restarts_is_a_usage_error_where_side_a_is_a_qubit(tmp_path, capsys):
     assert main("verify claim2 --trials 2 --restarts 3".split()) == 0
 
 
+def test_restarts_is_a_usage_error_where_side_a_has_one_level(capsys):
+    # claim1 searches a 1-level side A from K_A's eigenbasis alone and draws
+    # no restarts, so --restarts would change nothing
+    assert main("verify claim1 --dim-a 1 --trials 2 --restarts 3".split()) == 2
+    assert "--restarts does not apply to verify claim1: side A has one level" in capsys.readouterr().err
+    assert main("verify claim1 --dim-a 1 --trials 2".split()) == 0
+
+
 def test_run_q_on_bipartite(tmp_path, capsys):
     state = write(tmp_path, "bell.txt", BELL)
     assert main(["q", "--state-file", state]) == 0
@@ -266,8 +274,24 @@ def test_parse_flags_rejected_where_no_command_reads_them():
     assert (config.n_a, config.n_b, config.trials, config.tol) == (3, 4, 5, 1e-6)
     config = parse_args(["skew"])  # unused defaults, not flags
     assert (config.n_a, config.n_b, config.trials, config.tol, config.restarts) == (2, 2, 1000, 1e-7, None)
-    with pytest.raises(UsageError):
-        parse_args("verify avg --trials 0".split())
+
+
+def test_main_exits_2_on_a_count_below_one(monkeypatch, capsys):
+    # the harness and the optimizer options check their counts, once each;
+    # main turns their UsageError into exit 2 before any trial runs
+    monkeypatch.setattr(verify_mod, "_run_chunk", lambda job: pytest.fail("a trial ran"))
+    for argv, name in (
+        ("verify avg --trials 0", "trials"),
+        ("verify claim1 --trials 0", "trials"),
+        ("verify claim1 --dim-a 0", "n_a"),
+        ("verify claim2 --dim-b 0", "n_b"),
+        ("verify claim1 --kraus 0", "kraus_count"),
+        ("verify avg --bases 0", "bases_per_trial"),
+        ("verify claim1 --dim-a 3 --restarts 0", "restarts"),
+        ("verify claim2 --restarts -1", "restarts"),
+    ):
+        assert main(argv.split()) == 2, argv
+        assert capsys.readouterr().err.startswith(f"{name} must be "), argv
 
 
 def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):

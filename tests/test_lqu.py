@@ -18,9 +18,7 @@ from skewinfo import (
     skew_information,
     stream,
 )
-from skewinfo.metrics import _lqu_searched
-
-from conftest import oracle_lqu_qubit
+from conftest import oracle_lqu_qubit, searched_lqu
 
 
 PM_ONE = np.array([-1.0, 1.0])
@@ -93,8 +91,8 @@ def test_lqu_search_uses_caller_seed_as_feasible_start_on_qutrit_side(rng):
     spectrum = np.array([-1.0, 0.0, 1.0])
     seed_obs = random_nondegenerate_observable(3, spectrum, rng)
     seeded_value = skew_information(state.state, Observable(kron(seed_obs.matrix, np.eye(2))))
-    # one step, then a full descent: a one-restart search that stops above
-    # the floor counts its restart and is not converged
+    # one step, then a full descent: a one-restart search counts its
+    # restart and, with no second restart to agree with, is not converged
     for opts in (OptimizerOptions(restarts=1, max_iters=1), OptimizerOptions(restarts=1)):
         result = lqu(state, spectrum, "A", opts=opts, seeds=(seed_obs,), rng=rng)
         assert result.restarts_used == 1
@@ -132,8 +130,8 @@ def test_lqu_agrees_with_closed_form_on_random_states():
     for n_b in (2, 3):
         for _ in range(10):
             state = BipartiteState(ginibre_state(2 * n_b, rng=rng), 2, n_b)
-            num = _lqu_searched(state, PM_ONE, "A", OptimizerOptions(restarts=8), (), rng)
-            assert num.value == pytest.approx(lqu(state, PM_ONE, "A").value, abs=1e-6)
+            num = searched_lqu(state, PM_ONE, "A", OptimizerOptions(restarts=8), rng)
+            assert num == pytest.approx(lqu(state, PM_ONE, "A").value, abs=1e-6)
 
 
 def test_lqu_reports_spectrum_alongside_value(rng):

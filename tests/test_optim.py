@@ -155,11 +155,13 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     objective = at_one(cost, *rows)
     seed_u = haar_unitary(n_a, rng)
     opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
-    found = optim.search(cost, rows, optim.restart_bases(n_a, opts, [seed_u], rng)[None], opts)
-    (value,), (unitary,), (restarts_used,) = found.values, found.unitaries, found.restarts_used
+    bases = optim.restart_bases(n_a, opts, [seed_u], rng)
+    found = optim.search(cost, rows, bases[None], opts)
+    (value,), (unitary,) = found.values, found.unitaries
     assert abs(value - objective(unitary)[0]) <= 1e-12
     assert value <= objective(seed_u)[0]
-    assert 1 <= restarts_used <= 2
+    # every restart counts: the value is the least of the restarts run alone
+    assert value == min(optim.search(cost, rows, base[None, None], opts).values[0] for base in bases)
 
 
 def brockett(m, lam):
@@ -310,23 +312,20 @@ def test_objectives_ignore_column_phases(dims, rng):
         assert abs(cost(u)[0] - cost(ud)[0]) <= 1e-12
 
 
-def assert_stack_is_its_restarts_alone(cost, data, bases, opts, floor=None):
+def assert_stack_is_its_restarts_alone(cost, data, bases, opts):
     """Each restart's descent in the stack ``bases`` is bit for bit the
-    descent it makes alone, each result is the best of its problem's
-    restarts in order, up to the first that reaches the floor, and so is
-    the work the search counts, in any order of the problems."""
-    found = optim.search(cost, data, bases, opts, floor)
-    reordered = optim.search(cost, tuple(d[::-1] for d in data), bases[::-1], opts, floor)
+    descent it makes alone, each result is the best of all its problem's
+    restarts, the first attaining it, and so is the work the search counts,
+    in any order of the problems."""
+    found = optim.search(cost, data, bases, opts)
+    reordered = optim.search(cost, tuple(d[::-1] for d in data), bases[::-1], opts)
     for k, restarts in enumerate(bases):
         rows = tuple(d[k : k + 1] for d in data)
-        alone = [optim.search(cost, rows, base[None, None], opts, floor) for base in restarts]
-        # the count runs to the first restart at or below the floor, else over all restarts
-        at_floor = [i for i, r in enumerate(alone) if floor is not None and r.values[0] <= floor]
-        assert found.restarts_used[k] == (at_floor[0] + 1 if at_floor else len(alone))
-        best = min(alone[: found.restarts_used[k]], key=lambda r: r.values[0])
+        alone = [optim.search(cost, rows, base[None, None], opts) for base in restarts]
+        best = min(alone, key=lambda r: r.values[0])
         assert found.values[k] == best.values[0]
         np.testing.assert_array_equal(found.unitaries[k], best.unitaries[0])
-        single = optim.search(cost, rows, bases[k : k + 1], opts, floor)
+        single = optim.search(cost, rows, bases[k : k + 1], opts)
         work = (found.evals[k], found.steps[k])
         assert work == (single.evals[0], single.steps[0]) == (reordered.evals[-1 - k], reordered.steps[-1 - k])
         assert found.evals[k] > found.steps[k] >= 0
@@ -335,7 +334,7 @@ def assert_stack_is_its_restarts_alone(cost, data, bases, opts, floor=None):
 
 def test_search_stacks_problems_without_changing_their_results():
     # three LQU problems in one stack, one on a product state whose restarts
-    # reach the floor, and a steering problem in a stack of its own
+    # reach 0, and a steering problem in a stack of its own
     rng = stream(61, 0)
     lam = np.array([-1.0, 0.0, 1.0])
     rho_a = ginibre_state(3, rng=rng).matrix
@@ -348,8 +347,12 @@ def test_search_stacks_problems_without_changing_their_results():
     # eigenbasis of its A marginal, while the other restarts still descend
     bases[2, :2] = [haar_unitary(3, rng), np.linalg.eigh(rho_a)[1]]
     lqu_data = (forms, np.broadcast_to(lam, (3, 3)))
-    found = assert_stack_is_its_restarts_alone(_eigenbasis_cost, lqu_data, bases, opts, 1e-11)
-    assert found.restarts_used[2] < bases.shape[1]  # the floor stops the product's count
+    found = assert_stack_is_its_restarts_alone(_eigenbasis_cost, lqu_data, bases, opts)
+    # every restart counts: the product's value is the least of all four,
+    # and its work includes the two restarts after the one that starts at 0
+    alone = [optim.search(_eigenbasis_cost, (forms[2:], lqu_data[1][2:]), b[None, None], opts) for b in bases[2]]
+    assert found.values[2] == min(r.values[0] for r in alone) <= 1e-11
+    assert found.evals[2] == sum(r.evals[0] for r in alone)
     km = random_nondegenerate_observable(2, rng=rng).matrix
     steering_data = (_tensor(states[0]), km[None])
     assert_stack_is_its_restarts_alone(_skew_objective, steering_data, optim.restart_bases(3, opts, rng=rng)[None], opts)
@@ -390,7 +393,7 @@ def test_one_dimensional_side_evaluates_the_only_point():
 
     local = lqu(state, np.array([0.5]), "A", rng=stream(5, 2))
     assert abs(local.value) <= 1e-12  # a multiple of the identity
-    assert (local.restarts_used, local.converged) == (1, True)  # the floor stops the restarts
+    assert (local.restarts_used, local.converged) == (16, True)  # every restart counts
 
 
 def test_import_does_not_load_scipy():

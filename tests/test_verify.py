@@ -168,11 +168,11 @@ def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
     real = optim.search
     sizes = []
 
-    def faulty(cost, data, bases, opts, floor=None):
+    def faulty(cost, data, bases, opts):
         sizes.append(len(bases))
         r4 = data[0].copy()
         r4[[np.array_equal(member, trial_3) for member in r4]] = indefinite
-        return real(cost, (r4, *data[1:]), bases, opts, floor)
+        return real(cost, (r4, *data[1:]), bases, opts)
 
     monkeypatch.setattr(optim, "search", faulty)
     report, records = verify_claim2(trials=6, master_seed=21, mode="argmin_K", workers=1)
@@ -489,8 +489,8 @@ def test_search_counters_do_not_depend_on_the_other_trials_of_their_chunk(monkey
     counted = []
     search = optim.search
 
-    def counting_search(cost, data, bases, opts, floor=None):
-        found = search(cost, data, bases, opts, floor)
+    def counting_search(cost, data, bases, opts):
+        found = search(cost, data, bases, opts)
         counted[-1].update((b.tobytes(), work) for b, work in zip(bases, zip(found.evals, found.steps)))
         return found
 
