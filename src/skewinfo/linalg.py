@@ -50,21 +50,31 @@ def hermiticity_residual(m: np.ndarray) -> float:
         return float(np.abs(m - m.conj().swapaxes(-1, -2)).max()) if m.size else 0.0
 
 
+def scaled_hermiticity_residual(m: np.ndarray) -> float:
+    """The Hermiticity residual the checks compare with ``HERMITIAN_TOL``:
+    the largest member residual relative to the member's scale
+    max(1, max|m|). It is computed only when the absolute residual fails
+    (within that, every member is within its own bound), so a passing stack
+    costs one residual, and a stack whose entries are at most 1 in modulus
+    gets the absolute residual. NaN for a non-finite entry."""
+    res = hermiticity_residual(m)
+    if not res <= HERMITIAN_TOL:
+        with np.errstate(invalid="ignore"):
+            res = hermiticity_residual(m / np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True)))
+    return res
+
+
 def require_hermitian(m) -> np.ndarray:
     """Coerce a matrix or an (..., n, n) stack to complex128 and check it is
     Hermitian: each member's residual within ``HERMITIAN_TOL`` times its
-    scale max(1, max|m|), so a member whose entries are at most 1 in
-    modulus meets the absolute ``HERMITIAN_TOL``. A non-finite entry has a
-    NaN residual and fails the check."""
+    scale max(1, max|m|) (``scaled_hermiticity_residual``). A non-finite
+    entry has a NaN residual and fails the check."""
     m = _as_stack(m)
     if m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"matrix is not square: {m.shape}")
-    res = hermiticity_residual(m)
-    if not res <= HERMITIAN_TOL:  # within the absolute bound every member is within its own
-        with np.errstate(invalid="ignore"):
-            res = hermiticity_residual(m / np.maximum(1.0, np.abs(m).max(axis=(-2, -1), keepdims=True)))
-        if not res <= HERMITIAN_TOL:
-            raise NotHermitian(f"hermiticity residual {res:.3e} of max(1, max|m|) exceeds {HERMITIAN_TOL:.1e}")
+    res = scaled_hermiticity_residual(m)
+    if not res <= HERMITIAN_TOL:
+        raise NotHermitian(f"hermiticity residual {res:.3e} of max(1, max|m|) exceeds {HERMITIAN_TOL:.1e}")
     return m
 
 

@@ -11,7 +11,7 @@ from .linalg import (
     HERMITIAN_TOL,
     PSD_TOL,
     as_matrix,
-    hermiticity_residual,
+    scaled_hermiticity_residual,
 )
 
 TRACE_TOL = 1e-9
@@ -34,9 +34,12 @@ def require_unitary(u: np.ndarray, invariant: str) -> np.ndarray:
 
 def require_observables(m: np.ndarray) -> np.ndarray:
     """Check that a matrix, or every matrix of an ``(..., n, n)`` stack, is
-    Hermitian within ``HERMITIAN_TOL``; otherwise raise ``InvalidState`` with
-    the largest residual (NaN for a non-finite entry)."""
-    res = hermiticity_residual(m)
+    Hermitian by the rule of ``linalg.require_hermitian``: each member's
+    residual within ``HERMITIAN_TOL`` times max(1, max|m|), so a matrix
+    whose entries are at most 1 in modulus, a state among them, meets the
+    absolute ``HERMITIAN_TOL``. Otherwise raise ``InvalidState`` with the
+    largest scaled residual (NaN for a non-finite entry)."""
+    res = scaled_hermiticity_residual(m)
     if not res <= HERMITIAN_TOL:
         raise InvalidState("hermiticity", res)
     return m

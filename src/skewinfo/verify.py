@@ -12,6 +12,7 @@ the other trials of its chunk.
 
 from __future__ import annotations
 
+import atexit
 import math
 import os
 import threading
@@ -113,57 +114,34 @@ def worker_count() -> int:
     return n
 
 
-def _failure(exc: Exception) -> tuple[float, float, bool, str]:
-    return math.nan, math.nan, True, f"{type(exc).__name__}: {exc}"
-
-
-def _attempt(body: Callable, params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[list, list]:
-    """Run the trials ``indices`` of a chunk body as one stack: each trial's
-    ``(lhs, rhs, monotonicity_ok)`` and an equal share of the seconds the
-    stack took. When the stack raises, each half of it runs again the same
-    way, so only the halves that raise are split further, and only a trial
-    that raises alone, as a stack of one, fails, with its own exception in
-    place of its triple."""
+def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
+    """Run one chunk of trials into records. A job is ``(claim_id, body,
+    config, timing, indices)``, and a chunk body maps ``(config, indices)``
+    to the stacks ``(lhs, rhs, monotonicity_ok)`` of those trials. When the
+    stack raises, each half of it runs again the same way, so only the
+    halves that raise are split further, and only a trial that raises alone,
+    as a stack of one, fails: its record has NaN sides and it carries the
+    error message. With timing on, each record carries an equal share of the
+    wall time of the stack it ran clean in (the whole chunk, or a part of it
+    after a bisection), or its own time when it failed alone."""
+    claim_id, body, config, timing, indices = job
     start = perf_counter()
     try:
-        lhs, rhs, mono_ok = body(params, master_seed, indices)
+        lhs, rhs, mono_ok = body(config, indices)
+        error = None
     except Exception as exc:
-        if len(indices) == 1:
-            return [exc], [perf_counter() - start]
-        half = len(indices) // 2
-        (out_a, sec_a), (out_b, sec_b) = (
-            _attempt(body, params, master_seed, part) for part in (indices[:half], indices[half:])
-        )
-        return out_a + out_b, sec_a + sec_b
-    share = (perf_counter() - start) / len(indices)
-    return [(float(a), float(b), bool(ok)) for a, b, ok in zip(lhs, rhs, mono_ok)], [share] * len(indices)
-
-
-def _run_chunk(job: tuple) -> list[tuple[TrialRecord, bool, str | None]]:
-    """Run one chunk of trials into records. A chunk body maps ``(params,
-    master_seed, indices)`` to the stacks ``(lhs, rhs, monotonicity_ok)``
-    of those trials. A trial that raises alone becomes a record with NaN
-    sides and the error message. With timing on, each record carries an
-    equal share of the wall time of the stack it ran clean in (the whole
-    chunk, or a part of it after a bisection), or its own time when it
-    failed alone."""
-    claim_id, body, params, dims, tol, timing, master_seed, indices = job
+        if len(indices) > 1:
+            half = len(indices) // 2
+            return _run_chunk((*job[:4], indices[:half])) + _run_chunk((*job[:4], indices[half:]))
+        lhs, rhs, mono_ok, error = [math.nan], [math.nan], [True], f"{type(exc).__name__}: {exc}"
+    share_ms = (perf_counter() - start) / len(indices) * 1e3 if timing else 0.0
+    master_seed, dims, tol = config["master_seed"], (config["n_a"], config["n_b"]), config["violation_tol"]
     results = []
-    for t, out, sec in zip(indices, *_attempt(body, params, master_seed, indices)):
-        lhs, rhs, mono_ok, error = _failure(out) if isinstance(out, Exception) else (*out, None)
-        margin = rhs - lhs
-        record = TrialRecord(
-            trial_index=t,
-            seed_tuple=(master_seed, t),
-            dims=dims,
-            claim_id=claim_id,
-            lhs=lhs,
-            rhs=rhs,
-            margin=margin,
-            violated=margin < -tol,  # False for NaN
-            wall_time_ms=sec * 1e3 if timing else 0.0,
-        )
-        results.append((record, mono_ok, error))
+    for t, a, b, ok in zip(indices, lhs, rhs, mono_ok):
+        margin = float(b) - float(a)
+        # margin < -tol is False for NaN
+        record = TrialRecord(t, (master_seed, t), dims, claim_id, float(a), float(b), margin, margin < -tol, share_ms)
+        results.append((record, bool(ok), error))
     return results
 
 
@@ -186,8 +164,8 @@ def _gaussians(master_seed: int, indices: tuple[int, ...], shapes: list[tuple[in
 
 def _warm_pool(n_workers: int) -> ProcessPoolExecutor:
     """The pool of ``n_workers`` processes, started when there is none for
-    that count; a pool of another count is shut down first. Its workers
-    stop at exit through the atexit hook of ``concurrent.futures``."""
+    that count; a pool of another count is shut down first. At exit
+    ``_drop_pool``, registered with ``atexit``, shuts it down."""
     from concurrent.futures import ProcessPoolExecutor
 
     pool = _POOL.get(n_workers)
@@ -201,6 +179,11 @@ def _drop_pool() -> None:
     for pool in _POOL.values():
         pool.shutdown()
     _POOL.clear()
+
+
+# Shut the pool down and free it at exit, while the modules that its
+# executor's callbacks use still exist; with no pool this does nothing.
+atexit.register(_drop_pool)
 
 
 def _pooled_chunks(jobs: list[tuple], n_workers: int) -> list:
@@ -226,7 +209,6 @@ def _pooled_chunks(jobs: list[tuple], n_workers: int) -> list:
 def _run_trials(
     claim_id: str,
     body: Callable,
-    params: tuple,
     config: dict[str, object],
     trials: int,
     workers: int | None,
@@ -234,9 +216,9 @@ def _run_trials(
 ) -> tuple[VerificationReport, list[TrialRecord]]:
     """Run ``trials`` trials of a module-level body (picklable for the pool)
     in chunks of at most ``_CHUNK_TRIALS`` and aggregate them into a report.
-    Dimensions, seed and tolerance come from ``config``, which the report
-    echoes. A trial's record does not depend on the chunk it ran in. The
-    configuration is checked before any trial runs.
+    ``config`` is the whole description of the run: the bodies read it, and
+    the report echoes it. A trial's record does not depend on the chunk it
+    ran in. The configuration is checked before any trial runs.
 
     A call larger than one chunk with more than one worker runs on the warm
     pool, which is started once per process and reused (see ``_warm_pool``).
@@ -248,8 +230,7 @@ def _run_trials(
     for name, value in counts.items():
         if value is not None and value < 1:
             raise UsageError(f"{name} must be a positive integer, got {value!r}")
-    dims = (config["n_a"], config["n_b"])
-    tol, master_seed = config["violation_tol"], config["master_seed"]
+    tol = config["violation_tol"]
     # margin < -nan is never true, so nothing would count as a violation;
     # a negative tol counts bounds that hold
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -259,10 +240,7 @@ def _run_trials(
     # pool costs more in smaller stacks and in passing them than it saves.
     in_process = n_workers == 1 or trials <= _CHUNK_TRIALS
     size = _CHUNK_TRIALS if in_process else min(_CHUNK_TRIALS, -(-trials // n_workers))
-    jobs = [
-        (claim_id, body, params, dims, tol, timing, master_seed, tuple(range(lo, min(lo + size, trials))))
-        for lo in range(0, trials, size)
-    ]
+    jobs = [(claim_id, body, config, timing, tuple(range(lo, min(lo + size, trials)))) for lo in range(0, trials, size)]
     chunks = [_run_chunk(job) for job in jobs] if in_process else _pooled_chunks(jobs, n_workers)
     results = [r for chunk in chunks for r in chunk]
     records = [r[0] for r in results]
@@ -281,6 +259,23 @@ def _run_trials(
     return report, records
 
 
+def _config(
+    n_a: int, n_b: int, tol: float, master_seed: int, opts: OptimizerOptions | None, **own: object
+) -> dict[str, object]:
+    """A run's configuration: the sizes, the harness's ``own`` entries, the
+    tolerance and the seed, then the search budget of a searching harness,
+    in the order the summary echoes them."""
+    config = {"n_a": n_a, "n_b": n_b, **own, "violation_tol": tol, "master_seed": master_seed}
+    if opts is not None:
+        config.update(opt_restarts=opts.restarts, opt_tol=opts.tol, opt_max_iters=opts.max_iters)
+    return config
+
+
+def _opts(config: dict[str, Any]) -> OptimizerOptions:
+    """The search budget a configuration records."""
+    return OptimizerOptions(restarts=config["opt_restarts"], tol=config["opt_tol"], max_iters=config["opt_max_iters"])
+
+
 class _Claim1Draws(NamedTuple):
     """The sampled part of claim1 trials, stacked over the trials."""
 
@@ -291,17 +286,17 @@ class _Claim1Draws(NamedTuple):
     restart_bases: np.ndarray
 
 
-def _claim1_sample(params: tuple, master_seed: int, indices: tuple[int, ...]) -> _Claim1Draws:
+def _claim1_sample(config: dict[str, Any], indices: tuple[int, ...]) -> _Claim1Draws:
     """Per trial, what ``ginibre_state`` (for A, then for B),
     ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and,
     on a larger side A, the LQU search's ``optim.restart_bases`` (K_A's
     eigenbasis first) draw from the trial's stream in turn, with their
     checks."""
-    n_a, n_b, kraus_count, opts = params
-    d = n_b * kraus_count
-    draws = restart_draws(opts, 1) if n_a > 2 else 0
+    n_a, n_b = config["n_a"], config["n_b"]
+    d = n_b * config["kraus_count"]
+    draws = restart_draws(_opts(config), 1) if n_a > 2 else 0
     shapes = [(2, n_a, n_a), (2, n_b, n_b), (2, n_a, n_a), (n_a, 2, d, d), (draws, 2, n_a, n_a)]
-    g_a, g_b, g_k, g_channel, g_restarts = _gaussians(master_seed, indices, shapes)
+    g_a, g_b, g_k, g_channel, g_restarts = _gaussians(config["master_seed"], indices, shapes)
     k_basis = require_unitary(haar_from_gaussians(g_k), "unitary eigenbasis")
     bases = k_basis[:, None]
     if draws:
@@ -315,9 +310,9 @@ def _claim1_sample(params: tuple, master_seed: int, indices: tuple[int, ...]) ->
     )
 
 
-def _claim1_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    n_a, n_b, _, opts = params
-    rho_a, tau_b, k_basis, kraus_ops, bases = _claim1_sample(params, master_seed, indices)
+def _claim1_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    n_a, n_b = config["n_a"], config["n_b"]
+    rho_a, tau_b, k_basis, kraus_ops, bases = _claim1_sample(config, indices)
     lam = check_spectrum(default_spectrum(n_a))
     evolved = require_states(apply_kraus(kraus_ops, require_states(kron(rho_a, tau_b))))
     rhs = skew_informations(rho_a, observable_matrices(k_basis, lam))
@@ -325,7 +320,7 @@ def _claim1_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> t
     # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs, and the
     # monotonicity check bounds I(eps(sigma), K_A ⊗ I): the LQU search's value at its first point, K_A
     seed = _eigenbasis_cost(k_basis, forms, np.broadcast_to(lam, (len(forms), n_a)))[0]
-    lhs = _lqu_qubit(forms, lam)[0] if n_a == 2 else _lqu_search(forms, lam, opts, bases)[0]
+    lhs = _lqu_qubit(forms, lam)[0] if n_a == 2 else _lqu_search(forms, lam, _opts(config), bases)[0]
     return lhs, rhs, seed <= rhs + MONOTONICITY_TOL
 
 
@@ -350,35 +345,24 @@ def verify_claim1(
     information. Also spot-checks the commuting-channel monotonicity of
     skew information per trial.
     """
-    opts = opts or HARNESS_OPTS
-    config = {
-        "n_a": n_a,
-        "n_b": n_b,
-        "kraus_count": kraus_count,
-        "violation_tol": tol,
-        "master_seed": master_seed,
-        "opt_restarts": opts.restarts,
-        "opt_tol": opts.tol,
-        "opt_max_iters": opts.max_iters,
-    }
-    params = (n_a, n_b, kraus_count, opts)
-    return _run_trials("claim1", _claim1_body, params, config, trials, workers, collect_timing)
+    config = _config(n_a, n_b, tol, master_seed, opts or HARNESS_OPTS, kraus_count=kraus_count)
+    return _run_trials("claim1", _claim1_body, config, trials, workers, collect_timing)
 
 
-def _claim2_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _claim2_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     # Per trial, the draws of ginibre_state; then in argmin_K mode the LQU
     # search's restart bases on B (none on a qubit B, whose LQU is a closed
     # form), or in random_K mode the eigenbasis of
     # random_nondegenerate_observable; then the steering search's restart
     # bases.
-    n_a, n_b, mode, opts = params
+    n_a, n_b, mode, opts = config["n_a"], config["n_b"], config["mode"], _opts(config)
     d = n_a * n_b
     if mode == "argmin_K":
         draws_b = restart_draws(opts, 0) if n_b != 2 else 0
     else:
         draws_b = 1
     shapes = [(2, d, d), (draws_b, 2, n_b, n_b), (restart_draws(opts, 0), 2, n_a, n_a)]
-    g_rho, g_b, g_a = _gaussians(master_seed, indices, shapes)
+    g_rho, g_b, g_a = _gaussians(config["master_seed"], indices, shapes)
     rho = require_states(ginibre_from_gaussians(g_rho))
     lam = check_spectrum(default_spectrum(n_b))
     forms = local_skew_forms(rho, (n_a, n_b), "B")
@@ -415,26 +399,15 @@ def verify_claim2(
     """
     if mode not in get_args(Claim2Mode):
         raise UsageError(f"mode must be one of {', '.join(get_args(Claim2Mode))}, got {mode!r}")
-    opts = opts or HARNESS_OPTS
-    config = {
-        "n_a": n_a,
-        "n_b": n_b,
-        "mode": mode,
-        "violation_tol": tol,
-        "master_seed": master_seed,
-        "opt_restarts": opts.restarts,
-        "opt_tol": opts.tol,
-        "opt_max_iters": opts.max_iters,
-    }
-    params = (n_a, n_b, mode, opts)
-    return _run_trials("claim2", _claim2_body, params, config, trials, workers, collect_timing)
+    config = _config(n_a, n_b, tol, master_seed, opts or HARNESS_OPTS, mode=mode)
+    return _run_trials("claim2", _claim2_body, config, trials, workers, collect_timing)
 
 
-def _avg_body(params: tuple, master_seed: int, indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+def _avg_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     # Per trial, the draws of ginibre_state and then of haar_unitaries.
-    n_a, n_b, bases_per_trial = params
-    shapes = [(2, n_a * n_b, n_a * n_b), (bases_per_trial, 2, n_a, n_a)]
-    g_rho, g_bases = _gaussians(master_seed, indices, shapes)
+    n_a, n_b = config["n_a"], config["n_b"]
+    shapes = [(2, n_a * n_b, n_a * n_b), (config["bases_per_trial"], 2, n_a, n_a)]
+    g_rho, g_bases = _gaussians(config["master_seed"], indices, shapes)
     rho = require_states(ginibre_from_gaussians(g_rho))
     rhs = q_locals(rho, (n_a, n_b), "B")
     bases = require_unitary(haar_from_gaussians(g_bases), "orthonormal columns")
@@ -455,15 +428,8 @@ def verify_avg_bound(
     """Check the averaged bound: the basis-maximized steered total
     uncertainty of B never exceeds the joint state's local-observable
     information content on B. The maximum is taken over sampled bases."""
-    config = {
-        "n_a": n_a,
-        "n_b": n_b,
-        "bases_per_trial": bases_per_trial,
-        "violation_tol": tol,
-        "master_seed": master_seed,
-    }
-    params = (n_a, n_b, bases_per_trial)
-    return _run_trials("avg", _avg_body, params, config, trials, workers, collect_timing)
+    config = _config(n_a, n_b, tol, master_seed, None, bases_per_trial=bases_per_trial)
+    return _run_trials("avg", _avg_body, config, trials, workers, collect_timing)
 
 
 def _fmt_float(x: float) -> str:

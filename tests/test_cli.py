@@ -207,8 +207,8 @@ def test_run_verify_exits_1_when_a_trial_fails(monkeypatch, tmp_path, capsys, fa
     # exits 1, after writing its summary and --out files
     real = verify_mod._avg_body
 
-    def faulty(params, master_seed, indices):
-        lhs, rhs, mono_ok = real(params, master_seed, indices)
+    def faulty(config, indices):
+        lhs, rhs, mono_ok = real(config, indices)
         if 2 in indices and fault == "raise":
             raise InvalidState("unit trace", 1.0)
         return lhs, rhs, mono_ok & (np.array(indices) != 2)

@@ -18,6 +18,7 @@ from skewinfo import (
     apply_channel,
     ginibre_state,
     haar_unitaries,
+    haar_unitary,
     stream,
 )
 from skewinfo.linalg import HERMITIAN_TOL, PSD_TOL
@@ -30,12 +31,17 @@ def eigvalsh_state_verdict(m):
     """Oracle for ``require_states``: ``None`` when every member of the stack
     is a state, else the ``(invariant, residual)`` of the first check the
     stack fails, in the order Hermiticity, unit trace, PSD, each taken over
-    the whole stack; PSD by each member's smallest eigenvalue."""
+    the whole stack; Hermiticity relative to each member's scale
+    max(1, max|x|) where the absolute residual fails; PSD by each member's
+    smallest eigenvalue."""
     members = m.reshape(-1, *m.shape[-2:])
     if len(members) == 0:
         return None
     with np.errstate(invalid="ignore"):
         herm = float(np.max([np.abs(x - x.conj().T).max() for x in members]))  # NaN if any is
+        if not herm <= HERMITIAN_TOL:
+            scaled = [x / np.maximum(1.0, np.abs(x).max()) for x in members]
+            herm = float(np.max([np.abs(y - y.conj().T).max() for y in scaled]))
     if not herm <= HERMITIAN_TOL:
         return "hermiticity", herm
     tr = max(abs(np.trace(x).real - 1.0) + abs(np.trace(x).imag) for x in members)
@@ -171,6 +177,24 @@ def test_observable_requires_hermitian():
     Observable(SIGMA_Y)
     with pytest.raises(InvalidState):
         Observable(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_observable_hermiticity_scales_with_the_matrix():
+    # the rule of linalg.require_hermitian: a residual within HERMITIAN_TOL
+    # times max(1, max|m|). At norm 1e8 the rounding residual of
+    # U diag(-1, 0.3, 1) U† is a few 1e-9, above the absolute tolerance
+    rng = stream(61, 0)
+    for _ in range(200):
+        u = haar_unitary(3, rng)
+        Observable(1e8 * (u * [-1.0, 0.3, 1.0]) @ u.conj().T)
+    with pytest.raises(InvalidState) as err:
+        Observable(1e8 * np.array([[0, 1], [0, 0]], dtype=complex))
+    assert (err.value.invariant, err.value.residual) == ("hermiticity", 1.0)
+    # entries of at most 1 get the absolute check and its residual
+    m = np.array([[0, 0.5], [0.5 + 2 * HERMITIAN_TOL, 0]], dtype=complex)
+    with pytest.raises(InvalidState) as err:
+        Observable(m)
+    assert err.value.residual == np.abs(m - m.conj().T).max()
 
 
 def test_nondegenerate_observable_matrix():

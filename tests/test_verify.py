@@ -139,8 +139,8 @@ def test_violated_flag_matches_margin_definition():
 def test_failed_trial_becomes_diagnostic_record():
     # a channel with no Kraus operators (the harnesses reject kraus_count=0
     # before any trial runs) fails its completeness check in every trial
-    job = ("claim1", _claim1_body, (2, 2, 0, HARNESS_OPTS), (2, 2), 1e-7, False, 3, (0, 1, 2))
-    results = _run_chunk(job)
+    config = verify._config(2, 2, 1e-7, 3, HARNESS_OPTS, kraus_count=0)
+    results = _run_chunk(("claim1", _claim1_body, config, False, (0, 1, 2)))
     assert [record.trial_index for record, _, _ in results] == [0, 1, 2]
     for record, mono_ok, err in results:
         assert err == "InvalidChannel: completeness residual 1.000e+00 exceeds 1.0e-08"
@@ -154,6 +154,21 @@ def test_failed_trial_becomes_diagnostic_record():
 # the warm pool's workers are forked once, when the pool starts, so a patch
 # applied after that never reaches them. No test relies on a pool that an
 # earlier test started.
+
+
+def test_bodies_run_the_configuration_the_report_echoes(monkeypatch):
+    # the configuration is the only description of a run: each chunk body
+    # receives the very dict that the report, and so the summary, echoes
+    real, received = verify._claim2_body, []
+
+    def recording(config, indices):
+        received.append(config)
+        return real(config, indices)
+
+    monkeypatch.setattr(verify, "_claim2_body", recording)
+    report, _ = verify_claim2(trials=3, master_seed=4, opts=OptimizerOptions(restarts=3), workers=1)
+    assert received == [report.config]
+    assert report.config["opt_restarts"] == 3 and "config.opt_restarts=3" in summary_text(report)
 
 
 def test_failed_stacked_search_fails_only_its_trial(monkeypatch):
@@ -190,8 +205,7 @@ def test_indefinite_sampled_state_fails_only_its_trial(monkeypatch):
     # the chunk's stacked state check sees one indefinite input state on A,
     # trial 2's; run again in halves, only that trial fails, with
     # the message it gets in a chunk of its own
-    params = (3, 2, 2, HARNESS_OPTS)
-    job = ("claim1", _claim1_body, params, (3, 2), 1e-7, False, 8)
+    job = ("claim1", _claim1_body, verify._config(3, 2, 1e-7, 8, HARNESS_OPTS, kraus_count=2), False)
     clean = _run_chunk((*job, tuple(range(6))))
     trial_2 = stream(8, 2).standard_normal((2, 3, 3))  # the first draw of trial 2
     real = verify.ginibre_from_gaussians
@@ -230,15 +244,15 @@ def test_failing_chunk_reruns_only_the_halves_that_raise(bad, calls, monkeypatch
             states[k] = np.diag([1.1, -0.1]).astype(complex)
         return states
 
-    def counted_body(params, master_seed, indices):
+    def counted_body(config, indices):
         sizes.append(len(indices))
-        return real_body(params, master_seed, indices)
+        return real_body(config, indices)
 
     monkeypatch.setattr(verify, "ginibre_from_gaussians", indefinite_bad)
     monkeypatch.setattr(verify, "_claim1_body", counted_body)
     report, records = verify_claim1(trials=trials, master_seed=8, workers=1)
-    job = ("claim1", real_body, (2, 2, 2, HARNESS_OPTS), (2, 2), 1e-7, False, 8, bad[:1])
-    ((_, _, alone_error),) = _run_chunk(job)
+    config = verify._config(2, 2, 1e-7, 8, HARNESS_OPTS, kraus_count=2)
+    ((_, _, alone_error),) = _run_chunk(("claim1", real_body, config, False, bad[:1]))
     assert len(sizes) == calls
     assert report.failures == [(t, alone_error) for t in bad]
     assert alone_error.startswith("InvalidState: ")
@@ -248,9 +262,8 @@ def test_failing_chunk_reruns_only_the_halves_that_raise(bad, calls, monkeypatch
 def test_chunk_draws_what_the_public_samplers_draw():
     # per trial, claim1's stacked sampling equals the public samplers run
     # one after another on the trial's own stream, bit for bit
-    params = (3, 2, 3, HARNESS_OPTS)
     indices = (0, 4, 7)
-    draws = verify._claim1_sample(params, 5, indices)
+    draws = verify._claim1_sample(verify._config(3, 2, 1e-7, 5, HARNESS_OPTS, kraus_count=3), indices)
     for k, t in enumerate(indices):
         rng = stream(5, t)
         rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
@@ -447,9 +460,11 @@ def test_pooled_calls_from_threads_take_turns_on_the_pool(tmp_path):
 
 
 def test_warm_pool_does_not_outlive_the_interpreter():
-    # the workers stop at exit through the atexit hook of concurrent.futures:
-    # a worker left running would keep the interpreter from exiting. The
-    # pool's modules load with the first pooled call, not with the package
+    # the pool is shut down and freed at exit, while its modules still
+    # exist: a worker left running would keep the interpreter from exiting,
+    # and an executor freed after module teardown prints "Exception
+    # ignored". The pool's modules load with the first pooled call, not
+    # with the package
     code = (
         "import sys, skewinfo; assert 'multiprocessing' not in sys.modules; "
         "skewinfo.verify_avg_bound(n_a=3, n_b=3, trials=300, workers=2)"
@@ -458,6 +473,7 @@ def test_warm_pool_does_not_outlive_the_interpreter():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+    assert b"Exception ignored" not in done.stderr, done.stderr.decode()
 
 
 def test_records_do_not_depend_on_the_other_trials_of_their_chunk(tmp_path):
