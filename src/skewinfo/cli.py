@@ -18,7 +18,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import ParseError, SkewInfoError, UsageError
-from .metrics import lqu, q_local, q_total, skew_information, variance
+from .metrics import lqu, lqu_is_exact, q_local, q_total, skew_information, variance
 from .optim import OptimizerOptions
 from .rand import default_spectrum, haar_unitary, stream
 from .states import (
@@ -69,8 +69,7 @@ _FLAGS = {
     "--format": dict(dest="out_format", choices=tuple(_FORMATS)),
     "--out": dict(dest="out_path", metavar="PATH"),
 }
-_EXACT_LQU = "{} does not apply to {}: side A is a qubit, so its LQU is exact and no search runs"
-_ONE_LEVEL = "{} does not apply to {}: side A has one level, so its LQU is 0 and no restarts are drawn"
+_EXACT_LQU = "{} does not apply to {}: side A has at most two levels, so its LQU is exact and no search runs"
 _SEED = 42
 _VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
 COMMANDS = {
@@ -167,6 +166,8 @@ def parse_args(argv: list[str]) -> RunConfig:
     if "spectrum" in fields:
         fields["spectrum"] = _parse_spectrum(fields["spectrum"])
     if "out_format" in fields:
+        if "out_path" not in fields:
+            raise UsageError(f"--format applies only with --out: {command} writes no records without it")
         fields["out_format"] = _FORMATS[fields["out_format"]]
     return RunConfig(command, **fields)
 
@@ -295,7 +296,7 @@ def _run_lqu(config: RunConfig) -> int:
     state = _require_state(config, bipartite=True)
     # --restarts sizes the search and --seed draws its restarts
     for flag, value in (("--restarts", config.restarts), ("--seed", config.master_seed)):
-        if value is not None and state.n_a == 2:
+        if value is not None and lqu_is_exact(state.n_a):
             raise UsageError(_EXACT_LQU.format(flag, config.command))
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
@@ -341,8 +342,8 @@ def _run_verify(config: RunConfig) -> int:
     kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", field)}
     kwargs["master_seed"] = _SEED if config.master_seed is None else config.master_seed
     if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
-        if config.command == "verify claim1" and config.n_a in (1, 2):
-            raise UsageError((_ONE_LEVEL, _EXACT_LQU)[config.n_a - 1].format("--restarts", config.command))
+        if config.command == "verify claim1" and lqu_is_exact(config.n_a):
+            raise UsageError(_EXACT_LQU.format("--restarts", config.command))
         kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
     report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))

@@ -146,6 +146,11 @@ def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[
     return value, h * (lam - lam.swapaxes(-1, -2))
 
 
+def lqu_is_exact(n: int) -> bool:
+    """Whether the LQU on an n-level side is exact, so that no search runs and no restarts are drawn."""
+    return n <= 2
+
+
 @dataclass
 class LquResult:
     """Best found local quantum uncertainty and the observable attaining it."""
@@ -166,17 +171,15 @@ def lqu(
 ) -> LquResult:
     """Minimize skew information over side-local observables with fixed spectrum.
 
-    On a 2-level side the minimum is the closed form ``_lqu_qubit`` on the
-    local skew form: the value is exact, ``restarts_used`` is 0, and ``opts``,
-    ``seeds`` and ``rng`` are unused (no draws are taken from ``rng``). On a
-    larger side it runs a restarted Riemannian BFGS descent (see
-    :mod:`skewinfo.optim`) over the eigenbases U of K = U diag(spectrum) U†
-    on the chosen side.
-    Caller-supplied seed observables contribute their eigenbases as the
-    first restart points; the remaining restarts are Haar draws from ``rng``
-    (a fixed internal stream when omitted, so results are reproducible).
-    ``restarts_used`` counts them all. The searched value is an upper bound
-    on the true minimum, never above the value at the first seed.
+    Where ``lqu_is_exact`` holds, the value is exact (see ``_lqus``),
+    ``restarts_used`` is 0, and no draws are taken from ``rng``. On a larger
+    side a restarted Riemannian BFGS descent (see :mod:`skewinfo.optim`)
+    searches the eigenbases U of K = U diag(spectrum) U† on the chosen side,
+    from the seed observables' eigenbases first, then from Haar draws from
+    ``rng`` (a fixed internal stream when omitted, so results are
+    reproducible); ``restarts_used`` counts them all. The searched value is
+    an upper bound on the true minimum, never above the value at the first
+    seed.
     """
     n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
@@ -185,32 +188,34 @@ def lqu(
     for s in seeds:
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
-    form = local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None]
-    if n_side == 2:
-        (value,), (basis,) = _lqu_qubit(form, lam)
-        return LquResult(float(value), NondegenerateObservable(lam, basis), restarts_used=0, converged=True)
     opts = opts or OptimizerOptions()
-    bases = restart_bases(n_side, opts, [s.eigenbasis for s in seeds], rng)
-    found = _lqu_search(form, lam, opts, bases[None])
+    seeded = [s.eigenbasis for s in seeds]
+    bases = np.empty((0, n_side, n_side)) if lqu_is_exact(n_side) else restart_bases(n_side, opts, seeded, rng)
+    found = _lqus(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam, opts, bases[None])
     return LquResult(
         float(found.values[0]), NondegenerateObservable(lam, found.unitaries[0]), len(bases), bool(found.converged[0])
     )
 
 
-def _lqu_search(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray) -> SearchResult:
-    """LQU by restarted Riemannian BFGS descent over the eigenbases of the
-    side's observables with the ascending spectrum ``lam``, for each local
-    skew form of the stack ``forms`` (``local_skew_forms``), from its
-    restart bases ``bases[t]`` (``bases`` is ``(T, restarts, n, n)``), all
-    in one stacked search: the search result, its values clamped.
-
-    Each restart follows ``_eigenbasis_cost`` downhill along geodesics of
-    the unitary group, in quasi-Newton directions built from its analytic
-    gradient, for at most ``opts.max_iters`` accepted steps.
+def _lqus(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray) -> SearchResult:
+    """The LQU on the side of the ascending spectrum ``lam`` for each local
+    skew form of the stack ``forms`` (``local_skew_forms``): one search
+    result, its values clamped. Where ``lqu_is_exact`` holds, ``opts`` and
+    ``bases`` are unused, and each problem reads converged after no
+    evaluations and no steps: the LQU is 0 on one level, where every
+    observable is a multiple of the identity, and ``_lqu_qubit`` on two.
+    On a larger side, each restart basis of ``bases`` ``(T, restarts, n,
+    n)`` follows ``_eigenbasis_cost`` downhill along geodesics of the
+    unitary group, in quasi-Newton directions built from its analytic
+    gradient, for at most ``opts.max_iters`` accepted steps, all in one
+    stacked ``optim.search``.
     """
-    spectra = np.broadcast_to(lam, (len(forms), lam.size))
-    found = optim.search(_eigenbasis_cost, (forms, spectra), bases, opts)
-    return found._replace(values=_clamp(found.values))
+    t, n = len(forms), lam.size
+    if not lqu_is_exact(n):
+        found = optim.search(_eigenbasis_cost, (forms, np.broadcast_to(lam, (t, n))), bases, opts)
+        return found._replace(values=_clamp(found.values))
+    values, units = _lqu_qubit(forms, lam) if n == 2 else (np.zeros(t), np.ones((t, 1, 1), dtype=np.complex128))
+    return SearchResult(values, units, np.ones(t, dtype=bool), *np.zeros((2, t), dtype=int))
 
 
 def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -127,10 +127,13 @@ class Observable:
 
 
 def check_spectrum(spectrum: np.ndarray) -> np.ndarray:
-    """Validate a strictly ascending spectrum with the minimum gap."""
+    """Validate a finite, strictly ascending spectrum with the minimum gap."""
     lam = np.asarray(spectrum, dtype=float).ravel()
     if lam.size < 1:
         raise DegenerateSpectrum("spectrum is empty")
+    # a NaN gap compares false with the minimum, so non-finite entries would pass it
+    if not np.isfinite(lam).all():
+        raise DegenerateSpectrum(f"spectrum must be finite: {lam.tolist()}")
     if lam.size > 1 and float(np.min(np.diff(lam))) < MIN_SPECTRAL_GAP:
         raise DegenerateSpectrum(
             f"spectrum must ascend with gaps >= {MIN_SPECTRAL_GAP:.1e}: {lam.tolist()}"

@@ -25,7 +25,7 @@ import numpy as np
 from . import optim
 from .errors import UsageError
 from .linalg import kron
-from .metrics import _clamp, _eigenbasis_cost, _lqu_qubit, _lqu_search, local_skew_forms, q_locals, skew_informations
+from .metrics import _clamp, _eigenbasis_cost, _lqus, local_skew_forms, lqu_is_exact, q_locals, skew_informations
 from .optim import OptimizerOptions, restart_draws
 from .rand import (
     commuting_kraus_from_gaussians,
@@ -289,24 +289,21 @@ class _Claim1Draws(NamedTuple):
 def _claim1_sample(config: dict[str, Any], indices: tuple[int, ...]) -> _Claim1Draws:
     """Per trial, what ``ginibre_state`` (for A, then for B),
     ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and,
-    on a larger side A, the LQU search's ``optim.restart_bases`` (K_A's
+    where side A's LQU is searched, its ``optim.restart_bases`` (K_A's
     eigenbasis first) draw from the trial's stream in turn, with their
     checks."""
     n_a, n_b = config["n_a"], config["n_b"]
     d = n_b * config["kraus_count"]
-    draws = restart_draws(_opts(config), 1) if n_a > 2 else 0
+    draws = 0 if lqu_is_exact(n_a) else restart_draws(_opts(config), 1)
     shapes = [(2, n_a, n_a), (2, n_b, n_b), (2, n_a, n_a), (n_a, 2, d, d), (draws, 2, n_a, n_a)]
     g_a, g_b, g_k, g_channel, g_restarts = _gaussians(config["master_seed"], indices, shapes)
     k_basis = require_unitary(haar_from_gaussians(g_k), "unitary eigenbasis")
-    bases = k_basis[:, None]
-    if draws:
-        bases = np.concatenate([bases, haar_from_gaussians(g_restarts)], axis=1)
     return _Claim1Draws(
         require_states(ginibre_from_gaussians(g_a)),
         require_states(ginibre_from_gaussians(g_b)),
         k_basis,
         commuting_kraus_from_gaussians(k_basis, g_channel, n_b),
-        bases,
+        np.concatenate([k_basis[:, None], haar_from_gaussians(g_restarts)], axis=1),
     )
 
 
@@ -318,9 +315,9 @@ def _claim1_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.n
     rhs = skew_informations(rho_a, observable_matrices(k_basis, lam))
     forms = local_skew_forms(evolved, (n_a, n_b), "A")
     # sqrt(rho_A ⊗ tau_B) = sqrt(rho_A) ⊗ sqrt(tau_B), so I(sigma, K_A ⊗ I) = I(rho_A, K_A) = rhs, and the
-    # monotonicity check bounds I(eps(sigma), K_A ⊗ I): the LQU search's value at its first point, K_A
+    # monotonicity check bounds I(eps(sigma), K_A ⊗ I): a searched LQU's value at its first point, K_A
     seed = _eigenbasis_cost(k_basis, forms, np.broadcast_to(lam, (len(forms), n_a)))[0]
-    lhs = _lqu_qubit(forms, lam)[0] if n_a == 2 else _lqu_search(forms, lam, _opts(config), bases)[0]
+    lhs = _lqus(forms, lam, _opts(config), bases).values
     return lhs, rhs, seed <= rhs + MONOTONICITY_TOL
 
 
@@ -340,8 +337,8 @@ def verify_claim1(
 
     Per trial, samples a product input, a random nondegenerate observable
     on A, and a random channel commuting with it; compares the local
-    uncertainty of the output (exact on a qubit side A, else searched from
-    the observable itself, a feasible point) against the input skew
+    uncertainty of the output (exact on a side A of at most two levels, else
+    searched from the observable itself, a feasible point) against the input skew
     information. Also spot-checks the commuting-channel monotonicity of
     skew information per trial.
     """
@@ -351,16 +348,12 @@ def verify_claim1(
 
 def _claim2_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     # Per trial, the draws of ginibre_state; then in argmin_K mode the LQU
-    # search's restart bases on B (none on a qubit B, whose LQU is a closed
-    # form), or in random_K mode the eigenbasis of
-    # random_nondegenerate_observable; then the steering search's restart
-    # bases.
+    # search's restart bases on B (none where its LQU is exact), or in
+    # random_K mode the eigenbasis of random_nondegenerate_observable; then
+    # the steering search's restart bases.
     n_a, n_b, mode, opts = config["n_a"], config["n_b"], config["mode"], _opts(config)
     d = n_a * n_b
-    if mode == "argmin_K":
-        draws_b = restart_draws(opts, 0) if n_b != 2 else 0
-    else:
-        draws_b = 1
+    draws_b = 1 if mode == "random_K" else 0 if lqu_is_exact(n_b) else restart_draws(opts, 0)
     shapes = [(2, d, d), (draws_b, 2, n_b, n_b), (restart_draws(opts, 0), 2, n_a, n_a)]
     g_rho, g_b, g_a = _gaussians(config["master_seed"], indices, shapes)
     rho = require_states(ginibre_from_gaussians(g_rho))
@@ -369,10 +362,8 @@ def _claim2_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.n
     if mode == "random_K":
         k_basis = require_unitary(haar_from_gaussians(g_b[:, 0]), "unitary eigenbasis")
         rhs = _clamp(_eigenbasis_cost(k_basis, forms, np.broadcast_to(lam, (len(forms), n_b)))[0])
-    elif n_b == 2:
-        rhs, k_basis = _lqu_qubit(forms, lam)
     else:
-        rhs, k_basis = _lqu_search(forms, lam, opts, haar_from_gaussians(g_b))[:2]
+        rhs, k_basis = _lqus(forms, lam, opts, haar_from_gaussians(g_b))[:2]
     km = observable_matrices(k_basis, lam)
     r4 = rho.reshape(-1, n_a, n_b, n_a, n_b)
     lhs = -optim.search(_skew_objective, (r4, km), haar_from_gaussians(g_a), opts).values

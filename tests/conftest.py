@@ -7,8 +7,8 @@ import pytest
 import scipy.linalg
 
 from skewinfo import BipartiteState, DensityMatrix, DimensionMismatch, InvalidState, Observable, stream
-from skewinfo.metrics import _lqu_search, local_skew_forms
-from skewinfo.optim import OptimizerOptions, restart_bases
+from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
+from skewinfo.optim import OptimizerOptions, restart_bases, search
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -161,11 +161,12 @@ def searched_lqu(
     state: BipartiteState, spectrum: np.ndarray, side: str, opts: OptimizerOptions, rng: np.random.Generator
 ) -> float:
     """The LQU by the package's search on a side of any size, a qubit side
-    (where ``lqu`` takes the closed form) included: one row of
-    ``_lqu_search`` from the ``restart_bases`` that ``rng`` draws."""
+    (where ``lqu`` takes the closed form) included: ``optim.search`` of the
+    eigenbasis cost, unclamped, from the ``restart_bases`` that ``rng`` draws."""
     form = local_skew_forms(state.matrix, state.dims, side)
-    bases = restart_bases(len(spectrum), opts, rng=rng)
-    return float(_lqu_search(form[None], np.asarray(spectrum, dtype=float), opts, bases[None]).values[0])
+    lam = np.asarray(spectrum, dtype=float)
+    bases = restart_bases(lam.size, opts, rng=rng)
+    return float(search(_eigenbasis_cost, (form[None], lam[None]), bases[None], opts).values[0])
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """Command-line parsing, the state-file format, and end-to-end runs."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ def test_restarts_is_a_usage_error_where_side_a_is_a_qubit(tmp_path, capsys):
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert f"{argv[-2]} does not apply to" in err and "side A is a qubit, so its LQU is exact" in err
+        assert f"{argv[-2]} does not apply to" in err and "side A has at most two levels, so its LQU is exact" in err
     diagonal = ("0.25", "0.25", "0.125", "0.125", "0.125", "0.125")
     rows = [" ".join(v if i == j else "0" for j in range(6)) for i, v in enumerate(diagonal)]
     qutrit = write(tmp_path, "diag32.txt", "dims: 3 2\n" + "\n".join(rows) + "\n")
@@ -166,11 +167,39 @@ def test_restarts_is_a_usage_error_where_side_a_is_a_qubit(tmp_path, capsys):
 
 
 def test_restarts_is_a_usage_error_where_side_a_has_one_level(capsys):
-    # claim1 searches a 1-level side A from K_A's eigenbasis alone and draws
-    # no restarts, so --restarts would change nothing
+    # a 1-level side A has the exact LQU 0: claim1 runs no search there and
+    # draws no restarts, so --restarts would change nothing
     assert main("verify claim1 --dim-a 1 --trials 2 --restarts 3".split()) == 2
-    assert "--restarts does not apply to verify claim1: side A has one level" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--restarts does not apply to verify claim1: side A has at most two levels" in err
     assert main("verify claim1 --dim-a 1 --trials 2".split()) == 0
+
+
+def test_lqu_search_flags_are_usage_errors_where_side_a_has_one_level(tmp_path, capsys):
+    # lqu on a 1-level side A is exactly 0 and draws nothing, so --seed and
+    # --restarts would be accepted and ignored
+    state = write(tmp_path, "s12.txt", "dims: 1 2\n0.5+0j 0+0j\n0+0j 0.5+0j\n")
+    for flags in (["--seed", "1"], ["--restarts", "3"]):
+        assert main(["lqu", "--state-file", state, *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"{flags[0]} does not apply to lqu: side A has at most two levels" in err
+    assert main(["lqu", "--state-file", state]) == 0
+    out = capsys.readouterr().out
+    assert "lqu = 0.000000" in out and "restarts_used = 0" in out and "converged = true" in out
+
+
+@pytest.mark.parametrize(
+    "command, spectrum", [("skew", "nan,1"), ("skew", "-1,inf"), ("lqu", "-1,0,nan"), ("lqu", "-inf,0,1")]
+)
+def test_non_finite_spectrum_is_a_usage_error(tmp_path, capsys, command, spectrum):
+    # a NaN gap passes the minimum-gap test, so without the finiteness test
+    # these printed nan (and inf raised NumPy warnings) and exited 0
+    path = write(tmp_path, "s.txt", MIXED_2 if command == "skew" else "dims: 3 1\n0.5 0 0\n0 0.25 0\n0 0 0.25\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--state-file", path, "--spectrum", spectrum]) == 2
+    captured = capsys.readouterr()
+    assert "spectrum must be finite" in captured.err and captured.out == ""
 
 
 def test_run_q_on_bipartite(tmp_path, capsys):
@@ -255,8 +284,8 @@ def test_parse_flags_rejected_where_no_command_reads_them():
         "--basis-file u.txt": {"skew"},
         "--state-file rho.txt": {"skew", "q", "lqu", "steer"},
         "--seed 7": {"lqu", "steer"} | verifiers,
-        "--format csv": verifiers,
-        "--format json": verifiers,
+        "--format csv --out r.csv": verifiers,
+        "--format json --out r.jsonl": verifiers,
     }
     commands = ("skew", "q", "lqu", "steer", "verify claim1", "verify claim2", "verify avg")
     for flag, allowed in readers.items():
@@ -313,8 +342,8 @@ def test_main_exits_2_on_an_ignored_flag(tmp_path, capsys):
 def test_seed_and_format_take_their_defaults_after_the_check(tmp_path, capsys):
     assert parse_args(["lqu"]).master_seed is None  # 42 when it is drawn from
     assert parse_args("steer --seed 7".split()).master_seed == 7
-    assert parse_args("verify avg --format json".split()).out_format == "json-lines"
-    assert parse_args("verify avg --format csv".split()).out_format == "csv"
+    assert parse_args("verify avg --format json --out r.jsonl".split()).out_format == "json-lines"
+    assert parse_args("verify avg --format csv --out r.csv".split()).out_format == "csv"
     state = write(tmp_path, "m.txt", MIXED_2)
     assert main(["skew", "--state-file", state, "--seed", "7"]) == 2
     err = capsys.readouterr().err
@@ -322,6 +351,17 @@ def test_seed_and_format_take_their_defaults_after_the_check(tmp_path, capsys):
     assert main(["q", "--state-file", state, "--out", str(tmp_path / "q.txt"), "--format", "csv"]) == 2
     assert "--format applies only to verify claim1, verify claim2 and verify avg, not q" in capsys.readouterr().err
     assert not (tmp_path / "q.txt").exists()
+
+
+def test_format_without_out_is_a_usage_error(monkeypatch, capsys):
+    # --format picks the records file's format, and without --out no such
+    # file is written, so the flag would be accepted and ignored
+    monkeypatch.setattr(verify_mod, "_run_chunk", lambda job: pytest.fail("a trial ran"))
+    for command in ("verify claim1", "verify claim2", "verify avg"):
+        for fmt in ("csv", "json"):
+            assert main(f"{command} --trials 2 --format {fmt}".split()) == 2
+            captured = capsys.readouterr()
+            assert f"--format applies only with --out: {command}" in captured.err and captured.out == ""
 
 
 def test_run_verify_defaults_to_harness_budget(capsys):

@@ -18,6 +18,8 @@ from skewinfo import (
     skew_information,
     stream,
 )
+from skewinfo.metrics import _clamp, _eigenbasis_cost, _lqu_qubit, _lqus, local_skew_forms
+from skewinfo.optim import restart_bases, search
 from conftest import oracle_lqu_qubit, searched_lqu
 
 
@@ -168,3 +170,37 @@ def test_lqu_closed_form_is_the_minimum(seed, dims, pure, low, gap):
         for _ in range(20):
             k = random_nondegenerate_observable(2, spectrum, rng)
             assert result.value <= skew_information(state.state, embedded(k.matrix, side)) + 1e-12
+
+
+@pytest.mark.parametrize("side, dims", [("A", (1, 3)), ("B", (3, 1)), ("A", (1, 1))])
+def test_lqu_on_a_one_level_side_is_exactly_zero(side, dims):
+    # every observable on one level is a multiple of the identity, which
+    # commutes with the state: the LQU is 0, with no search and no draws
+    state = BipartiteState(ginibre_state(dims[0] * dims[1], rng=stream(6, 0)), *dims)
+    rng = stream(6, 1)
+    result = lqu(state, np.array([0.5]), side, rng=rng)
+    assert result.value == 0.0
+    assert (result.restarts_used, result.converged) == (0, True)
+    assert rng.standard_normal(8).tolist() == stream(6, 1).standard_normal(8).tolist()
+
+
+def test_lqu_routine_is_the_closed_form_and_the_search():
+    # the stacked routine is bit for bit the qubit closed form at n = 2, with
+    # no work done, and bit for bit the clamped direct search at n = 3
+    rng = stream(7, 0)
+    opts = OptimizerOptions(restarts=3, max_iters=60)
+    for n in (2, 3):
+        rho = np.stack([ginibre_state(2 * n, rng=rng).matrix for _ in range(5)])
+        forms = local_skew_forms(rho, (2, n), "B")
+        lam = np.linspace(-1.0, 1.0, n)
+        bases = np.stack([restart_bases(n, opts, rng=rng) for _ in forms])
+        found = _lqus(forms, lam, opts, bases)
+        if n == 2:
+            values, units = _lqu_qubit(forms, lam)
+            converged, evals, steps = np.ones(5, dtype=bool), np.zeros(5, dtype=int), np.zeros(5, dtype=int)
+        else:
+            spectra = np.tile(lam, (5, 1))
+            values, units, converged, evals, steps = search(_eigenbasis_cost, (forms, spectra), bases, opts)
+            values = _clamp(values)
+        for got, want in zip(found, (values, units, converged, evals, steps)):
+            np.testing.assert_array_equal(got, want)

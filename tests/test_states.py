@@ -22,7 +22,7 @@ from skewinfo import (
     stream,
 )
 from skewinfo.linalg import HERMITIAN_TOL, PSD_TOL
-from skewinfo.states import TRACE_TOL, require_complete, require_states
+from skewinfo.states import TRACE_TOL, check_spectrum, require_complete, require_states
 
 from conftest import PAULIS, SIGMA_X, SIGMA_Y, SIGMA_Z, ObservableBasis, gell_mann_basis
 
@@ -207,6 +207,16 @@ def test_nondegenerate_observable_rejects_small_gap():
         NondegenerateObservable(np.array([0.0, 1e-8]), np.eye(2))
     with pytest.raises(DegenerateSpectrum):
         NondegenerateObservable(np.array([1.0, 1.0]), np.eye(2))
+
+
+@pytest.mark.parametrize("spectrum", [[np.nan, 1.0], [-1.0, np.inf], [-np.inf, 0.0], [-1.0, 0.0, np.nan], [np.nan]])
+def test_non_finite_spectrum_is_rejected(spectrum):
+    # a NaN gap compares false with the minimum gap, so only the finiteness
+    # test stops these; the observable's matrix would be all NaN
+    with pytest.raises(DegenerateSpectrum, match="finite"):
+        check_spectrum(np.array(spectrum))
+    with pytest.raises(DegenerateSpectrum, match="finite"):
+        NondegenerateObservable(np.array(spectrum), np.eye(len(spectrum)))
 
 
 def test_nondegenerate_observable_rejects_nonunitary_basis():

@@ -84,14 +84,22 @@ def test_claim2_both_modes_no_violations():
 
 
 def test_claim2_argmin_on_a_one_level_side_b():
-    # a 1-level B has no qubit closed form, so its LQU search runs on the
-    # drawn restarts; every observable on it is a multiple of the identity
+    # every observable on a 1-level B is a multiple of the identity, so its
+    # LQU is exactly 0 and no search runs for it
     for n_a in (2, 3):
         report, records = verify_claim2(n_a=n_a, n_b=1, trials=4, master_seed=5, mode="argmin_K", workers=1)
         assert report.failed == 0 and report.violations == 0
         assert all(r.lhs == 0.0 for r in records)
-        # the form's value at the identity, zero up to rounding
-        assert all(0.0 <= r.rhs <= 1e-14 for r in records)
+        assert all(r.rhs == 0.0 for r in records)
+
+
+def test_claim1_on_a_one_level_side_a():
+    # the output's LQU on a 1-level A is exactly 0, not the rounding noise of
+    # the skew form at K_A; the bound's side is the input's skew information
+    for n_b in (1, 2, 3):
+        report, records = verify_claim1(n_a=1, n_b=n_b, trials=40, master_seed=42, workers=1)
+        assert report.failed == 0 and report.violations == 0 and report.monotonicity_violations == 0
+        assert all(r.lhs == 0.0 and r.margin == r.rhs >= 0.0 for r in records)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
