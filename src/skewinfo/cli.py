@@ -11,6 +11,7 @@ stdout and output files are byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -69,7 +70,7 @@ _FLAGS = {
     "--format": dict(dest="out_format", choices=tuple(_FORMATS)),
     "--out": dict(dest="out_path", metavar="PATH"),
 }
-_EXACT_LQU = "{} does not apply to {}: side A has at most two levels, so its LQU is exact and no search runs"
+_FILE_FORMAT = "expected a 'dims: nA nB' or 'dim: n' header, then n rows of n finite complex entries"
 _SEED = 42
 _VERIFY_FLAGS = ("--dim-a", "--dim-b", "--trials", "--seed", "--tol", "--out", "--format")
 COMMANDS = {
@@ -172,68 +173,31 @@ def parse_args(argv: list[str]) -> RunConfig:
     return RunConfig(command, **fields)
 
 
-def _parse_matrix_lines(path: str) -> tuple[tuple[int, int] | None, np.ndarray]:
-    """Read the text matrix format: a 'dims: nA nB' or 'dim: n' header,
-    then rows of whitespace-separated complex tokens like 0.5+0j."""
+def _read_matrix(path: str) -> tuple[list[int], np.ndarray]:
+    """Read the text matrix format: a 'dims: nA nB' or 'dim: n' header, then
+    n = nA*nB rows of n whitespace-separated finite complex tokens like 0.5+0j."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            header, *rows = [ln.strip() for ln in fh if ln.strip()] or [""]
+        key, _, sizes = header.lower().partition(":")
+        dims = [int(size) for size in sizes.split()]
+        matrix = np.array([[complex(tok) for tok in row.split()] for row in rows], dtype=np.complex128)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = lines[0].lower()
-    if header.startswith("dims:"):
-        parts = header[len("dims:") :].split()
-        if len(parts) != 2:
-            raise ParseError(f"{path}: expected 'dims: nA nB', got {lines[0]!r}")
-        try:
-            dims = (int(parts[0]), int(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad dims header {lines[0]!r}") from exc
-        dim = dims[0] * dims[1]
-    elif header.startswith("dim:"):
-        try:
-            dim = int(header[len("dim:") :].strip())
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad dim header {lines[0]!r}") from exc
-        dims = None
-    else:
-        raise ParseError(f"{path}: first line must be 'dims: nA nB' or 'dim: n'")
-    rows = lines[1:]
-    if len(rows) != dim:
-        raise ParseError(f"{path}: expected {dim} matrix rows, found {len(rows)}")
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        tokens = row.split()
-        if len(tokens) != dim:
-            raise ParseError(f"{path}: row {i} has {len(tokens)} entries, expected {dim}")
-        for j, tok in enumerate(tokens):
-            try:
-                matrix[i, j] = complex(tok)
-            except ValueError as exc:
-                raise ParseError(f"{path}: bad complex token {tok!r} at ({i},{j})") from exc
-    if not np.all(np.isfinite(matrix.view(np.float64))):
-        raise ParseError(f"{path}: non-finite entries")
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}; {_FILE_FORMAT}") from exc
+    dim = math.prod(dims)
+    if len(dims) != {"dims": 2, "dim": 1}.get(key) or matrix.shape != (dim, dim) or not np.isfinite(matrix).all():
+        raise ParseError(f"{path}: {_FILE_FORMAT}")
     return dims, matrix
 
 
 def load_state(path: str) -> DensityMatrix | BipartiteState:
     """Load a density matrix (or bipartite state when a 'dims:' header is
     present), validating all state invariants."""
-    dims, matrix = _parse_matrix_lines(path)
+    dims, matrix = _read_matrix(path)
     rho = DensityMatrix(matrix)
-    if dims is None:
-        return rho
-    return BipartiteState(rho, dims[0], dims[1])
-
-
-def load_basis_unitary(path: str) -> np.ndarray:
-    """Load an eigenbasis file (same text format, 'dim: n' header)."""
-    dims, matrix = _parse_matrix_lines(path)
-    if dims is not None:
-        raise ParseError(f"{path}: basis file must use a 'dim: n' header")
-    return MeasurementBasis(matrix).unitary
+    return rho if len(dims) == 1 else BipartiteState(rho, *dims)
 
 
 def _require_state(config: RunConfig, bipartite: bool = False) -> DensityMatrix | BipartiteState:
@@ -247,11 +211,12 @@ def _require_state(config: RunConfig, bipartite: bool = False) -> DensityMatrix 
 
 def _observable_for(config: RunConfig, dim: int) -> NondegenerateObservable:
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(dim)
-    if config.basis_file is not None:
-        basis = load_basis_unitary(config.basis_file)
-    else:
-        basis = np.eye(dim, dtype=np.complex128)
-    return NondegenerateObservable(lam, basis)
+    if config.basis_file is None:
+        return NondegenerateObservable(lam, np.eye(dim, dtype=np.complex128))
+    dims, matrix = _read_matrix(config.basis_file)
+    if len(dims) != 1:
+        raise ParseError(f"{config.basis_file}: basis file must use a 'dim: n' header")
+    return NondegenerateObservable(lam, MeasurementBasis(matrix).unitary)
 
 
 def _emit(lines: list[str], config: RunConfig) -> None:
@@ -260,6 +225,21 @@ def _emit(lines: list[str], config: RunConfig) -> None:
     if config.out_path is not None:
         with open(config.out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _reject_search_flags(config: RunConfig, n_a: int) -> None:
+    """Reject --restarts, which sizes a unitary search, and lqu's --seed,
+    which draws its restarts, where the command runs no such search."""
+    if config.command == "verify claim2":  # the steering search on A, and argmin_K's LQU search on B
+        searched = n_a != 1 or (config.mode == "argmin_K" and not lqu_is_exact(config.n_b))
+        why = "side A has one level and B's LQU is not searched, so no search runs"
+    else:
+        searched = not lqu_is_exact(n_a)
+        why = "side A has at most two levels, so its LQU is exact and no search runs"
+    seed = config.master_seed if config.command == "lqu" else None
+    for flag, value in (("--restarts", config.restarts), ("--seed", seed)):
+        if value is not None and not searched:
+            raise UsageError(f"{flag} does not apply to {config.command}: {why}")
 
 
 def _run_skew(config: RunConfig) -> int:
@@ -294,10 +274,7 @@ def _run_q(config: RunConfig) -> int:
 
 def _run_lqu(config: RunConfig) -> int:
     state = _require_state(config, bipartite=True)
-    # --restarts sizes the search and --seed draws its restarts
-    for flag, value in (("--restarts", config.restarts), ("--seed", config.master_seed)):
-        if value is not None and lqu_is_exact(state.n_a):
-            raise UsageError(_EXACT_LQU.format(flag, config.command))
+    _reject_search_flags(config, state.n_a)
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
     seed = _SEED if config.master_seed is None else config.master_seed
@@ -341,9 +318,8 @@ def _run_verify(config: RunConfig) -> int:
     harness, field = _HARNESSES[config.command]
     kwargs = {name: getattr(config, name) for name in ("n_a", "n_b", "trials", "tol", field)}
     kwargs["master_seed"] = _SEED if config.master_seed is None else config.master_seed
+    _reject_search_flags(config, config.n_a)
     if config.restarts is not None:  # the parser takes --restarts for claim1 and claim2 only
-        if config.command == "verify claim1" and lqu_is_exact(config.n_a):
-            raise UsageError(_EXACT_LQU.format("--restarts", config.command))
         kwargs["opts"] = replace(verify_mod.HARNESS_OPTS, restarts=config.restarts)
     report, records = harness(**kwargs)
     sys.stdout.write(verify_mod.summary_text(report))

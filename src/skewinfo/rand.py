@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, UsageError
 from .states import (
     DensityMatrix,
     KrausChannel,
@@ -128,7 +128,7 @@ def ginibre_state(n: int, rank: int | None = None, rng: np.random.Generator | No
     Defaults to full rank; lower ranks probe boundary states.
     """
     if rng is None:
-        raise ValueError("an explicit rng stream is required")
+        raise UsageError("an explicit rng stream is required")
     r = n if rank is None else rank
     if not 1 <= r <= n:
         raise DimensionMismatch(f"rank must satisfy 1 <= rank <= {n}, got {r}")
@@ -147,7 +147,7 @@ def random_nondegenerate_observable(
 ) -> NondegenerateObservable:
     """Haar-rotated observable with the given (default equally spaced) spectrum."""
     if rng is None:
-        raise ValueError("an explicit rng stream is required")
+        raise UsageError("an explicit rng stream is required")
     lam = default_spectrum(n) if spectrum is None else check_spectrum(spectrum)
     if lam.size != n:
         raise DimensionMismatch(f"spectrum length {lam.size} does not match dimension {n}")

@@ -101,10 +101,11 @@ class VerificationReport:
 
 
 def worker_count() -> int:
-    """Worker cap: UQ_THREADS when set, else the CPUs this process may run on."""
+    """Worker cap: UQ_THREADS when set, else the CPUs this process may run on
+    (all the CPUs where the platform cannot tell)."""
     env = os.environ.get("UQ_THREADS")
-    if env is None:
-        return len(os.sched_getaffinity(0))
+    if env is None:  # os.sched_getaffinity is missing on some platforms, macOS and Windows among them
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
         n = int(env)
     except ValueError:
@@ -498,7 +499,7 @@ def write_report(
             "{" + ", ".join(f'"{n}": {c.to_json(getattr(r, n))}' for n, c in _SCHEMA) + "}\n" for r in records
         )
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        raise UsageError(f"unknown format {fmt!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(body)
     with open(path + ".summary", "w", encoding="utf-8", newline="\n") as fh:
@@ -518,4 +519,4 @@ def read_records(path: str, fmt: Literal["json-lines", "csv"] = "json-lines") ->
     if fmt == "json-lines":
         rows = [json.loads(ln) for ln in lines]
         return [TrialRecord(**{n: c.from_json(row[n]) for n, c in _SCHEMA}) for row in rows]
-    raise ValueError(f"unknown format {fmt!r}")
+    raise UsageError(f"unknown format {fmt!r}")

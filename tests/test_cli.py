@@ -106,6 +106,57 @@ def test_load_state_parse_errors(tmp_path):
         load_state(write(tmp_path, "c.txt", "dim: 3\n1 0\n0 0\n"))  # wrong row count
 
 
+MIXED_2_ROWS = "0.5+0j 0+0j\n0+0j 0.5+0j\n"
+
+
+@pytest.mark.parametrize(
+    "text, basis, accepted",
+    [
+        (BELL, False, True),
+        (BELL.replace("dims: 2 2", "DIMS:2 2"), False, True),
+        (MIXED_2, False, True),
+        ("\ndim: 2\n\n0.5 0\n   \n0 0.5\n\n", False, True),  # blank lines
+        ("dim: 2\n(0.5+0j) (0+0j)\n(0+0j) (0.5+0j)\n", False, True),
+        ("dim: 2\n1 0\n0 1\n", True, True),
+        ("", False, False),  # empty file
+        ("\n  \n", False, False),  # blank lines only
+        (MIXED_2_ROWS, False, False),  # missing header
+        ("matrix: 2\n" + MIXED_2_ROWS, False, False),  # unknown header
+        ("dims: 2\n" + MIXED_2_ROWS, False, False),  # too few sizes
+        ("dim: 2 1\n" + MIXED_2_ROWS, False, False),  # too many sizes
+        ("dims: 2 1 1\n" + MIXED_2_ROWS, False, False),
+        ("dim: two\n" + MIXED_2_ROWS, False, False),  # non-integer size
+        ("dims: 2 1.0\n" + MIXED_2_ROWS, False, False),
+        ("dim: 2\n0.5+0j 0+0j 0\n0+0j 0.5+0j\n", False, False),  # ragged row
+        ("dim: 2\n0.5+0j\n0+0j 0.5+0j\n", False, False),
+        ("dim: 2\n0.5 oops\n0 0.5\n", False, False),  # bad token
+        ("dim: 2\n0.5 0\n", False, False),  # too few rows
+        ("dim: 2\n" + MIXED_2_ROWS + "0 0\n", False, False),  # too many rows
+        ("dim: 2\n0.5 0\n0 0.5 0\n", False, False),  # too many entries in the last row
+        ("dim: 2\nnan 0\n0 0.5\n", False, False),
+        ("dim: 2\n0.5 0\n0 0.5+nanj\n", False, False),
+        ("dim: 2\ninf 0\n0 0.5\n", False, False),
+        ("dim: 2\n0.5 -infj\n0 0.5\n", False, False),
+        ("dims: 2 1\n1 0\n0 1\n", True, False),  # a basis file with a 'dims:' header
+    ],
+)
+def test_reader_verdicts(tmp_path, capsys, text, basis, accepted):
+    # a file is read or it is a ParseError that names it, exit status 1
+    path = write(tmp_path, "m.txt", text)
+    state = write(tmp_path, "s.txt", MIXED_2) if basis else path
+    argv = ["skew", "--state-file", state, "--basis-file", path] if basis else ["q", "--state-file", path]
+    assert main(argv) == (0 if accepted else 1)
+    err = capsys.readouterr().err
+    assert err == "" if accepted else err.startswith(f"ParseError: {path}: ")
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"dim: 1\n\xff\n")
+    assert main(["q", "--state-file", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"ParseError: {path}: 'utf-8' codec can't decode")
+
+
 def test_run_skew_maximally_mixed(tmp_path, capsys):
     state = write(tmp_path, "m.txt", MIXED_2)
     assert main(["skew", "--state-file", state]) == 0
@@ -186,6 +237,28 @@ def test_lqu_search_flags_are_usage_errors_where_side_a_has_one_level(tmp_path, 
     assert main(["lqu", "--state-file", state]) == 0
     out = capsys.readouterr().out
     assert "lqu = 0.000000" in out and "restarts_used = 0" in out and "converged = true" in out
+
+
+@pytest.mark.parametrize("flags", ["", "--mode random_K --dim-b 3", "--mode argmin_K --dim-b 1", "--mode argmin_K"])
+def test_claim2_restarts_is_a_usage_error_where_nothing_is_searched(monkeypatch, capsys, flags):
+    # with one level on A the steering search has nothing to search, and
+    # random_K draws B's observable while argmin_K on a side B of at most
+    # two levels takes its exact LQU, so --restarts would change nothing
+    monkeypatch.setattr(verify_mod, "_run_chunk", lambda job: pytest.fail("a trial ran"))
+    assert main(f"verify claim2 --dim-a 1 --trials 3 --restarts 3 {flags}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "--restarts does not apply to verify claim2: side A has one level and B's LQU is not searched,"
+        " so no search runs\n"
+    )
+
+
+@pytest.mark.parametrize("flags", ["--dim-a 2", "--dim-a 2 --mode argmin_K", "--dim-a 1 --mode argmin_K --dim-b 3"])
+def test_claim2_restarts_sizes_a_search(capsys, flags):
+    # the steering search on a side A of two levels, or the LQU search on a
+    # three-level side B
+    assert main(f"verify claim2 --trials 2 --restarts 3 {flags}".split()) == 0
+    assert "config.opt_restarts=3" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize(

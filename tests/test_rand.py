@@ -7,6 +7,7 @@ from skewinfo import (
     DegenerateSpectrum,
     DimensionMismatch,
     NondegenerateObservable,
+    UsageError,
     apply_channel,
     commuting_kraus_channel,
     default_spectrum,
@@ -305,3 +306,9 @@ def test_commuting_channel_equals_the_term_by_term_sum(n_a, n_b, kraus_count):
         for e, ref in zip(ops, expected):
             assert e.tobytes() == ref.tobytes()
         assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("draw", [ginibre_state, random_nondegenerate_observable])
+def test_an_omitted_rng_is_a_usage_error(draw):
+    with pytest.raises(UsageError, match="an explicit rng stream is required"):
+        draw(2)

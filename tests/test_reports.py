@@ -4,7 +4,9 @@ import math
 from dataclasses import fields
 from typing import get_type_hints
 
-from skewinfo import TrialRecord, VerificationReport, read_records, write_report
+import pytest
+
+from skewinfo import TrialRecord, UsageError, VerificationReport, read_records, write_report
 
 RECORDS = [
     TrialRecord(0, (42, 0), (3, 2), "claim1", 0.12345678901234568, 0.5, 0.5 - 0.12345678901234568, False, 0.0),
@@ -103,3 +105,13 @@ def test_fields_read_back_as_their_declared_types(tmp_path):
                 assert type(value) is getattr(hint, "__origin__", hint), (fmt, name, value)
                 if isinstance(value, tuple):
                     assert all(type(v) is int for v in value), (fmt, name, value)
+
+
+def test_an_unknown_format_is_a_usage_error(tmp_path):
+    path = str(tmp_path / "r.txt")
+    with pytest.raises(UsageError, match="unknown format 'xml'"):
+        write_report(REPORT, RECORDS, path, "xml")
+    assert not (tmp_path / "r.txt").exists()
+    write_report(REPORT, RECORDS, path)
+    with pytest.raises(UsageError, match="unknown format 'xml'"):
+        read_records(path, "xml")

@@ -546,6 +546,16 @@ def test_uq_threads_env_caps_workers(tmp_path, monkeypatch):
     assert worker_count() == len(os.sched_getaffinity(0))
 
 
+def test_worker_count_without_sched_getaffinity(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity: the cap is then every CPU
+    monkeypatch.delenv("UQ_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert worker_count() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undetermined
+    assert worker_count() == 1
+
+
 def test_write_report_jsonl_roundtrip(tmp_path):
     report, records = verify_avg_bound(trials=3, bases_per_trial=4, master_seed=2, workers=1)
     path = str(tmp_path / "records.jsonl")
