@@ -229,7 +229,8 @@ def _emit(lines: list[str], config: RunConfig) -> None:
 
 def _reject_search_flags(config: RunConfig, n_a: int) -> None:
     """Reject --restarts, which sizes a unitary search, and lqu's --seed,
-    which draws its restarts, where the command runs no such search."""
+    which draws its restarts, where the command runs no such search; and
+    lqu's --seed with --restarts 1, whose one restart is the spectral seed."""
     if config.command == "verify claim2":  # the steering search on A, and argmin_K's LQU search on B
         searched = n_a != 1 or (config.mode == "argmin_K" and not lqu_is_exact(config.n_b))
         why = "side A has one level and B's LQU is not searched, so no search runs"
@@ -240,6 +241,9 @@ def _reject_search_flags(config: RunConfig, n_a: int) -> None:
     for flag, value in (("--restarts", config.restarts), ("--seed", seed)):
         if value is not None and not searched:
             raise UsageError(f"{flag} does not apply to {config.command}: {why}")
+    if seed is not None and config.restarts == 1:
+        why = "its one restart is the spectral seed, so it draws nothing"
+        raise UsageError(f"--seed does not apply to lqu --restarts 1: {why}")
 
 
 def _run_skew(config: RunConfig) -> int:

@@ -29,9 +29,6 @@ CLAMP_WINDOW = 1e-10
 
 ObservableLike = Union[Observable, NondegenerateObservable]
 
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=np.complex128)
-
-
 def _clamp(value):
     """Values in [-CLAMP_WINDOW, 0) set to 0, elementwise for an array."""
     return np.where((-CLAMP_WINDOW <= value) & (value < 0.0), 0.0, value)
@@ -146,6 +143,48 @@ def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[
     return value, h * (lam - lam.swapaxes(-1, -2))
 
 
+def _gell_mann(n: int) -> np.ndarray:
+    """The generalized Gell-Mann matrices ``(n^2 - 1, n, n)``, a traceless
+    Hermitian basis with Tr(G_i G_j) = 2 delta_ij: for each j < k the
+    symmetric e_jk + e_kj, then for each j < k the antisymmetric
+    -i e_jk + i e_kj, then for l = 1 .. n-1 the diagonal sqrt(2 / (l (l+1)))
+    (e_00 + ... + e_(l-1)(l-1) - l e_ll). At n = 2 they are the Pauli
+    matrices x, y, z."""
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(rows.size)
+    g = np.zeros((n * n - 1, n, n), dtype=np.complex128)
+    g[k, rows, cols] = g[k, cols, rows] = 1.0
+    g[rows.size + k, rows, cols], g[rows.size + k, cols, rows] = -1j, 1j
+    level = np.arange(1, n)[:, None]
+    diagonal = np.where(np.arange(n) < level, 1.0, np.where(np.arange(n) == level, -level, 0.0))
+    g[2 * rows.size :, np.arange(n), np.arange(n)] = np.sqrt(2.0 / (level * (level + 1))) * diagonal
+    return g
+
+
+def _real_forms(forms: np.ndarray, n: int) -> np.ndarray:
+    """The real symmetric block Q_ij = Re vec(G_i)^T form vec(G_j) of each
+    local skew form of a stack (``local_skew_forms``, side dimension n) on
+    the Gell-Mann basis G_i (``_gell_mann``): for a traceless Hermitian
+    K = sum_i x_i G_i, I(rho_AB, K_S) = x^T Q x."""
+    flat = _gell_mann(n).reshape(n * n - 1, n * n)
+    q = (flat @ forms @ flat.T).real
+    return 0.5 * (q + q.swapaxes(-1, -2))
+
+
+def _spectral_seeds(forms: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectral seed of each local skew form of a stack (side dimension
+    n): the least eigenvalue of its real form Q (``_real_forms``), which is
+    the least skew information of a traceless Hermitian K with Tr K^2 = 2,
+    and the eigenbasis ``(n, n)``, eigenvalues ascending, of
+    sum_i x_i G_i for Q's bottom eigenvector x. At n = 2 every observable
+    of a fixed spectrum is such a K up to scale and shift, so the seed is
+    the LQU's minimizer (``_lqu_qubit``); above, the search starts there.
+    Each member's seed depends only on that member."""
+    q_eigs, q_vecs = np.linalg.eigh(_real_forms(forms, n))
+    _, bases = np.linalg.eigh(np.einsum("...i,ijk->...jk", q_vecs[..., :, 0], _gell_mann(n)))
+    return q_eigs[..., 0], bases
+
+
 def lqu_is_exact(n: int) -> bool:
     """Whether the LQU on an n-level side is exact, so that no search runs and no restarts are drawn."""
     return n <= 2
@@ -175,11 +214,12 @@ def lqu(
     ``restarts_used`` is 0, and no draws are taken from ``rng``. On a larger
     side a restarted Riemannian BFGS descent (see :mod:`skewinfo.optim`)
     searches the eigenbases U of K = U diag(spectrum) U† on the chosen side,
-    from the seed observables' eigenbases first, then from Haar draws from
-    ``rng`` (a fixed internal stream when omitted, so results are
-    reproducible); ``restarts_used`` counts them all. The searched value is
-    an upper bound on the true minimum, never above the value at the first
-    seed.
+    from the spectral seed first (``_spectral_seeds``), then from the seed
+    observables' eigenbases, then from Haar draws from ``rng`` (a fixed
+    internal stream when omitted, so results are reproducible), as many as
+    bring the starts to ``opts.restarts``; ``restarts_used`` counts every
+    start. The searched value is an upper bound on the true minimum, never
+    above the value at any start.
     """
     n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
@@ -190,11 +230,11 @@ def lqu(
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
     opts = opts or OptimizerOptions()
     seeded = [s.eigenbasis for s in seeds]
-    bases = np.empty((0, n_side, n_side)) if lqu_is_exact(n_side) else restart_bases(n_side, opts, seeded, rng)
+    exact = lqu_is_exact(n_side)
+    bases = np.empty((0, n_side, n_side)) if exact else restart_bases(n_side, opts, seeded, rng, leading=1)
     found = _lqus(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam, opts, bases[None])
-    return LquResult(
-        float(found.values[0]), NondegenerateObservable(lam, found.unitaries[0]), len(bases), bool(found.converged[0])
-    )
+    minimizer = NondegenerateObservable(lam, found.unitaries[0])
+    return LquResult(float(found.values[0]), minimizer, 0 if exact else 1 + len(bases), bool(found.converged[0]))
 
 
 def _lqus(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray) -> SearchResult:
@@ -202,20 +242,22 @@ def _lqus(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.
     skew form of the stack ``forms`` (``local_skew_forms``): one search
     result, its values clamped. Where ``lqu_is_exact`` holds, ``opts`` and
     ``bases`` are unused, and each problem reads converged after no
-    evaluations and no steps: the LQU is 0 on one level, where every
+    evaluations, steps or rounds: the LQU is 0 on one level, where every
     observable is a multiple of the identity, and ``_lqu_qubit`` on two.
-    On a larger side, each restart basis of ``bases`` ``(T, restarts, n,
-    n)`` follows ``_eigenbasis_cost`` downhill along geodesics of the
-    unitary group, in quasi-Newton directions built from its analytic
-    gradient, for at most ``opts.max_iters`` accepted steps, all in one
-    stacked ``optim.search``.
+    On a larger side, each problem's spectral seed (``_spectral_seeds``)
+    and then its restart bases of ``bases`` ``(T, R, n, n)`` follow
+    ``_eigenbasis_cost`` downhill along geodesics of the unitary group, in
+    quasi-Newton directions built from its analytic gradient, for at most
+    ``opts.max_iters`` accepted steps, all in one stacked ``optim.search``
+    of R + 1 restarts per problem.
     """
     t, n = len(forms), lam.size
     if not lqu_is_exact(n):
-        found = optim.search(_eigenbasis_cost, (forms, np.broadcast_to(lam, (t, n))), bases, opts)
+        starts = np.concatenate([_spectral_seeds(forms, n)[1][:, None], bases], axis=1)
+        found = optim.search(_eigenbasis_cost, (forms, np.broadcast_to(lam, (t, n))), starts, opts)
         return found._replace(values=_clamp(found.values))
     values, units = _lqu_qubit(forms, lam) if n == 2 else (np.zeros(t), np.ones((t, 1, 1), dtype=np.complex128))
-    return SearchResult(values, units, np.ones(t, dtype=bool), *np.zeros((2, t), dtype=int))
+    return SearchResult(values, units, np.ones(t, dtype=bool), *np.zeros((2, t), dtype=int), 0)
 
 
 def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -225,17 +267,14 @@ def _lqu_qubit(forms: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     Every such observable is K = (a+b)/2 I + (b-a)/2 n·sigma for a unit
     vector n, and the identity part commutes with the state's root, so
-    I(rho_AB, K_S) = ((b-a)/2)^2 n^T Q n, with Q the real symmetric block
-    Q_ij = Re vec(sigma_i)^T form vec(sigma_j) of ``local_skew_forms``
-    on the Pauli directions. The minimum is ((b-a)/2)^2 lambda_min(Q) at the
-    bottom eigenvector of Q: the closed form of Girolami, Tufarelli, Adesso
+    I(rho_AB, K_S) = ((b-a)/2)^2 n^T Q n, with Q the real form of
+    ``_real_forms`` on the Pauli matrices. The minimum is ((b-a)/2)^2
+    lambda_min(Q) at the bottom eigenvector of Q, whose n·sigma has the
+    spectral seed as its eigenbasis (eigenvalues -1, +1 in ascending order,
+    like the spectrum): the closed form of Girolami, Tufarelli, Adesso
     (PRL 110, 240402, 2013), whose W_ij = Tr[sqrt(rho) sigma_i sqrt(rho)
     sigma_j] is 1 - Q.
     """
-    paulis = _PAULI.reshape(3, 4)
-    q = (paulis @ forms @ paulis.T).real
-    q_eigs, q_vecs = np.linalg.eigh(0.5 * (q + q.swapaxes(-1, -2)))
-    # n·sigma has eigenvalues -1, +1 in ascending order, like the spectrum
-    _, bases = np.linalg.eigh(np.einsum("...i,ijk->...jk", q_vecs[..., :, 0], _PAULI))
+    bottom, bases = _spectral_seeds(forms, 2)
     half_gap = 0.5 * (lam[1] - lam[0])
-    return _clamp(half_gap * half_gap * q_eigs[..., 0]), require_unitary(bases, "unitary eigenbasis")
+    return _clamp(half_gap * half_gap * bottom), require_unitary(bases, "unitary eigenbasis")

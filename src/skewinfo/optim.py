@@ -85,13 +85,15 @@ class SearchResult(NamedTuple):
     """Per problem of a :func:`search` stack, ``(T,)`` arrays (the unitaries
     ``(T, n, n)``): the best value and its unitary, the convergence flag,
     and the work of all of the problem's restarts: cost evaluations and
-    accepted steps."""
+    accepted steps. ``rounds`` counts the search's stacked cost calls, one
+    number for the whole stack."""
 
     values: np.ndarray
     unitaries: np.ndarray
     converged: np.ndarray
     evals: np.ndarray
     steps: np.ndarray
+    rounds: int
 
 
 def restart_draws(opts: OptimizerOptions, seeds: int) -> int:
@@ -104,15 +106,19 @@ def restart_bases(
     opts: OptimizerOptions,
     seed_unitaries: Sequence[np.ndarray] = (),
     rng: np.random.Generator | None = None,
+    leading: int = 0,
 ) -> np.ndarray:
     """The restart bases ``(restarts, n, n)`` of one problem, a row of
     :func:`search`'s ``bases``: the caller-supplied seed unitaries in order,
     then ``restart_draws`` Haar draws from ``rng`` (a fixed internal stream
-    when omitted). The harnesses draw the same rows as stacks."""
+    when omitted). ``leading`` starts that the caller puts ahead of these
+    rows itself, as the LQU search does its spectral seed, count against
+    ``opts.restarts`` too. The harnesses draw the same rows as stacks."""
     if rng is None:
         rng = rand.stream(0x5EED, 0)
-    draws = restart_draws(opts, len(seed_unitaries))
-    bases = [np.asarray(s, dtype=np.complex128).reshape(-1, n, n) for s in seed_unitaries]
+    draws = restart_draws(opts, len(seed_unitaries) + leading)
+    bases = [np.empty((0, n, n), dtype=np.complex128)]
+    bases += [np.asarray(s, dtype=np.complex128).reshape(-1, n, n) for s in seed_unitaries]
     if draws:
         bases.append(rand.haar_unitaries(n, draws, rng))
     return np.concatenate(bases)
@@ -178,10 +184,11 @@ def _descend(
     data: tuple[np.ndarray, ...],
     max_iters: int,
     stop_gain: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """BFGS descent of every member of the stack ``u`` (with its rows of
-    ``data``); returns the last accepted values and points, and per member
-    its cost evaluations and accepted steps.
+    ``data``); returns the last accepted values and points, per member its
+    cost evaluations and accepted steps, and the rounds: the stacked cost
+    calls, the first one at the starting points included.
 
     Each step of a member walks the geodesic along p = −Hinv·g, with Armijo
     slope −gᵀp. Its first trial is t = 1, shortened so that U turns by at
@@ -214,6 +221,7 @@ def _descend(
     slope = np.zeros(m)
     evals = np.ones(m, dtype=int)
     iters = np.zeros(m, dtype=int)
+    rounds = 1
     active = np.full(m, max_iters > 0)
     turning = active.copy()  # active members that choose a new direction this round
 
@@ -243,6 +251,7 @@ def _descend(
             t, sl, base = step[lin], slope[lin], value[lin]
             trial = walk(uv[lin], w[lin], vh[lin], t)
             trial_value, trial_g = cost(trial, *(x[lin] for x in data))
+            rounds += 1
             evals[lin] += 1
             ok = trial_value <= base - _ARMIJO * t * sl
 
@@ -269,7 +278,7 @@ def _descend(
                 fail(rej[step[rej] * sl[~ok] <= stop_gain])
 
         if not active.any():
-            return value, u, evals, iters
+            return value, u, evals, iters, rounds
 
 
 def search(
@@ -301,11 +310,14 @@ def search(
     Returns, per problem, the least value over its R restarts (the first
     restart attaining it), its unitary (checked to be unitary), a
     convergence flag (best two restarts agreeing within 10x tol), and the
-    cost evaluations and accepted steps of all its restarts.
+    cost evaluations and accepted steps of all its restarts; and the
+    rounds of the whole stack.
     """
     t, r, n = bases.shape[:3]
     data = tuple(np.repeat(d, r, axis=0) for d in data)
-    values, units, evals, steps = _descend(cost, bases.reshape(t * r, n, n), data, opts.max_iters, 1e-2 * opts.tol)
+    values, units, evals, steps, rounds = _descend(
+        cost, bases.reshape(t * r, n, n), data, opts.max_iters, 1e-2 * opts.tol
+    )
     values, units = values.reshape(t, r), units.reshape(t, r, n, n)
     best = values.argmin(axis=1)
     ordered = np.sort(values, axis=1)
@@ -316,4 +328,5 @@ def search(
         gap <= 10.0 * opts.tol,
         evals.reshape(t, r).sum(axis=1),
         steps.reshape(t, r).sum(axis=1),
+        rounds,
     )

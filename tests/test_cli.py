@@ -239,6 +239,24 @@ def test_lqu_search_flags_are_usage_errors_where_side_a_has_one_level(tmp_path, 
     assert "lqu = 0.000000" in out and "restarts_used = 0" in out and "converged = true" in out
 
 
+def test_lqu_seed_is_a_usage_error_with_one_restart(tmp_path, capsys):
+    # on a searched side A the one restart is the spectral seed, so nothing is
+    # drawn and --seed would be accepted and ignored; a second restart draws
+    diagonal = ("0.25", "0.25", "0.125", "0.125", "0.125", "0.125")
+    rows = [" ".join(v if i == j else "0" for j in range(6)) for i, v in enumerate(diagonal)]
+    qutrit = write(tmp_path, "diag32.txt", "dims: 3 2\n" + "\n".join(rows) + "\n")
+    assert main(["lqu", "--state-file", qutrit, "--restarts", "1", "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "--seed does not apply to lqu --restarts 1: its one restart is the spectral seed, so it draws nothing\n"
+    )
+    assert main(["lqu", "--state-file", qutrit, "--restarts", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "restarts_used = 1" in out and "converged = false" in out
+    assert main(["lqu", "--state-file", qutrit, "--restarts", "2", "--seed", "5"]) == 0
+    assert "restarts_used = 2" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flags", ["", "--mode random_K --dim-b 3", "--mode argmin_K --dim-b 1", "--mode argmin_K"])
 def test_claim2_restarts_is_a_usage_error_where_nothing_is_searched(monkeypatch, capsys, flags):
     # with one level on A the steering search has nothing to search, and
@@ -438,10 +456,12 @@ def test_format_without_out_is_a_usage_error(monkeypatch, capsys):
 
 
 def test_run_verify_defaults_to_harness_budget(capsys):
-    assert main("verify claim1 --trials 2 --seed 3".split()) == 0
-    out = capsys.readouterr().out
-    assert "config.opt_restarts=2" in out
-    assert "config.opt_max_iters=150" in out
+    # claim1 descends from the spectral seed alone; claim2 keeps two restarts
+    for claim, restarts in (("claim1", 1), ("claim2", 2)):
+        assert main(f"verify {claim} --trials 2 --seed 3".split()) == 0
+        out = capsys.readouterr().out
+        assert f"config.opt_restarts={restarts}\n" in out
+        assert "config.opt_max_iters=150" in out
 
 
 def test_run_verify_rejects_bad_uq_threads(monkeypatch, capsys):

@@ -18,9 +18,17 @@ from skewinfo import (
     skew_information,
     stream,
 )
-from skewinfo.metrics import _clamp, _eigenbasis_cost, _lqu_qubit, _lqus, local_skew_forms
+from skewinfo.metrics import (
+    _clamp,
+    _eigenbasis_cost,
+    _gell_mann,
+    _lqu_qubit,
+    _lqus,
+    _spectral_seeds,
+    local_skew_forms,
+)
 from skewinfo.optim import restart_bases, search
-from conftest import oracle_lqu_qubit, searched_lqu
+from conftest import PAULIS, oracle_lqu_qubit, searched_lqu
 
 
 PM_ONE = np.array([-1.0, 1.0])
@@ -93,13 +101,16 @@ def test_lqu_search_uses_caller_seed_as_feasible_start_on_qutrit_side(rng):
     spectrum = np.array([-1.0, 0.0, 1.0])
     seed_obs = random_nondegenerate_observable(3, spectrum, rng)
     seeded_value = skew_information(state.state, Observable(kron(seed_obs.matrix, np.eye(2))))
-    # one step, then a full descent: a one-restart search counts its
-    # restart and, with no second restart to agree with, is not converged
+    # one step, then a full descent: the search starts at the spectral seed
+    # and at the caller's seed, both counted although opts asks for one
     for opts in (OptimizerOptions(restarts=1, max_iters=1), OptimizerOptions(restarts=1)):
         result = lqu(state, spectrum, "A", opts=opts, seeds=(seed_obs,), rng=rng)
-        assert result.restarts_used == 1
-        assert result.converged is False
+        assert result.restarts_used == 2
         assert result.value <= seeded_value + 1e-9
+    # a one-restart search counts its restart, the spectral seed, and with no
+    # second restart to agree with, is not converged
+    result = lqu(state, spectrum, "A", opts=OptimizerOptions(restarts=1), rng=rng)
+    assert (result.restarts_used, result.converged) == (1, False)
 
 
 def test_lqu_spectrum_validation(rng):
@@ -186,21 +197,54 @@ def test_lqu_on_a_one_level_side_is_exactly_zero(side, dims):
 
 def test_lqu_routine_is_the_closed_form_and_the_search():
     # the stacked routine is bit for bit the qubit closed form at n = 2, with
-    # no work done, and bit for bit the clamped direct search at n = 3
+    # no work done, and bit for bit the clamped direct search at n = 3, from
+    # the spectral seed and then the given bases
     rng = stream(7, 0)
     opts = OptimizerOptions(restarts=3, max_iters=60)
     for n in (2, 3):
         rho = np.stack([ginibre_state(2 * n, rng=rng).matrix for _ in range(5)])
         forms = local_skew_forms(rho, (2, n), "B")
         lam = np.linspace(-1.0, 1.0, n)
-        bases = np.stack([restart_bases(n, opts, rng=rng) for _ in forms])
+        bases = np.stack([restart_bases(n, opts, rng=rng, leading=1) for _ in forms])
         found = _lqus(forms, lam, opts, bases)
         if n == 2:
             values, units = _lqu_qubit(forms, lam)
-            converged, evals, steps = np.ones(5, dtype=bool), np.zeros(5, dtype=int), np.zeros(5, dtype=int)
+            converged, evals, steps, rounds = np.ones(5, dtype=bool), *np.zeros((2, 5), dtype=int), 0
         else:
             spectra = np.tile(lam, (5, 1))
-            values, units, converged, evals, steps = search(_eigenbasis_cost, (forms, spectra), bases, opts)
+            starts = np.concatenate([_spectral_seeds(forms, n)[1][:, None], bases], axis=1)
+            values, units, converged, evals, steps, rounds = search(_eigenbasis_cost, (forms, spectra), starts, opts)
             values = _clamp(values)
-        for got, want in zip(found, (values, units, converged, evals, steps)):
+        assert len(found) == 6
+        for got, want in zip(found, (values, units, converged, evals, steps, rounds)):
             np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_qubit_spectral_seed_attains_the_closed_form(side):
+    # at n = 2 the Gell-Mann matrices are the Pauli matrices, and the value at
+    # the spectral seed is the LQU of the Girolami-Tufarelli-Adesso oracle
+    np.testing.assert_array_equal(_gell_mann(2), np.array(PAULIS))
+    rng = stream(12, 0)
+    dims = (2, 3) if side == "A" else (3, 2)
+    for spectrum in (PM_ONE, np.array([-0.3, 2.5])):
+        rho = np.stack([ginibre_state(6, rank=1 + k % 6, rng=rng).matrix for k in range(12)])
+        forms = local_skew_forms(rho, dims, side)
+        _, seeds = _spectral_seeds(forms, 2)
+        values, _ = _eigenbasis_cost(seeds, forms, np.tile(spectrum, (len(forms), 1)))
+        for r, value in zip(rho, values):
+            assert abs(value - oracle_lqu_qubit(r, dims, side, spectrum)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_spectral_seed_of_a_member_does_not_depend_on_its_stack(n):
+    # a trial's seed is the same whether its chunk holds it alone or 64 trials
+    rng = stream(13, n)
+    rho = np.stack([ginibre_state(2 * n, rng=rng).matrix for _ in range(64)])
+    forms = local_skew_forms(rho, (n, 2), "A")
+    bottom, seeds = _spectral_seeds(forms, n)
+    assert seeds.shape == (64, n, n)
+    for k in (0, 17, 63):
+        alone_bottom, alone_seeds = _spectral_seeds(forms[k : k + 1], n)
+        np.testing.assert_array_equal(alone_bottom[0], bottom[k])
+        np.testing.assert_array_equal(alone_seeds[0], seeds[k])

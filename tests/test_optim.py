@@ -229,14 +229,14 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         # one restart from a fresh start: every accepted step lowers the value
         with monkeypatch.context() as patch:
             rec = Recorder(brockett(m, lam), patch)
-            (value,), (end,), (evals,), (steps,) = optim._descend(
+            (value,), (end,), (evals,), (steps,), rounds = optim._descend(
                 rec, haar_unitary(n, rng)[None], (), 500, stop_gain
             )
         base_values = [step[0] for step in rec.steps]
         assert all(b < a for a, b in zip(base_values, base_values[1:]))
         assert value <= base_values[-1]
         assert abs(value - minimum) <= 1e-9
-        assert evals == len(rec.evals) and steps < 500
+        assert evals == rounds == len(rec.evals) and steps < 500
         # the restart ends only on a step from Hinv = I, along -g (H = 2G),
         # that failed: it gained at most the stop gain, or it is spent, its
         # first-order gain t |g|^2 at its last step length being that small
@@ -274,7 +274,7 @@ def test_uphill_quasi_newton_direction_resets_to_the_gradient(monkeypatch):
     monkeypatch.setattr(optim, "_bfgs_update", first_update_negated)
     theta = np.pi / 3
     u0 = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
-    (value,), _, _, _ = optim._descend(rec, u0[None], (), 50, 1e-14)
+    (value,), *_ = optim._descend(rec, u0[None], (), 50, 1e-14)
 
     (v0, g0, h0, _), (v1, g1, h1, _) = rec.steps[:2]
     assert (v0, v1) == pytest.approx((-1.0, -np.sqrt(3.0)), abs=1e-12)
@@ -356,6 +356,29 @@ def test_search_stacks_problems_without_changing_their_results():
     km = random_nondegenerate_observable(2, rng=rng).matrix
     steering_data = (_tensor(states[0]), km[None])
     assert_stack_is_its_restarts_alone(_skew_objective, steering_data, optim.restart_bases(3, opts, rng=rng)[None], opts)
+
+
+def test_search_counts_its_rounds_as_stacked_cost_calls():
+    # rounds counts the search's stacked cost calls, the first at the starts
+    # included; the members share them, so a stack takes at least as many
+    # rounds as its longest restart takes evaluations
+    rng = stream(62, 0)
+    forms = local_skew_forms(np.stack([ginibre_state(6, rng=rng).matrix for _ in range(6)]), (3, 2), "A")
+    lam = np.broadcast_to([-1.0, 0.0, 1.0], (6, 3))
+    opts = OptimizerOptions(restarts=3, tol=1e-7, max_iters=150)
+    bases = np.stack([optim.restart_bases(3, opts, rng=rng) for _ in forms])
+    calls = []
+
+    def counted(u, *data):
+        calls.append(len(u))
+        return _eigenbasis_cost(u, *data)
+
+    found = optim.search(counted, (forms, lam), bases, opts)
+    assert found.rounds == len(calls) > 1 and calls[0] == 18
+    assert sum(calls) == found.evals.sum()
+    assert found.rounds >= max(found.evals // 3) >= 1
+    alone = optim.search(counted, (forms[:1], lam[:1]), bases[:1, :1], opts)
+    assert alone.rounds == alone.evals[0] == len(calls) - found.rounds
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,8 @@ SciPy's ``sqrtm`` (the qubit-side LQU oracle of ``conftest`` roots with
 SciPy's ``eigh``); nothing is stacked. The package values used are the
 searched LQU minimizers, claim1's on a larger side A and claim2's
 ``argmin_K`` observable, which the public ``lqu`` recomputes from the
-trial's own draws: the record must be the skew information at claim1's,
-and claim2's enters a one-sided check.
+trial's own draws: the record must be the least of the skew information
+at claim1's and at K_A, and claim2's enters a one-sided check.
 """
 
 import numpy as np
@@ -32,9 +32,10 @@ from skewinfo import (
     verify_claim1,
     verify_claim2,
 )
+from skewinfo.metrics import _gell_mann, _real_forms, local_skew_forms
 from skewinfo.optim import restart_bases
 from skewinfo.rand import default_spectrum
-from skewinfo.verify import HARNESS_OPTS
+from skewinfo.verify import CLAIM1_OPTS, HARNESS_OPTS
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 TRIALS = 32
@@ -43,10 +44,10 @@ MASTER_SEED = 5
 # on a qubit side): SciPy's roots and the package's stacked roots agree to
 # a few 1e-15 on full-rank Ginibre states
 EXACT_TOL = 1e-13
-# the searched sides: claim1's LQU search starts at K_A's eigenbasis and
-# never ends above its start, so lhs is at most I(eps(sigma), K_A x I);
-# the steering search starts at each restart basis and never ends below
-# its start, so claim2 lhs is at least the steered sum at each of them
+# the searched sides: claim1's lhs is the searched LQU capped by its value
+# at K_A, so lhs is at most I(eps(sigma), K_A x I); the steering search
+# starts at each restart basis and never ends below its start, so claim2
+# lhs is at least the steered sum at each of them
 SEARCH_TOL = 1e-12
 
 
@@ -94,6 +95,30 @@ def q_local_b(rho: np.ndarray, n_a: int, n_b: int) -> float:
     return n_b - np.trace(on_a @ on_a).real
 
 
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_real_form_is_the_skew_information_of_traceless_observables(n, side):
+    # the Gell-Mann matrices are a trace-orthogonal traceless Hermitian basis,
+    # and for K = sum_i x_i G_i, x^T Q x is I(rho, K x I), or I(rho, I x K)
+    basis = _gell_mann(n)
+    assert basis.shape == (n * n - 1, n, n)
+    np.testing.assert_array_equal(basis, basis.conj().swapaxes(-1, -2))
+    np.testing.assert_allclose(np.einsum("iab,jba->ij", basis, basis), 2.0 * np.eye(n * n - 1), atol=1e-15)
+    np.testing.assert_allclose(np.trace(basis, axis1=-2, axis2=-1), 0.0, atol=1e-15)
+    rng = stream(MASTER_SEED, n)
+    dims = (n, 2) if side == "A" else (2, n)
+    for _ in range(4):
+        rho = ginibre_state(2 * n, rng=rng).matrix
+        g = rng.standard_normal((2, n, n))
+        k = (g[0] + 1j * g[1]) + (g[0] + 1j * g[1]).conj().T
+        k -= np.trace(k).real / n * np.eye(n)
+        x = np.einsum("iab,ba->i", basis, k).real / 2.0
+        np.testing.assert_allclose(np.einsum("i,iab->ab", x, basis), k, atol=1e-13)
+        q = _real_forms(local_skew_forms(rho, dims, side), n)
+        embedded = np.kron(k, np.eye(2)) if side == "A" else np.kron(np.eye(2), k)
+        assert abs(x @ q @ x - skew(rho, embedded)) <= EXACT_TOL * max(1.0, x @ x)
+
+
 @pytest.mark.parametrize("dims", DIMS)
 def test_avg_records_equal_the_definitions(dims):
     # per trial: ginibre_state, then haar_unitaries(n_A, bases_per_trial)
@@ -111,9 +136,9 @@ def test_avg_records_equal_the_definitions(dims):
 @pytest.mark.parametrize("dims", DIMS)
 def test_claim1_records_against_the_definitions(dims):
     # per trial: ginibre_state on A, then on B, random_nondegenerate_observable
-    # K_A, commuting_kraus_channel(K_A, n_B, kraus_count), and on a larger
-    # side A the LQU search's restart bases (K_A's eigenbasis first), which
-    # lqu draws to recompute the search's minimizer
+    # K_A, commuting_kraus_channel(K_A, n_B, kraus_count); on a larger side A
+    # lqu recomputes the search's minimizer at the claim1 budget, which
+    # draws no restart bases, and lhs is the least of its value and K_A's
     n_a, n_b = dims
     _, records = verify_claim1(n_a, n_b, trials=TRIALS, master_seed=MASTER_SEED, workers=1)
     lam = default_spectrum(n_a)
@@ -132,9 +157,9 @@ def test_claim1_records_against_the_definitions(dims):
             assert abs(record.lhs - exact) <= EXACT_TOL, (record.trial_index, record.lhs - exact)
         else:
             state = BipartiteState(apply_channel(channel, DensityMatrix(sigma)), n_a, n_b)
-            k = lqu(state, lam, "A", opts=HARNESS_OPTS, seeds=(observable,), rng=rng).minimizer.matrix
-            at_k = skew(evolved, np.kron(k, np.eye(n_b)))
-            assert abs(record.lhs - at_k) <= EXACT_TOL, (record.trial_index, record.lhs - at_k)
+            k = lqu(state, lam, "A", opts=CLAIM1_OPTS, rng=rng).minimizer.matrix
+            least = min(start, skew(evolved, np.kron(k, np.eye(n_b))))
+            assert abs(record.lhs - least) <= EXACT_TOL, (record.trial_index, record.lhs - least)
 
 
 @pytest.mark.parametrize("mode", ["argmin_K", "random_K"])

@@ -36,9 +36,9 @@ from skewinfo import (
     write_report,
 )
 import skewinfo
-from skewinfo import metrics, optim, verify
-from skewinfo.optim import restart_draws
-from skewinfo.verify import HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
+from skewinfo import optim, verify
+from skewinfo.metrics import _clamp
+from skewinfo.verify import CLAIM1_OPTS, HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
 
@@ -83,6 +83,21 @@ def test_claim2_both_modes_no_violations():
         assert all(not math.isnan(r.margin) for r in records)
 
 
+def test_claim2_on_a_one_level_side_a_does_not_depend_on_the_restarts():
+    # a 1-level A has one basis, the identity, whose steered sum is evaluated
+    # once: no bases of A are drawn, so the budget cannot move the records
+    runs = [
+        verify_claim2(n_a=1, n_b=3, trials=200, mode="random_K", opts=OptimizerOptions(restarts=r), workers=1)
+        for r in (2, 7)
+    ]
+    (report, records), (other_report, other_records) = runs
+    assert report.failed == 0 and report.violations == 0
+    assert len(records) == len(other_records) == 200
+    for r, other in zip(records, other_records):
+        assert (r.lhs.hex(), r.rhs.hex(), r.margin.hex()) == (other.lhs.hex(), other.rhs.hex(), other.margin.hex())
+    assert records == other_records
+
+
 def test_claim2_argmin_on_a_one_level_side_b():
     # every observable on a 1-level B is a multiple of the identity, so its
     # LQU is exactly 0 and no search runs for it
@@ -105,29 +120,46 @@ def test_claim1_on_a_one_level_side_a():
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (3, 3)])
 def test_claim1_lhs_is_at_most_the_monotonicity_value(dims, monkeypatch):
     # the monotonicity check reads I(eps(sigma), K_A x I) from the local skew
-    # form at K_A's eigenbasis: on a larger side A, bit for bit the search's
-    # first value at its first restart, which it never ends above; on a
-    # qubit side A, at least the exact minimum
+    # form at K_A's eigenbasis, and lhs is at most that value, clamped, on
+    # every side A: the searched LQU is capped by it, and the exact one is
+    # at most it
     n_a, n_b = dims
-    checked, searched = [], []
-    cost = metrics._eigenbasis_cost
+    checked = []
+    cost = verify._eigenbasis_cost
 
-    def recorded(into):
-        def record(u, forms, spectra):
-            into.append(cost(u, forms, spectra))
-            return into[-1]
+    def recorded(u, forms, spectra):
+        checked.append(cost(u, forms, spectra))
+        return checked[-1]
 
-        return record
-
-    monkeypatch.setattr(verify, "_eigenbasis_cost", recorded(checked))
-    monkeypatch.setattr(metrics, "_eigenbasis_cost", recorded(searched))
+    monkeypatch.setattr(verify, "_eigenbasis_cost", recorded)
     report, records = verify_claim1(n_a=n_a, n_b=n_b, trials=40, master_seed=11, workers=1)
     ((seed_values, _),) = checked
     assert report.failed == 0 and report.monotonicity_violations == 0
-    assert all(r.lhs <= seed for r, seed in zip(records, seed_values))
-    if n_a > 2:
-        restarts = restart_draws(HARNESS_OPTS, 1) + 1
-        np.testing.assert_array_equal(searched[0][0][::restarts], seed_values)
+    assert all(r.lhs <= seed for r, seed in zip(records, _clamp(seed_values)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (4, 2)])
+def test_claim1_is_sound_when_the_search_ends_above_k_a(dims, monkeypatch):
+    # a search that ends above the output's skew information at K_A, the
+    # value the monotonicity check reads, leaves lhs at that value, clamped,
+    # and so within the bound: a poor local minimum never reads as a violation
+    checked = []
+    cost, lqus = verify._eigenbasis_cost, verify._lqus
+
+    def recorded(u, forms, spectra):
+        checked.append(cost(u, forms, spectra))
+        return checked[-1]
+
+    def above(forms, lam, opts, bases):
+        return lqus(forms, lam, opts, bases)._replace(values=checked[-1][0] + 1.0)
+
+    monkeypatch.setattr(verify, "_eigenbasis_cost", recorded)
+    monkeypatch.setattr(verify, "_lqus", above)
+    report, records = verify_claim1(n_a=dims[0], n_b=dims[1], kraus_count=3, trials=40, master_seed=11, workers=1)
+    ((seed_values, _),) = checked
+    assert report.failed == 0 and report.violations == 0 and report.monotonicity_violations == 0
+    assert [r.lhs for r in records] == _clamp(seed_values).tolist()
+    assert not any(r.violated for r in records)
 
 
 def test_avg_bound_no_violations():
@@ -270,19 +302,22 @@ def test_failing_chunk_reruns_only_the_halves_that_raise(bad, calls, monkeypatch
 def test_chunk_draws_what_the_public_samplers_draw():
     # per trial, claim1's stacked sampling equals the public samplers run
     # one after another on the trial's own stream, bit for bit
+    # (the restart bases after the spectral seed: none at the claim1 budget)
     indices = (0, 4, 7)
-    draws = verify._claim1_sample(verify._config(3, 2, 1e-7, 5, HARNESS_OPTS, kraus_count=3), indices)
-    for k, t in enumerate(indices):
-        rng = stream(5, t)
-        rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
-        k_a = random_nondegenerate_observable(3, rng=rng)
-        channel = commuting_kraus_channel(k_a, 2, 3, rng)
-        restarts = optim.restart_bases(3, HARNESS_OPTS, [k_a.eigenbasis], rng)
-        np.testing.assert_array_equal(draws.rho_a[k], rho_a.matrix)
-        np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
-        np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
-        np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
-        np.testing.assert_array_equal(draws.restart_bases[k], restarts)
+    for opts, haar_rows in ((CLAIM1_OPTS, 0), (OptimizerOptions(restarts=3), 2)):
+        draws = verify._claim1_sample(verify._config(3, 2, 1e-7, 5, opts, kraus_count=3), indices)
+        assert draws.restart_bases.shape == (3, haar_rows, 3, 3)
+        for k, t in enumerate(indices):
+            rng = stream(5, t)
+            rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
+            k_a = random_nondegenerate_observable(3, rng=rng)
+            channel = commuting_kraus_channel(k_a, 2, 3, rng)
+            restarts = optim.restart_bases(3, opts, rng=rng, leading=1)
+            np.testing.assert_array_equal(draws.rho_a[k], rho_a.matrix)
+            np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
+            np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
+            np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
+            np.testing.assert_array_equal(draws.restart_bases[k], restarts)
 
 
 @pytest.mark.parametrize("master_seed", [-3, 2**64 + 5])
