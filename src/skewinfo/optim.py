@@ -19,8 +19,9 @@ Matrix Manifolds*, 2008). It keeps an inverse Hessian approximation Hinv
 (d x d) and walks the geodesic U ← U · exp(t Σ p_a E_a) (Edelman, Arias,
 Smith, SIMAX 20(2), 1998) along p = −Hinv·g, with t chosen by Armijo
 backtracking from t = 1, or from the shorter t that turns U by
-``_FIRST_ANGLE``. g is read at U itself, in the Lie algebra, so gradients
-at successive points compare without transport. After a step s = t·p
+``_first_angle(n)`` (pi/2, or pi/4 at n = 2). g is read at U itself, in
+the Lie algebra, so gradients at successive points compare without
+transport. After a step s = t·p
 that changes the gradient by y, Hinv takes the BFGS update when sᵀy > 0;
 the first update after Hinv = I starts from (sᵀy / yᵀy)·I. No Hessian of
 the cost is needed, and no evaluation beyond the line search's.
@@ -50,13 +51,19 @@ from .states import require_unitary
 # Sufficient-decrease constant of the Armijo test.
 _ARMIJO = 1e-4
 # Rotation angle of the first trial step of each restart, at the geodesic's
-# fastest rate, and the most any later trial step turns. The LQU cost is of
-# order 4 in U, so along a geodesic it is almost periodic with period
-# pi / (2 max|eig H|) (Abrudan, Eriksson, Koivunen 2008): the first trial
-# spans one period, and a longer one would only come round again. The cap
+# fastest rate max|w|, and the most any later trial step turns. Along the
+# geodesic the projectors onto U's columns oscillate at the rate differences
+# w_j - w_k, at most 2 max|w|, so a turn by pi/2 is half a period of the
+# fastest of them, and a longer one would only come round again. The cap
 # cuts the rounds per 32-trial chunk by 15-27% on the claim1 3x2 and claim2
-# harnesses.
-_FIRST_ANGLE = np.pi / 2
+# harnesses. At n = 2 the rates of a zero-diagonal direction are -|z| and
+# |z|, and a turn by pi/2 is U times an off-diagonal unitary: the same basis
+# with its columns swapped, a whole period of a cost that sums
+# symmetrically over the columns, as the steered sums do, so it returns to
+# its start value. Two-level steps turn by at most pi/4.
+def _first_angle(n: int) -> float:
+    """The most a trial step turns an n x n U at the geodesic's fastest rate."""
+    return np.pi / 4 if n == 2 else np.pi / 2
 
 
 @dataclass(frozen=True)
@@ -124,14 +131,52 @@ def restart_bases(
     return np.concatenate(bases)
 
 
+def best_starts(
+    cost: Callable[..., tuple[np.ndarray, np.ndarray]], data: tuple[np.ndarray, ...], bases: np.ndarray
+) -> np.ndarray:
+    """Each problem's first basis of least ``cost`` among its rows of ``bases``
+    ``(T, R, n, n)``, scored with the ``(T, ...)`` rows of ``data`` in one
+    stacked call, as ``(T, 1, n, n)`` bases for :func:`search`. A search from
+    it alone never ends above the cost at any of the R bases."""
+    t, r, n = bases.shape[:3]
+    if r == 1:
+        return bases
+    values = cost(bases.reshape(t * r, n, n), *(np.repeat(d, r, axis=0) for d in data))[0]
+    return bases[np.arange(t), values.reshape(t, r).argmin(axis=1)][:, None]
+
+
 def geodesic(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The geodesics t -> U exp(-t H) along antihermitian directions H, for
     one U and H or for stacks of them, as the factors ``(U V, w, V†)`` of
     the Hermitian -iH = V diag(w) V†: U exp(-t H) = (U V) diag(exp(-i t w)) V†.
     One eigendecomposition serves every t; max |w| is the fastest rotation
-    rate. :func:`walk` evaluates the points."""
-    w, v = np.linalg.eigh(-1j * h)
+    rate. At n = 2 it is closed-form (``_qubit_eigh``), elsewhere
+    ``np.linalg.eigh``. :func:`walk` evaluates the points."""
+    w, v = _qubit_eigh(-1j * h) if h.shape[-1] == 2 else np.linalg.eigh(-1j * h)
     return u @ v, w, v.conj().swapaxes(-1, -2)
+
+
+def _qubit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvectors of Hermitian 2 x 2 matrices,
+    member by member in closed form. With m = mu I + [[d, z], [z*, -d]],
+    r = hypot(d, |z|), d = r cos(theta) and z = |z| e^{i phi}, the
+    eigenvalues are mu -/+ r, with the eigenvectors (-sin(theta/2) e^{i phi},
+    cos(theta/2)) and (cos(theta/2) e^{i phi}, sin(theta/2)). The search's
+    directions have d = 0, where they are (-/+e^{i phi}, 1) / sqrt 2. Where
+    z = 0 the phase is 1, and where r = 0 too the matrix is scalar and
+    theta = pi/2."""
+    mu = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
+    d = 0.5 * (m[..., 0, 0].real - m[..., 1, 1].real)
+    z = m[..., 0, 1]
+    size = np.abs(z)
+    r = np.hypot(d, size)
+    cos_theta = np.divide(d, r, out=np.zeros_like(r), where=r > 0.0)
+    c, s = np.sqrt(0.5 * (1.0 + cos_theta)), np.sqrt(0.5 * (1.0 - cos_theta))
+    phase = np.divide(z, size, out=np.ones_like(z), where=size > 0.0)
+    w, v = np.empty((*r.shape, 2)), np.empty(m.shape, dtype=np.complex128)
+    w[..., 0], w[..., 1] = mu - r, mu + r
+    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = -s * phase, c * phase, c, s
+    return w, v
 
 
 def walk(uv: np.ndarray, w: np.ndarray, vh: np.ndarray, t) -> np.ndarray:
@@ -192,7 +237,7 @@ def _descend(
 
     Each step of a member walks the geodesic along p = −Hinv·g, with Armijo
     slope −gᵀp. Its first trial is t = 1, shortened so that U turns by at
-    most ``_FIRST_ANGLE`` at the direction's fastest rate; the first step
+    most ``_first_angle(n)`` at the direction's fastest rate; the first step
     of a restart turns U by exactly that angle. A step fails when its slope
     is not positive, when it is spent (its first-order gain t·slope is at
     most ``stop_gain``, from the start or after halving), or when it is
@@ -242,7 +287,7 @@ def _descend(
             if sel.size:
                 p[sel], slope[sel] = d[down], sl[down]
                 uv[sel], w[sel], vh[sel] = geodesic(u[sel], _direction(p[sel], rows, cols, n))
-                t = _FIRST_ANGLE / np.abs(w[sel]).max(axis=-1)
+                t = _first_angle(n) / np.abs(w[sel]).max(axis=-1)
                 step[sel] = np.where(iters[sel] == 0, t, np.minimum(t, 1.0))
                 fail(sel[step[sel] * slope[sel] <= stop_gain])
 

@@ -12,6 +12,16 @@ measurement bases reuse the BFGS search on the unitary group from
 :mod:`skewinfo.optim`. The steered costs have analytic gradients but no
 cheap Hessian, so the search builds its curvature from the gradients it
 has already evaluated.
+
+On a qubit B the steered skew-information cost needs no eigensolver: a
+conditional is (p I + beta . sigma) / 2, with roots sqrt((p -/+ |beta|) / 2),
+and its skew information at K = k_0 I + k . sigma is the squared root gap
+times |k x beta / |beta||^2 (Luo 2006). Every p, beta and gradient entry of
+a basis is an entry of U^dagger M_k U for the four partial traces
+M_k = Tr_B[(I x sigma_k) rho], so the cost is elementwise arithmetic on
+the stack (``_bloch_skew_cost``). Larger B root each conditional's
+eigensystem (``_eigen_skew_cost``), the route the tests hold the closed
+form to.
 """
 
 from __future__ import annotations
@@ -23,7 +33,7 @@ import numpy as np
 
 from . import optim
 from .errors import DimensionMismatch, InvalidState
-from .linalg import psd_sqrt_eigh, psd_sqrt_eigvalsh
+from .linalg import _psd_roots, psd_sqrt_eigh, psd_sqrt_eigvalsh
 from .metrics import ObservableLike
 from .optim import OptimizerOptions, restart_bases
 from .states import BipartiteState, require_unitary
@@ -164,11 +174,8 @@ def _basis_gradient(r4: np.ndarray, u: np.ndarray, sw: np.ndarray, v: np.ndarray
     return g
 
 
-def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Negated steered skew-information sum and its Riemannian gradient,
-    for each basis (the columns of a member) of the ``(m, n_A, n_A)`` stack
-    ``u`` with the ``(m, ...)`` rows of the state tensors ``r4`` and of the
-    observables ``km`` on B (the cost contract of ``optim.search``).
+def _eigen_skew_cost(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_skew_objective`` on any B, from the conditionals' root eigensystems.
 
     In the eigenbasis of c_i, with kappa = V^dagger K V and root eigenvalues
     s, p_i I(rho_i, K) = 1/2 sum_jk |kappa_jk|^2 (s_j - s_k)^2. The sum is
@@ -182,6 +189,83 @@ def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.n
     value = -0.5 * np.sum((kappa * kappa.conj()).real * gap * gap, axis=(-3, -2, -1))
     w = 2.0 * (kappa * sw[..., None, :]) @ kappa
     return value, _basis_gradient(r4, u, sw, v, w)
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for broadcasting stacks of small matrices, as the sum over the
+    inner index of outer products of columns and rows: for n <= 3 this is
+    cheaper than a BLAS call per member, and each member's entries are
+    elementwise operations on that member alone."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1 / x where x > 0, and 0 where x is 0."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _bloch_skew_cost(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_skew_objective`` on a qubit B, in closed form: no eigensolver.
+
+    With sigma_0 = I and M_k = Tr_B[(I x sigma_k) rho], every entry the
+    cost needs is one of A_k = U^dagger M_k U: c_i = (p_i I + beta_i .
+    sigma) / 2 with p_i = (A_0)_ii and beta_ik = (A_k)_ii, and
+    Tr(sigma_k R_ij) = (A_k)_ij for the R_ij of ``_basis_gradient``. The
+    roots of c_i are s_0, s_1 = sqrt((p_i -/+ |beta_i|) / 2), with the
+    checks and floor of ``_conditional_roots``, and for K = k_0 I + k .
+    sigma, p_i I(rho_i, K) = (s_1 - s_0)^2 |k x beta_i / |beta_i||^2 (Luo
+    2006). Its derivative gamma_ik in (p_i, beta_i) gives
+    Gamma_i = sum_k gamma_ik sigma_k, so D_ij = sum_k gamma_ik (A_k)_ij.
+    A floored root drops its 1/s terms, as the eigensystem route zeroes
+    Gamma's kernel entry, and beta_i = 0 (so s_0 = s_1) adds 0 and no
+    gradient.
+    """
+    m, n_a = u.shape[:2]
+    (r00, r01), (r10, r11) = [[r4[:, :, b, :, d] for d in (0, 1)] for b in (0, 1)]
+    mk = np.empty((m, 4, n_a, n_a), dtype=np.complex128)
+    mk[:, 0], mk[:, 1], mk[:, 2], mk[:, 3] = r00 + r11, r01 + r10, 1j * (r01 - r10), r00 - r11
+    a = _product(_product(u.conj().swapaxes(-1, -2)[:, None], mk), u[:, None])
+    diag = np.diagonal(a, axis1=-2, axis2=-1).real
+    p, beta = diag[:, 0], diag[:, 1:]
+    norm = np.sqrt(np.sum(beta * beta, axis=1))
+    lam = np.empty((m, n_a, 2))
+    lam[..., 0], lam[..., 1] = 0.5 * (p - norm), 0.5 * (p + norm)
+    s = _psd_roots(lam, n_a * p.sum(axis=-1)[:, None, None])
+    s0, s1 = s[..., 0], s[..., 1]
+    k = np.empty((m, 3, 1))
+    k[:, 0, 0], k[:, 1, 0], k[:, 2, 0] = km[:, 1, 0].real, km[:, 1, 0].imag, 0.5 * (km[:, 0, 0] - km[:, 1, 1]).real
+    inv_norm = _reciprocal(norm)
+    axis = beta * inv_norm[:, None]
+    kb = np.sum(k * axis, axis=1)
+    across = np.sum(k * k, axis=1) - kb * kb  # |k x beta / |beta||^2
+    gap = s1 - s0
+    f = gap * gap
+    d0, d1 = -gap * _reciprocal(s0), gap * _reciprocal(s1)  # d f / d lambda_0, d f / d lambda_1
+    # gamma of the cost, the negated sum: lambda_0,1 = (p -/+ |beta|) / 2, and
+    # |k x beta / |beta||^2 moves with the direction of beta
+    gamma = np.empty((m, 4, n_a))
+    gamma[:, 0] = -0.5 * across * (d0 + d1)
+    along = 0.5 * across * (d1 - d0) + 2.0 * f * kb * kb * inv_norm
+    gamma[:, 1:] = (2.0 * f * kb * inv_norm)[:, None] * k - along[:, None] * axis
+    d = np.sum(gamma[..., None] * a, axis=1)
+    g = d.conj().swapaxes(-1, -2) - d
+    diag_idx = np.arange(n_a)
+    g[..., diag_idx, diag_idx] = 0.0
+    return -np.sum(f * across, axis=-1), g
+
+
+def _skew_objective(u: np.ndarray, r4: np.ndarray, km: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Negated steered skew-information sum and its Riemannian gradient,
+    for each basis (the columns of a member) of the ``(m, n_A, n_A)`` stack
+    ``u`` with the ``(m, ...)`` rows of the state tensors ``r4`` and of the
+    observables ``km`` on B (the cost contract of ``optim.search``): in
+    closed form on a qubit B (``_bloch_skew_cost``), else from the
+    conditionals' root eigensystems (``_eigen_skew_cost``)."""
+    cost = _bloch_skew_cost if r4.shape[-1] == 2 else _eigen_skew_cost
+    return cost(u, r4, km)
 
 
 def _q_objective(u: np.ndarray, r4: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,10 +15,13 @@ from hypothesis import strategies as st
 from skewinfo import (
     BipartiteState,
     DensityMatrix,
+    NotPSD,
     OptimizerOptions,
     UsageError,
     ginibre_state,
+    haar_unitaries,
     haar_unitary,
+    kron,
     lqu,
     partial_trace,
     random_nondegenerate_observable,
@@ -28,8 +31,8 @@ from skewinfo import (
 )
 from skewinfo import optim
 from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
-from skewinfo.optim import geodesic, walk
-from skewinfo.steering import _q_objective, _skew_objective, _tensor
+from skewinfo.optim import _direction, geodesic, walk
+from skewinfo.steering import _bloch_skew_cost, _eigen_skew_cost, _q_objective, _skew_objective, _tensor
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
 FD_STEP = 1e-5
@@ -115,6 +118,86 @@ def test_steering_gradients_on_pure_states(dims, rng):
         at_one(_skew_objective, r4, km[None]), n_a, rng, reference=lambda u: -pure_steered_skew(psi, dims, u, km)
     )
     assert_gradient(at_one(_q_objective, r4), n_a, rng, reference=lambda u: 1.0 - n_b)
+
+
+def qubit_b_stack(n_a, rng):
+    """A 64-member steering stack on a qubit B: 16 bases each of a full-rank
+    state, a pure one (rank-1 conditionals), and a product |0><0| x tau
+    measured in permutations of A's eigenbasis and in Haar bases (null
+    outcomes, and conditionals tau times a probability), and a product
+    with a maximally mixed B, whose conditionals have beta = 0."""
+    e0 = np.zeros((n_a, n_a), dtype=complex)
+    e0[0, 0] = 1.0
+    states = [
+        ginibre_state(2 * n_a, rng=rng).matrix,
+        ginibre_state(2 * n_a, rank=1, rng=rng).matrix,
+        kron(e0, ginibre_state(2, rng=rng).matrix),
+        kron(ginibre_state(n_a, rng=rng).matrix, 0.5 * np.eye(2)),
+    ]
+    perms = np.array([np.eye(n_a, dtype=complex)[:, np.roll(np.arange(n_a), s)] for s in range(n_a)])
+    bases = [haar_unitaries(n_a, 16, rng) for _ in states]
+    bases[2][: len(perms)] = perms * np.exp(2j * np.pi * rng.random((len(perms), 1, n_a)))
+    r4 = np.repeat(np.array(states).reshape(4, n_a, 2, n_a, 2), 16, axis=0)
+    km = np.array([random_nondegenerate_observable(2, rng=rng).matrix for _ in range(64)])
+    return np.concatenate(bases), r4, km
+
+
+@pytest.mark.parametrize("n_a", [2, 3])
+def test_qubit_b_cost_matches_the_eigensystem_route(n_a):
+    # the closed form on a qubit B against the eigensystem route, value and
+    # gradient, at full rank, at rank 1 and with null outcomes; their
+    # central differences are checked by the steering gradient tests above,
+    # which run it at (2, 2) and (3, 2), and here at the null outcomes
+    rng = stream(67, n_a)
+    u, r4, km = qubit_b_stack(n_a, rng)
+    value, g = _bloch_skew_cost(u, r4, km)
+    expected_value, expected_g = _eigen_skew_cost(u, r4, km)
+    np.testing.assert_allclose(value, expected_value, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(g, expected_g, rtol=0.0, atol=1e-13)
+    np.testing.assert_array_equal(_skew_objective(u, r4, km)[0], value)
+    for j in (32, 33, 47, 48):
+        cost = at_one(_bloch_skew_cost, r4[j : j + 1], km[j : j + 1])
+        omega = random_antihermitian(n_a, rng)
+        measured = central_difference(lambda v: cost(v)[0], u[j], omega)
+        assert abs(np.vdot(g[j], omega).real - measured) <= 1e-6 * max(1.0, abs(measured))
+
+
+@pytest.mark.parametrize("n_a", [2, 3])
+def test_qubit_b_cost_of_a_member_does_not_depend_on_its_stack(n_a):
+    # a member computed alone equals the same member in a 64-member stack,
+    # bit for bit, so a trial's search does not depend on its chunk
+    u, r4, km = qubit_b_stack(n_a, stream(71, n_a))
+    value, g = _bloch_skew_cost(u, r4, km)
+    for j in range(64):
+        alone_value, alone_g = _bloch_skew_cost(u[j : j + 1], r4[j : j + 1], km[j : j + 1])
+        assert alone_value[0] == value[j]
+        np.testing.assert_array_equal(alone_g[0], g[j])
+
+
+def test_qubit_b_cost_rejects_an_indefinite_conditional():
+    # the closed-form roots keep the checks of the root kernel
+    r4 = np.diag([0.7, -0.1, 0.5, -0.1]).astype(complex).reshape(1, 2, 2, 2, 2)
+    with pytest.raises(NotPSD):
+        _skew_objective(np.eye(2, dtype=complex)[None], r4, np.diag([1.0, -1.0]).astype(complex)[None])
+
+
+def test_qubit_geodesic_is_the_eigh_geodesic(rng):
+    # at n = 2 the geodesic's eigensystem is closed-form: along the search's
+    # zero-diagonal directions, along general ones, and along none
+    u = haar_unitaries(2, 40, rng)
+    p = rng.standard_normal((40, 2))
+    p[0] = 0.0
+    general = np.array([random_antihermitian(2, rng) for _ in range(40)])
+    general[1] = np.diag([0.3j, -0.7j])
+    t = rng.uniform(0.0, 3.0, 40)
+    for h in (_direction(p, *np.triu_indices(2, 1), 2), general):
+        w, v = np.linalg.eigh(-1j * h)
+        uv, w2, vh = geodesic(u, h)
+        np.testing.assert_allclose(w2, w, rtol=0.0, atol=1e-14)
+        points = walk(uv, w2, vh, t)
+        np.testing.assert_allclose(points, walk(u @ v, w, v.conj().swapaxes(-1, -2), t), rtol=0.0, atol=1e-14)
+        gram = points.conj().swapaxes(-1, -2) @ points
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -249,7 +332,7 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
                 final_step = 0.5 * tried[-1]
             else:
                 w = np.linalg.eigvalsh(-1j * h)
-                final_step = min(1.0, optim._FIRST_ANGLE / np.abs(w).max())
+                final_step = min(1.0, optim._first_angle(n) / np.abs(w).max())
             assert final_step * slope <= stop_gain
         else:
             assert last_value - value <= stop_gain
@@ -258,11 +341,12 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
 def test_uphill_quasi_newton_direction_resets_to_the_gradient(monkeypatch):
     # n = 2 with M = sigma_z and lam = (-1, 1): f = -2 n_z for the Bloch vector
     # n of U's first column, and a zero-diagonal geodesic turns n along a great
-    # circle. From 60 degrees off the minimizer the first trial step (a half
-    # turn) rises and is halved; the quarter turn overshoots to 30 degrees past
-    # it, where the gradient points back (G1 = -c G0). The BFGS update there
-    # is replaced by its negative, so the quasi-Newton direction is uphill,
-    # and the search must walk -g from that point instead.
+    # circle, twice as fast as it turns U. From 30 degrees off the minimizer
+    # the first trial step (U turns by pi/4, n by a quarter turn) rises to 60
+    # degrees past it and is halved; the eighth turn overshoots to 15 degrees
+    # past it, where the gradient points back (G1 = -c G0). The BFGS update
+    # there is replaced by its negative, so the quasi-Newton direction is
+    # uphill, and the search must walk -g from that point instead.
     lam = np.array([-1.0, 1.0])
     rec = Recorder(brockett(np.diag([1.0, -1.0]).astype(complex), lam), monkeypatch)
     update, updates = optim._bfgs_update, []
@@ -272,13 +356,15 @@ def test_uphill_quasi_newton_direction_resets_to_the_gradient(monkeypatch):
         return updates[-1]
 
     monkeypatch.setattr(optim, "_bfgs_update", first_update_negated)
-    theta = np.pi / 3
+    theta = np.pi / 6
     u0 = np.array([[np.cos(theta / 2), -np.sin(theta / 2)], [np.sin(theta / 2), np.cos(theta / 2)]], dtype=complex)
     (value,), *_ = optim._descend(rec, u0[None], (), 50, 1e-14)
 
     (v0, g0, h0, _), (v1, g1, h1, _) = rec.steps[:2]
-    assert (v0, v1) == pytest.approx((-1.0, -np.sqrt(3.0)), abs=1e-12)
-    assert rec.lengths[1] == pytest.approx(0.5 * rec.lengths[0], rel=1e-15)  # the half turn was halved
+    assert (v0, v1) == pytest.approx((-np.sqrt(3.0), -2.0 * np.cos(np.pi / 12)), abs=1e-12)
+    rate = np.abs(np.linalg.eigvalsh(-1j * h0)).max()
+    assert rec.lengths[0] * rate == pytest.approx(np.pi / 4, rel=1e-15)  # the first trial turns U by pi/4
+    assert rec.lengths[1] == pytest.approx(0.5 * rec.lengths[0], rel=1e-15)  # it rose, and was halved
     np.testing.assert_array_equal(h0, 2.0 * g0)  # a restart starts along -g
     g1_coords = optim._coordinates(g1[None], *np.triu_indices(2, 1))[0]
     assert g1_coords @ updates[0][0] @ g1_coords < 0.0  # the quasi-Newton slope is negative: uphill

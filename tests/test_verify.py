@@ -38,6 +38,7 @@ from skewinfo import (
 import skewinfo
 from skewinfo import optim, verify
 from skewinfo.metrics import _clamp
+from skewinfo.steering import _skew_objective
 from skewinfo.verify import CLAIM1_OPTS, HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
 QUICK = OptimizerOptions(restarts=2, max_iters=200)
@@ -96,6 +97,35 @@ def test_claim2_on_a_one_level_side_a_does_not_depend_on_the_restarts():
     for r, other in zip(records, other_records):
         assert (r.lhs.hex(), r.rhs.hex(), r.margin.hex()) == (other.lhs.hex(), other.rhs.hex(), other.margin.hex())
     assert records == other_records
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
+def test_claim2_descends_from_its_best_drawn_basis_on_two_qubits(dims, monkeypatch):
+    # the steering search runs once per chunk. On two qubits it starts from
+    # one basis per trial: of the trial's drawn bases (redrawn here from its
+    # stream), the first of least cost, that is of largest steered sum. On
+    # larger shapes it starts from every drawn basis
+    n_a, n_b = dims
+    starts = []
+    search = optim.search
+
+    def recorded(cost, data, bases, opts):
+        starts.append(bases)
+        return search(cost, data, bases, opts)
+
+    monkeypatch.setattr(optim, "search", recorded)
+    verify_claim2(n_a, n_b, trials=6, master_seed=13, mode="random_K", workers=1)
+    ((bases,),) = [starts]
+    qubits = dims == (2, 2)
+    assert bases.shape == (6, 1 if qubits else HARNESS_OPTS.restarts, n_a, n_a)
+    for t in range(6):
+        rng = stream(13, t)
+        rho = ginibre_state(n_a * n_b, rng=rng).matrix
+        km = random_nondegenerate_observable(n_b, rng=rng).matrix
+        drawn = optim.restart_bases(n_a, HARNESS_OPTS, rng=rng)
+        r4 = np.broadcast_to(rho.reshape(1, n_a, n_b, n_a, n_b), (len(drawn), n_a, n_b, n_a, n_b))
+        scores = _skew_objective(drawn, r4, np.broadcast_to(km, (len(drawn), n_b, n_b)))[0]
+        np.testing.assert_array_equal(bases[t], drawn[np.argmin(scores)][None] if qubits else drawn)
 
 
 def test_claim2_argmin_on_a_one_level_side_b():
