@@ -150,33 +150,9 @@ def geodesic(u: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     one U and H or for stacks of them, as the factors ``(U V, w, V†)`` of
     the Hermitian -iH = V diag(w) V†: U exp(-t H) = (U V) diag(exp(-i t w)) V†.
     One eigendecomposition serves every t; max |w| is the fastest rotation
-    rate. At n = 2 it is closed-form (``_qubit_eigh``), elsewhere
-    ``np.linalg.eigh``. :func:`walk` evaluates the points."""
-    w, v = _qubit_eigh(-1j * h) if h.shape[-1] == 2 else np.linalg.eigh(-1j * h)
+    rate. :func:`walk` evaluates the points."""
+    w, v = np.linalg.eigh(-1j * h)
     return u @ v, w, v.conj().swapaxes(-1, -2)
-
-
-def _qubit_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and eigenvectors of Hermitian 2 x 2 matrices,
-    member by member in closed form. With m = mu I + [[d, z], [z*, -d]],
-    r = hypot(d, |z|), d = r cos(theta) and z = |z| e^{i phi}, the
-    eigenvalues are mu -/+ r, with the eigenvectors (-sin(theta/2) e^{i phi},
-    cos(theta/2)) and (cos(theta/2) e^{i phi}, sin(theta/2)). The search's
-    directions have d = 0, where they are (-/+e^{i phi}, 1) / sqrt 2. Where
-    z = 0 the phase is 1, and where r = 0 too the matrix is scalar and
-    theta = pi/2."""
-    mu = 0.5 * (m[..., 0, 0].real + m[..., 1, 1].real)
-    d = 0.5 * (m[..., 0, 0].real - m[..., 1, 1].real)
-    z = m[..., 0, 1]
-    size = np.abs(z)
-    r = np.hypot(d, size)
-    cos_theta = np.divide(d, r, out=np.zeros_like(r), where=r > 0.0)
-    c, s = np.sqrt(0.5 * (1.0 + cos_theta)), np.sqrt(0.5 * (1.0 - cos_theta))
-    phase = np.divide(z, size, out=np.ones_like(z), where=size > 0.0)
-    w, v = np.empty((*r.shape, 2)), np.empty(m.shape, dtype=np.complex128)
-    w[..., 0], w[..., 1] = mu - r, mu + r
-    v[..., 0, 0], v[..., 0, 1], v[..., 1, 0], v[..., 1, 1] = -s * phase, c * phase, c, s
-    return w, v
 
 
 def walk(uv: np.ndarray, w: np.ndarray, vh: np.ndarray, t) -> np.ndarray:

@@ -31,7 +31,7 @@ from skewinfo import (
 )
 from skewinfo import optim
 from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
-from skewinfo.optim import _direction, geodesic, walk
+from skewinfo.optim import geodesic, walk
 from skewinfo.steering import _bloch_skew_cost, _eigen_skew_cost, _q_objective, _skew_objective, _tensor
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -179,25 +179,6 @@ def test_qubit_b_cost_rejects_an_indefinite_conditional():
     r4 = np.diag([0.7, -0.1, 0.5, -0.1]).astype(complex).reshape(1, 2, 2, 2, 2)
     with pytest.raises(NotPSD):
         _skew_objective(np.eye(2, dtype=complex)[None], r4, np.diag([1.0, -1.0]).astype(complex)[None])
-
-
-def test_qubit_geodesic_is_the_eigh_geodesic(rng):
-    # at n = 2 the geodesic's eigensystem is closed-form: along the search's
-    # zero-diagonal directions, along general ones, and along none
-    u = haar_unitaries(2, 40, rng)
-    p = rng.standard_normal((40, 2))
-    p[0] = 0.0
-    general = np.array([random_antihermitian(2, rng) for _ in range(40)])
-    general[1] = np.diag([0.3j, -0.7j])
-    t = rng.uniform(0.0, 3.0, 40)
-    for h in (_direction(p, *np.triu_indices(2, 1), 2), general):
-        w, v = np.linalg.eigh(-1j * h)
-        uv, w2, vh = geodesic(u, h)
-        np.testing.assert_allclose(w2, w, rtol=0.0, atol=1e-14)
-        points = walk(uv, w2, vh, t)
-        np.testing.assert_allclose(points, walk(u @ v, w, v.conj().swapaxes(-1, -2), t), rtol=0.0, atol=1e-14)
-        gram = points.conj().swapaxes(-1, -2) @ points
-        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), rtol=0.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

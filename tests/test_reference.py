@@ -46,8 +46,9 @@ MASTER_SEED = 5
 EXACT_TOL = 1e-13
 # the searched sides: claim1's lhs is the searched LQU capped by its value
 # at K_A, so lhs is at most I(eps(sigma), K_A x I); the steering search
-# starts at each restart basis and never ends below its start, so claim2
-# lhs is at least the steered sum at each of them
+# starts at each restart basis, or on two qubits at the best of them, and
+# never ends below its start, so claim2 lhs is at least the steered sum at
+# each of them
 SEARCH_TOL = 1e-12
 
 
