@@ -19,7 +19,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .errors import ParseError, SkewInfoError, UsageError
-from .metrics import lqu, lqu_is_exact, q_local, q_total, skew_information, variance
+from .metrics import lqu, lqu_draws, lqu_is_exact, q_local, q_total, skew_information, variance
 from .optim import OptimizerOptions
 from .rand import default_spectrum, haar_unitary, stream
 from .states import (
@@ -229,9 +229,10 @@ def _emit(lines: list[str], config: RunConfig) -> None:
 
 def _reject_search_flags(config: RunConfig, n_a: int) -> None:
     """Reject --restarts, which sizes a unitary search, and lqu's --seed,
-    which draws its restarts, where the command runs no such search; and
-    lqu's --seed with --restarts 1, whose one restart is the spectral seed."""
-    if config.command == "verify claim2":  # the steering search on A, and argmin_K's LQU search on B
+    which draws its restarts, where the command runs no such search."""
+    if config.command == "verify claim2" and n_a > 1 and config.n_b == 1:  # both sides are 0
+        searched, why = False, "side B has one level, so both sides are exactly 0 and no search runs"
+    elif config.command == "verify claim2":  # the steering search on A, and argmin_K's LQU search on B
         searched = n_a != 1 or (config.mode == "argmin_K" and not lqu_is_exact(config.n_b))
         why = "side A has one level and B's LQU is not searched, so no search runs"
     else:
@@ -241,9 +242,6 @@ def _reject_search_flags(config: RunConfig, n_a: int) -> None:
     for flag, value in (("--restarts", config.restarts), ("--seed", seed)):
         if value is not None and not searched:
             raise UsageError(f"{flag} does not apply to {config.command}: {why}")
-    if seed is not None and config.restarts == 1:
-        why = "its one restart is the spectral seed, so it draws nothing"
-        raise UsageError(f"--seed does not apply to lqu --restarts 1: {why}")
 
 
 def _run_skew(config: RunConfig) -> int:
@@ -281,6 +279,9 @@ def _run_lqu(config: RunConfig) -> int:
     _reject_search_flags(config, state.n_a)
     lam = np.array(config.spectrum) if config.spectrum is not None else default_spectrum(state.n_a)
     opts = OptimizerOptions() if config.restarts is None else OptimizerOptions(restarts=config.restarts)
+    if config.master_seed is not None and not lqu_draws(state.n_a, opts):
+        why = "its one restart is the spectral seed, so it draws nothing"
+        raise UsageError(f"--seed does not apply to lqu --restarts {opts.restarts}: {why}")
     seed = _SEED if config.master_seed is None else config.master_seed
     result = lqu(state, lam, "A", opts=opts, rng=stream(seed, 0))
     _emit(

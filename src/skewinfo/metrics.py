@@ -15,7 +15,8 @@ import numpy as np
 from . import optim
 from .errors import DimensionMismatch
 from .linalg import Side, partial_trace, side_dim, sqrtm_psd
-from .optim import OptimizerOptions, SearchResult, restart_bases
+from .optim import OptimizerOptions, SearchResult
+from .rand import haar_unitaries, restart_stream
 from .states import (
     BipartiteState,
     DensityMatrix,
@@ -66,13 +67,10 @@ def variance(rho: DensityMatrix, x: ObservableLike) -> float:
 
 
 def q_total(rho: DensityMatrix) -> float:
-    """Total uncertainty n - (Tr sqrt(rho))^2.
-
-    This is the skew information summed over any trace-orthonormal basis
-    of n^2 observables (Luo, PRA 73, 022324, 2006), so no basis is needed.
-    """
-    tr = np.trace(sqrtm_psd(rho.matrix)).real
-    return float(_clamp(rho.dim - tr * tr))
+    """Total uncertainty n - (Tr sqrt(rho))^2, the skew information summed
+    over any trace-orthonormal basis of n^2 observables (Luo, PRA 73,
+    022324, 2006): ``q_locals`` of rho as side A of an n x 1 split."""
+    return float(q_locals(rho.matrix, (rho.dim, 1), "A"))
 
 
 def q_locals(rho: np.ndarray, dims: tuple[int, int], side: Side) -> np.ndarray:
@@ -190,6 +188,17 @@ def lqu_is_exact(n: int) -> bool:
     return n <= 2
 
 
+# The starts a searched LQU makes ahead of the caller's: its spectral seed
+# (``_spectral_seeds``).
+_SPECTRAL_STARTS = 1
+
+
+def lqu_draws(n: int, opts: OptimizerOptions, seeds: int = 0) -> int:
+    """The Haar restarts an LQU search on an n-level side draws: none where ``lqu_is_exact``
+    holds, else what ``opts.restarts`` leaves after the spectral seed and ``seeds`` seeds, or 0."""
+    return 0 if lqu_is_exact(n) else max(opts.restarts - _SPECTRAL_STARTS - seeds, 0)
+
+
 @dataclass
 class LquResult:
     """Best found local quantum uncertainty and the observable attaining it."""
@@ -215,11 +224,11 @@ def lqu(
     side a restarted Riemannian BFGS descent (see :mod:`skewinfo.optim`)
     searches the eigenbases U of K = U diag(spectrum) U† on the chosen side,
     from the spectral seed first (``_spectral_seeds``), then from the seed
-    observables' eigenbases, then from Haar draws from ``rng`` (a fixed
-    internal stream when omitted, so results are reproducible), as many as
-    bring the starts to ``opts.restarts``; ``restarts_used`` counts every
-    start. The searched value is an upper bound on the true minimum, never
-    above the value at any start.
+    observables' eigenbases, then from the ``lqu_draws`` Haar draws from
+    ``rng`` (``rand.restart_stream``: a fixed stream when omitted, so
+    results are reproducible); ``restarts_used`` counts every start. The
+    searched value is an upper bound on the true minimum, never above the
+    value at any start.
     """
     n_side = side_dim(rho_ab.dims, side)
     lam = check_spectrum(spectrum)
@@ -229,12 +238,13 @@ def lqu(
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
     opts = opts or OptimizerOptions()
-    seeded = [s.eigenbasis for s in seeds]
-    exact = lqu_is_exact(n_side)
-    bases = np.empty((0, n_side, n_side)) if exact else restart_bases(n_side, opts, seeded, rng, leading=1)
+    draws = lqu_draws(n_side, opts, len(seeds))
+    drawn = haar_unitaries(n_side, draws, restart_stream(rng)) if draws else []
+    bases = np.array([*(s.eigenbasis for s in seeds), *drawn], dtype=np.complex128).reshape(-1, n_side, n_side)
     found = _lqus(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam, opts, bases[None])
     minimizer = NondegenerateObservable(lam, found.unitaries[0])
-    return LquResult(float(found.values[0]), minimizer, 0 if exact else 1 + len(bases), bool(found.converged[0]))
+    starts = 0 if lqu_is_exact(n_side) else _SPECTRAL_STARTS + len(bases)
+    return LquResult(float(found.values[0]), minimizer, starts, bool(found.converged[0]))
 
 
 def _lqus(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.ndarray) -> SearchResult:

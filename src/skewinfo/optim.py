@@ -40,11 +40,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import rand
 from .errors import UsageError
 from .states import require_unitary
 
@@ -101,34 +100,6 @@ class SearchResult(NamedTuple):
     evals: np.ndarray
     steps: np.ndarray
     rounds: int
-
-
-def restart_draws(opts: OptimizerOptions, seeds: int) -> int:
-    """The Haar restarts a problem with ``seeds`` seed unitaries draws."""
-    return max(opts.restarts, seeds, 1) - seeds
-
-
-def restart_bases(
-    n: int,
-    opts: OptimizerOptions,
-    seed_unitaries: Sequence[np.ndarray] = (),
-    rng: np.random.Generator | None = None,
-    leading: int = 0,
-) -> np.ndarray:
-    """The restart bases ``(restarts, n, n)`` of one problem, a row of
-    :func:`search`'s ``bases``: the caller-supplied seed unitaries in order,
-    then ``restart_draws`` Haar draws from ``rng`` (a fixed internal stream
-    when omitted). ``leading`` starts that the caller puts ahead of these
-    rows itself, as the LQU search does its spectral seed, count against
-    ``opts.restarts`` too. The harnesses draw the same rows as stacks."""
-    if rng is None:
-        rng = rand.stream(0x5EED, 0)
-    draws = restart_draws(opts, len(seed_unitaries) + leading)
-    bases = [np.empty((0, n, n), dtype=np.complex128)]
-    bases += [np.asarray(s, dtype=np.complex128).reshape(-1, n, n) for s in seed_unitaries]
-    if draws:
-        bases.append(rand.haar_unitaries(n, draws, rng))
-    return np.concatenate(bases)
 
 
 def best_starts(
@@ -313,14 +284,13 @@ def search(
     stack.
 
     ``data`` holds the problems' data as ``(T, ...)`` row stacks, and
-    ``bases`` ``(T, R, n, n)`` their R restart bases each (rows of
-    :func:`restart_bases`). ``cost(U, *data)`` takes a stack of unitaries
-    with the matching stacks of data rows and returns the values and
-    Riemannian gradients described in the module docstring. The
-    objectives here depend only on the projectors onto the columns of U,
-    so their G has a zero diagonal and the search never moves the column
-    phases. For n = 1 there is no direction to move in, and each restart
-    evaluates its base point.
+    ``bases`` ``(T, R, n, n)`` their R restart bases each. ``cost(U,
+    *data)`` takes a stack of unitaries with the matching stacks of data
+    rows and returns the values and Riemannian gradients described in the
+    module docstring. The objectives here depend only on the projectors onto
+    the columns of U, so their G has a zero diagonal and the search never
+    moves the column phases. For n = 1 there is no direction to move in, and
+    each restart evaluates its base point.
 
     Each restart starts exactly at its base point and accepts only steps
     that lower the value, so it never ends above its start.

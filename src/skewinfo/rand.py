@@ -28,6 +28,11 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
     return next(streams(master_seed, (index,)))
 
 
+def restart_stream(rng: np.random.Generator | None) -> np.random.Generator:
+    """``rng``, or the fixed ``stream(0x5EED, 0)`` when it is None: what a search draws its restarts from."""
+    return stream(0x5EED, 0) if rng is None else rng
+
+
 def streams(master_seed: int, indices: Iterable[int]) -> Iterator[np.random.Generator]:
     """``stream(master_seed, t)`` for each t of ``indices`` in turn, as one
     generator that is re-keyed in place: each yielded stream draws what a

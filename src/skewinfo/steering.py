@@ -35,7 +35,8 @@ from . import optim
 from .errors import DimensionMismatch, InvalidState
 from .linalg import _psd_roots, psd_sqrt_eigh, psd_sqrt_eigvalsh
 from .metrics import ObservableLike
-from .optim import OptimizerOptions, restart_bases
+from .optim import OptimizerOptions
+from .rand import haar_unitaries, restart_stream
 from .states import BipartiteState, require_unitary
 
 SKIP_EPS = 1e-12
@@ -332,12 +333,12 @@ def _maximized(
     """Maximize a gain over the unitaries whose columns are A's measurement
     bases, for the one-row data stacks ``data``, by searching ``cost(U,
     *data)``, the negated gain and its Riemannian gradient, from
-    ``restart_bases`` drawn from ``rng``."""
+    ``opts.restarts`` Haar bases drawn from ``rng`` (``rand.restart_stream``)."""
     opts = opts or OptimizerOptions()
-    bases = restart_bases(n_a, opts, rng=rng)
+    bases = haar_unitaries(n_a, opts.restarts, restart_stream(rng))
     found = optim.search(cost, data, bases[None], opts)
     return SteeringSearchResult(
-        -float(found.values[0]), MeasurementBasis(found.unitaries[0]), len(bases), bool(found.converged[0])
+        -float(found.values[0]), MeasurementBasis(found.unitaries[0]), opts.restarts, bool(found.converged[0])
     )
 
 

@@ -25,8 +25,8 @@ import numpy as np
 from . import optim
 from .errors import UsageError
 from .linalg import kron
-from .metrics import _clamp, _eigenbasis_cost, _lqus, local_skew_forms, lqu_is_exact, q_locals, skew_informations
-from .optim import OptimizerOptions, restart_draws
+from .metrics import _clamp, _eigenbasis_cost, _lqus, local_skew_forms, lqu_draws, q_locals, skew_informations
+from .optim import OptimizerOptions
 from .rand import (
     commuting_kraus_from_gaussians,
     default_spectrum,
@@ -290,18 +290,17 @@ class _Claim1Draws(NamedTuple):
     tau_b: np.ndarray
     k_basis: np.ndarray
     kraus_ops: np.ndarray
-    restart_bases: np.ndarray
+    haar_bases: np.ndarray
 
 
 def _claim1_sample(config: dict[str, Any], indices: tuple[int, ...]) -> _Claim1Draws:
     """Per trial, what ``ginibre_state`` (for A, then for B),
-    ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and,
-    where side A's LQU is searched, its ``optim.restart_bases`` after the
-    spectral seed draw from the trial's stream in turn, with their
-    checks."""
+    ``random_nondegenerate_observable``, ``commuting_kraus_channel`` and
+    the ``lqu_draws`` Haar restarts of side A's LQU search draw from the
+    trial's stream in turn, with their checks."""
     n_a, n_b = config["n_a"], config["n_b"]
     d = n_b * config["kraus_count"]
-    draws = 0 if lqu_is_exact(n_a) else restart_draws(_opts(config), 1)
+    draws = lqu_draws(n_a, _opts(config))
     shapes = [(2, n_a, n_a), (2, n_b, n_b), (2, n_a, n_a), (n_a, 2, d, d), (draws, 2, n_a, n_a)]
     g_a, g_b, g_k, g_channel, g_restarts = _gaussians(config["master_seed"], indices, shapes)
     k_basis = require_unitary(haar_from_gaussians(g_k), "unitary eigenbasis")
@@ -356,18 +355,22 @@ def verify_claim1(
 
 
 def _claim2_body(config: dict[str, Any], indices: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    # Per trial, the draws of ginibre_state; then in argmin_K mode the LQU
-    # search's restart bases on B after the spectral seed (none where its
-    # LQU is exact), or in random_K mode the eigenbasis of
-    # random_nondegenerate_observable; then the steering search's restart
-    # bases (none on a 1-level A, whose one basis is the identity).
+    # Per trial, the draws of ginibre_state; then in argmin_K mode the
+    # lqu_draws Haar restarts of B's LQU search, or in random_K mode the
+    # eigenbasis of random_nondegenerate_observable; then the steering
+    # search's restart bases (none on a 1-level A, whose one basis is the
+    # identity). On a 1-level B every observable is a multiple of the
+    # identity, whose skew information is 0 in every state, so nothing
+    # more is drawn or searched and both sides are exactly 0.
     n_a, n_b, mode, opts = config["n_a"], config["n_b"], config["mode"], _opts(config)
     d = n_a * n_b
-    draws_b = 1 if mode == "random_K" else 0 if lqu_is_exact(n_b) else restart_draws(opts, 1)
-    draws_a = 0 if n_a == 1 else restart_draws(opts, 0)
+    draws_b = lqu_draws(n_b, opts) if mode == "argmin_K" else int(n_b > 1)
+    draws_a = opts.restarts if min(n_a, n_b) > 1 else 0
     shapes = [(2, d, d), (draws_b, 2, n_b, n_b), (draws_a, 2, n_a, n_a)]
     g_rho, g_b, g_a = _gaussians(config["master_seed"], indices, shapes)
     rho = require_states(ginibre_from_gaussians(g_rho))
+    if n_b == 1:
+        return np.zeros(len(indices)), np.zeros(len(indices)), np.ones(len(indices), dtype=bool)
     lam = check_spectrum(default_spectrum(n_b))
     forms = local_skew_forms(rho, (n_a, n_b), "B")
     if mode == "random_K":

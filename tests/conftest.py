@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from skewinfo import BipartiteState, DensityMatrix, DimensionMismatch, InvalidState, Observable, stream
+from skewinfo import BipartiteState, DensityMatrix, DimensionMismatch, InvalidState, Observable, haar_unitaries, stream
 from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
-from skewinfo.optim import OptimizerOptions, restart_bases, search
+from skewinfo.optim import OptimizerOptions, search
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -162,10 +162,10 @@ def searched_lqu(
 ) -> float:
     """The LQU by the package's search on a side of any size, a qubit side
     (where ``lqu`` takes the closed form) included: ``optim.search`` of the
-    eigenbasis cost, unclamped, from the ``restart_bases`` that ``rng`` draws."""
+    eigenbasis cost, unclamped, from ``opts.restarts`` Haar bases that ``rng`` draws."""
     form = local_skew_forms(state.matrix, state.dims, side)
     lam = np.asarray(spectrum, dtype=float)
-    bases = restart_bases(lam.size, opts, rng=rng)
+    bases = haar_unitaries(lam.size, opts.restarts, rng)
     return float(search(_eigenbasis_cost, (form[None], lam[None]), bases[None], opts).values[0])
 
 

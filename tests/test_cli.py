@@ -271,6 +271,21 @@ def test_claim2_restarts_is_a_usage_error_where_nothing_is_searched(monkeypatch,
     )
 
 
+@pytest.mark.parametrize("flags", ["", "--dim-a 3", "--mode argmin_K", "--dim-a 3 --mode argmin_K"])
+def test_claim2_restarts_is_a_usage_error_on_a_one_level_side_b(monkeypatch, capsys, flags):
+    # on a 1-level B both sides are exactly 0, so no search runs on either
+    # side and --restarts would change nothing
+    monkeypatch.setattr(verify_mod, "_run_chunk", lambda job: pytest.fail("a trial ran"))
+    assert main(f"verify claim2 --dim-b 1 --trials 3 --restarts 3 {flags}".split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "--restarts does not apply to verify claim2: side B has one level, so both sides are exactly 0"
+        " and no search runs\n"
+    )
+    monkeypatch.undo()
+    assert main(f"verify claim2 --dim-b 1 --trials 3 {flags}".split()) == 0
+
+
 @pytest.mark.parametrize("flags", ["--dim-a 2", "--dim-a 2 --mode argmin_K", "--dim-a 1 --mode argmin_K --dim-b 3"])
 def test_claim2_restarts_sizes_a_search(capsys, flags):
     # the steering search on a side A of two levels, or the LQU search on a

@@ -12,6 +12,7 @@ from skewinfo import (
     Observable,
     OptimizerOptions,
     ginibre_state,
+    haar_unitaries,
     kron,
     lqu,
     random_nondegenerate_observable,
@@ -26,8 +27,9 @@ from skewinfo.metrics import (
     _lqus,
     _spectral_seeds,
     local_skew_forms,
+    lqu_draws,
 )
-from skewinfo.optim import restart_bases, search
+from skewinfo.optim import search
 from conftest import PAULIS, oracle_lqu_qubit, searched_lqu
 
 
@@ -111,6 +113,34 @@ def test_lqu_search_uses_caller_seed_as_feasible_start_on_qutrit_side(rng):
     # second restart to agree with, is not converged
     result = lqu(state, spectrum, "A", opts=OptimizerOptions(restarts=1), rng=rng)
     assert (result.restarts_used, result.converged) == (1, False)
+
+
+def test_lqu_starts_at_its_spectral_seed_then_its_seeds_then_what_the_budget_leaves():
+    # one rule: no Haar restarts where the LQU is exact, else what
+    # opts.restarts leaves after the spectral seed and the caller's seeds,
+    # never below 0; lqu draws exactly those from rng, in order, and counts
+    # every start. Without rng it draws them from one fixed stream
+    rng = stream(41, 0)
+    state = BipartiteState(ginibre_state(8, rng=rng), 4, 2)
+    spectrum = np.linspace(-1.0, 1.0, 4)
+    seeds = tuple(random_nondegenerate_observable(4, spectrum, rng) for _ in range(3))
+    for restarts in (1, 2, 3, 6):
+        opts = OptimizerOptions(restarts=restarts, max_iters=20)
+        for k in range(4):
+            assert lqu_draws(1, opts, k) == lqu_draws(2, opts, k) == 0
+            draws = lqu_draws(4, opts, k)
+            assert draws == lqu_draws(3, opts, k) == max(restarts - 1 - k, 0)
+            drawn = stream(42, restarts)
+            result = lqu(state, spectrum, "A", opts=opts, seeds=seeds[:k], rng=drawn)
+            assert result.restarts_used == 1 + k + draws
+            after = stream(42, restarts)
+            if draws:
+                haar_unitaries(4, draws, after)
+            assert drawn.standard_normal(4).tolist() == after.standard_normal(4).tolist()
+            fixed = lqu(state, spectrum, "A", opts=opts, seeds=seeds[:k], rng=stream(0x5EED, 0))
+            default = lqu(state, spectrum, "A", opts=opts, seeds=seeds[:k])
+            assert default.value == fixed.value
+            np.testing.assert_array_equal(default.minimizer.eigenbasis, fixed.minimizer.eigenbasis)
 
 
 def test_lqu_spectrum_validation(rng):
@@ -205,7 +235,8 @@ def test_lqu_routine_is_the_closed_form_and_the_search():
         rho = np.stack([ginibre_state(2 * n, rng=rng).matrix for _ in range(5)])
         forms = local_skew_forms(rho, (2, n), "B")
         lam = np.linspace(-1.0, 1.0, n)
-        bases = np.stack([restart_bases(n, opts, rng=rng, leading=1) for _ in forms])
+        # the Haar restarts after the spectral seed, which the closed form leaves unused at n = 2
+        bases = np.stack([haar_unitaries(n, opts.restarts - 1, rng) for _ in forms])
         found = _lqus(forms, lam, opts, bases)
         if n == 2:
             values, units = _lqu_qubit(forms, lam)

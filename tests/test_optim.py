@@ -219,7 +219,7 @@ def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure
     objective = at_one(cost, *rows)
     seed_u = haar_unitary(n_a, rng)
     opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
-    bases = optim.restart_bases(n_a, opts, [seed_u], rng)
+    bases = np.concatenate([seed_u[None], haar_unitaries(n_a, opts.restarts - 1, rng)])
     found = optim.search(cost, rows, bases[None], opts)
     (value,), (unitary,) = found.values, found.unitaries
     assert abs(value - objective(unitary)[0]) <= 1e-12
@@ -287,7 +287,7 @@ def test_search_reaches_the_brockett_minimum(n, monkeypatch):
         lam = np.sort(rng.standard_normal(n))
         minimum = lam @ np.sort(mu)[::-1]
         opts = OptimizerOptions(restarts=2, tol=1e-12, max_iters=500)
-        found = optim.search(brockett(m, lam), (), optim.restart_bases(n, opts, rng=rng)[None], opts)
+        found = optim.search(brockett(m, lam), (), haar_unitaries(n, opts.restarts, rng)[None], opts)
         assert abs(found.values[0] - minimum) <= 1e-9
         assert found.converged[0]
         # one restart from a fresh start: every accepted step lowers the value
@@ -409,7 +409,7 @@ def test_search_stacks_problems_without_changing_their_results():
     states = [BipartiteState(ginibre_state(6, rng=rng), 3, 2) for _ in range(2)] + [product]
     opts = OptimizerOptions(restarts=4, tol=1e-7, max_iters=150)
     forms = np.stack([local_skew_forms(s.matrix, s.dims, "A") for s in states])
-    bases = np.stack([optim.restart_bases(3, opts, rng=rng) for _ in states])
+    bases = np.stack([haar_unitaries(3, opts.restarts, rng) for _ in states])
     # the product state's second restart starts at a minimizer, an
     # eigenbasis of its A marginal, while the other restarts still descend
     bases[2, :2] = [haar_unitary(3, rng), np.linalg.eigh(rho_a)[1]]
@@ -422,7 +422,57 @@ def test_search_stacks_problems_without_changing_their_results():
     assert found.evals[2] == sum(r.evals[0] for r in alone)
     km = random_nondegenerate_observable(2, rng=rng).matrix
     steering_data = (_tensor(states[0]), km[None])
-    assert_stack_is_its_restarts_alone(_skew_objective, steering_data, optim.restart_bases(3, opts, rng=rng)[None], opts)
+    steering_bases = haar_unitaries(3, opts.restarts, rng)[None]
+    assert_stack_is_its_restarts_alone(_skew_objective, steering_data, steering_bases, opts)
+
+
+def stacked_brockett(u, m, lam):
+    """``brockett`` for a stack of U with one M and spectrum per member."""
+    a = u.conj().swapaxes(-1, -2) @ m @ u
+    a = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    value = np.einsum("...ii,...i->...", a, lam).real
+    return value, a * lam[:, None, :] - lam[:, :, None] * a
+
+
+def test_best_starts_picks_each_problems_first_least_basis():
+    # per problem, the first basis of least cost among its rows, found in one
+    # stacked call; a search from it alone never ends above the cost at any
+    # row, one basis per problem is passed through unscored, and a member's
+    # choice does not depend on the stack it is in
+    rng = stream(63, 0)
+    t, r, n = 4, 5, 3
+    m = np.stack([(v * rng.standard_normal(n)) @ v.conj().T for v in haar_unitaries(n, t, rng)])
+    lam = np.sort(rng.standard_normal((t, n)), axis=1)
+    bases = haar_unitaries(n, t * r, rng).reshape(t, r, n, n)
+
+    def scores(b):
+        values = stacked_brockett(b.reshape(t * r, n, n), np.repeat(m, r, axis=0), np.repeat(lam, r, axis=0))[0]
+        return values.reshape(t, r)
+
+    first = scores(bases)[:, :-1].argmin(axis=1)
+    # the last row ties the least one: its first column negated, which
+    # leaves the cost bit for bit and the basis different
+    bases[:, -1] = bases[np.arange(t), first] * np.array([-1.0, 1.0, 1.0])
+    costs = scores(bases)
+    assert (costs[np.arange(t), first] == costs[:, -1]).all() and (costs.argmin(axis=1) == first).all()
+    chosen = optim.best_starts(stacked_brockett, (m, lam), bases)
+    assert chosen.shape == (t, 1, n, n)
+    np.testing.assert_array_equal(chosen[:, 0], bases[np.arange(t), first])
+    assert not any(np.array_equal(chosen[k, 0], bases[k, -1]) for k in range(t))
+    opts = OptimizerOptions(restarts=1, tol=1e-7, max_iters=60)
+    found = optim.search(stacked_brockett, (m, lam), chosen, opts)
+    assert (found.values[:, None] <= costs).all()
+    for k in range(t):
+        alone = optim.best_starts(stacked_brockett, (m[k : k + 1], lam[k : k + 1]), bases[k : k + 1])
+        np.testing.assert_array_equal(alone[0], chosen[k])
+    reordered = optim.best_starts(stacked_brockett, (m[::-1], lam[::-1]), bases[::-1])
+    np.testing.assert_array_equal(reordered, chosen[::-1])
+
+    def unscored(u, *data):
+        raise AssertionError("one basis per problem was scored")
+
+    single = bases[:, 2:3]
+    assert optim.best_starts(unscored, (m, lam), single) is single
 
 
 def test_search_counts_its_rounds_as_stacked_cost_calls():
@@ -433,7 +483,7 @@ def test_search_counts_its_rounds_as_stacked_cost_calls():
     forms = local_skew_forms(np.stack([ginibre_state(6, rng=rng).matrix for _ in range(6)]), (3, 2), "A")
     lam = np.broadcast_to([-1.0, 0.0, 1.0], (6, 3))
     opts = OptimizerOptions(restarts=3, tol=1e-7, max_iters=150)
-    bases = np.stack([optim.restart_bases(3, opts, rng=rng) for _ in forms])
+    bases = np.stack([haar_unitaries(3, opts.restarts, rng) for _ in forms])
     calls = []
 
     def counted(u, *data):

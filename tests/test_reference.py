@@ -33,8 +33,7 @@ from skewinfo import (
     verify_claim2,
 )
 from skewinfo.metrics import _gell_mann, _real_forms, local_skew_forms
-from skewinfo.optim import restart_bases
-from skewinfo.rand import default_spectrum
+from skewinfo.rand import default_spectrum, haar_unitaries
 from skewinfo.verify import CLAIM1_OPTS, HARNESS_OPTS
 
 DIMS = [(2, 2), (2, 3), (3, 2), (3, 3)]
@@ -186,6 +185,6 @@ def test_claim2_lhs_is_at_least_the_steered_sum_at_each_restart_basis(dims, mode
         else:
             k = random_nondegenerate_observable(n_b, rng=rng).matrix
             assert abs(record.rhs - skew(rho, np.kron(np.eye(n_a), k))) <= EXACT_TOL, record.trial_index
-        for u in restart_bases(n_a, HARNESS_OPTS, rng=rng):
+        for u in haar_unitaries(n_a, HARNESS_OPTS.restarts, rng):
             start = steered_skew(rho, u, k, n_b)
             assert record.lhs >= start - SEARCH_TOL, (record.trial_index, record.lhs - start)

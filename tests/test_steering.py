@@ -273,6 +273,29 @@ def test_maximizer_is_a_valid_basis(rng):
     assert steered_skew_sum(state, result.maximizer, k_b) == pytest.approx(result.value, abs=1e-9)
 
 
+def test_steering_searches_draw_their_restarts_and_default_to_a_fixed_stream(rng, monkeypatch):
+    # each maximization descends from opts.restarts Haar bases drawn from
+    # rng in one haar_unitaries draw, or from the fixed stream(0x5EED, 0)
+    # when rng is omitted
+    state = BipartiteState(ginibre_state(6, rng=rng), 3, 2)
+    k_b = random_nondegenerate_observable(2, rng=rng)
+    starts = []
+    search = steering.optim.search
+
+    def recorded(cost, data, bases, opts):
+        starts.append(bases)
+        return search(cost, data, bases, opts)
+
+    monkeypatch.setattr(steering.optim, "search", recorded)
+    runs = (lambda r: steering_induced_skew(state, k_b, FAST, r), lambda r: average_steering_induced_q(state, FAST, r))
+    for run in runs:
+        given, fixed = run(stream(8, 1)), run(None)
+        assert given.restarts_used == fixed.restarts_used == FAST.restarts
+        np.testing.assert_array_equal(starts[-2][0], haar_unitaries(3, FAST.restarts, stream(8, 1)))
+        np.testing.assert_array_equal(starts[-1][0], haar_unitaries(3, FAST.restarts, stream(0x5EED, 0)))
+        assert fixed.value == run(stream(0x5EED, 0)).value
+
+
 def _skipping_states_and_bases(n_a, n_b, rng):
     """A product state whose A part is the pure |0>, with a stack of bases in
     which different members skip different outcomes (permutations move the

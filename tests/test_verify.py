@@ -22,6 +22,7 @@ from skewinfo import (
     VerificationReport,
     commuting_kraus_channel,
     ginibre_state,
+    haar_unitaries,
     kron,
     lqu,
     random_nondegenerate_observable,
@@ -37,7 +38,7 @@ from skewinfo import (
 )
 import skewinfo
 from skewinfo import optim, verify
-from skewinfo.metrics import _clamp
+from skewinfo.metrics import _clamp, lqu_draws
 from skewinfo.steering import _skew_objective
 from skewinfo.verify import CLAIM1_OPTS, HARNESS_OPTS, _claim1_body, _run_chunk, worker_count
 
@@ -122,7 +123,7 @@ def test_claim2_descends_from_its_best_drawn_basis_on_two_qubits(dims, monkeypat
         rng = stream(13, t)
         rho = ginibre_state(n_a * n_b, rng=rng).matrix
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
-        drawn = optim.restart_bases(n_a, HARNESS_OPTS, rng=rng)
+        drawn = haar_unitaries(n_a, HARNESS_OPTS.restarts, rng)
         r4 = np.broadcast_to(rho.reshape(1, n_a, n_b, n_a, n_b), (len(drawn), n_a, n_b, n_a, n_b))
         scores = _skew_objective(drawn, r4, np.broadcast_to(km, (len(drawn), n_b, n_b)))[0]
         np.testing.assert_array_equal(bases[t], drawn[np.argmin(scores)][None] if qubits else drawn)
@@ -136,6 +137,32 @@ def test_claim2_argmin_on_a_one_level_side_b():
         assert report.failed == 0 and report.violations == 0
         assert all(r.lhs == 0.0 for r in records)
         assert all(r.rhs == 0.0 for r in records)
+
+
+@pytest.mark.parametrize("mode", ["argmin_K", "random_K"])
+def test_claim2_on_a_one_level_side_b_searches_nothing(mode, monkeypatch):
+    # every observable on a 1-level B is a multiple of the identity, whose
+    # skew information is 0 in every state: a trial draws its state and
+    # nothing more, runs no search, and both sides are exactly 0 (random_K's
+    # rhs was the rounding noise of the skew form), whatever the budget
+    shapes = []
+    gaussians = verify._gaussians
+
+    def recorded(master_seed, indices, block_shapes):
+        shapes.append(block_shapes)
+        return gaussians(master_seed, indices, block_shapes)
+
+    monkeypatch.setattr(verify, "_gaussians", recorded)
+    monkeypatch.setattr(optim, "search", lambda *args: pytest.fail("a search ran"))
+    for n_a in (1, 2, 3):
+        runs = [
+            verify_claim2(n_a, 1, trials=40, mode=mode, opts=OptimizerOptions(restarts=r), workers=1) for r in (2, 5)
+        ]
+        assert runs[0][1] == runs[1][1]
+        report, records = runs[0]
+        assert report.failed == 0 and report.violations == 0
+        assert all((r.lhs, r.rhs, r.margin) == (0.0, 0.0, 0.0) for r in records)
+    assert all(math.prod(shape) == 0 for call in shapes for shape in call[1:])
 
 
 def test_claim1_on_a_one_level_side_a():
@@ -336,18 +363,18 @@ def test_chunk_draws_what_the_public_samplers_draw():
     indices = (0, 4, 7)
     for opts, haar_rows in ((CLAIM1_OPTS, 0), (OptimizerOptions(restarts=3), 2)):
         draws = verify._claim1_sample(verify._config(3, 2, 1e-7, 5, opts, kraus_count=3), indices)
-        assert draws.restart_bases.shape == (3, haar_rows, 3, 3)
+        assert draws.haar_bases.shape == (3, haar_rows, 3, 3) and haar_rows == lqu_draws(3, opts)
         for k, t in enumerate(indices):
             rng = stream(5, t)
             rho_a, tau_b = ginibre_state(3, rng=rng), ginibre_state(2, rng=rng)
             k_a = random_nondegenerate_observable(3, rng=rng)
             channel = commuting_kraus_channel(k_a, 2, 3, rng)
-            restarts = optim.restart_bases(3, opts, rng=rng, leading=1)
             np.testing.assert_array_equal(draws.rho_a[k], rho_a.matrix)
             np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
             np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
             np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
-            np.testing.assert_array_equal(draws.restart_bases[k], restarts)
+            if haar_rows:
+                np.testing.assert_array_equal(draws.haar_bases[k], haar_unitaries(3, haar_rows, rng))
 
 
 @pytest.mark.parametrize("master_seed", [-3, 2**64 + 5])
