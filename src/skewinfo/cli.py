@@ -230,11 +230,12 @@ def _emit(lines: list[str], config: RunConfig) -> None:
 def _reject_search_flags(config: RunConfig, n_a: int) -> None:
     """Reject --restarts, which sizes a unitary search, and lqu's --seed,
     which draws its restarts, where the command runs no such search."""
-    if config.command == "verify claim2" and n_a > 1 and config.n_b == 1:  # both sides are 0
-        searched, why = False, "side B has one level, so both sides are exactly 0 and no search runs"
-    elif config.command == "verify claim2":  # the steering search on A, and argmin_K's LQU search on B
-        searched = n_a != 1 or (config.mode == "argmin_K" and not lqu_is_exact(config.n_b))
-        why = "side A has one level and B's LQU is not searched, so no search runs"
+    if config.command == "verify claim2":
+        searched = verify_mod._claim2_searches(n_a, config.n_b, config.mode)
+        if n_a > 1 and config.n_b == 1:  # both sides are 0
+            why = "side B has one level, so both sides are exactly 0 and no search runs"
+        else:
+            why = "side A has one level and B's LQU is not searched, so no search runs"
     else:
         searched = not lqu_is_exact(n_a)
         why = "side A has at most two levels, so its LQU is exact and no search runs"

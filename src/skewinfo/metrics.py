@@ -7,6 +7,7 @@ Tr(rho X^2) - Tr(sqrt(rho) X sqrt(rho) X), which equals
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -130,6 +131,13 @@ def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[
     Tr([Lambda, H] Omega) and the gradient is [H, Lambda]:
     H_ij (lam_j - lam_i), zero on the diagonal.
     """
+    value, gradient, _ = _eigenbasis_terms(u, form, lam)
+    return value, gradient
+
+
+def _eigenbasis_terms(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_eigenbasis_cost``'s value and gradient, and the Hermitian
+    H = U^dagger D U they are read from."""
     n = u.shape[-1]
     lam = lam[..., None, :]
     uh = u.conj().swapaxes(-1, -2)
@@ -138,7 +146,64 @@ def _eigenbasis_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[
     h = uh @ b.reshape(u.shape).swapaxes(-1, -2) @ u
     h = h + h.conj().swapaxes(-1, -2)  # U^dagger D U, made exactly Hermitian
     value = (vec.swapaxes(-1, -2) @ b)[..., 0, 0].real
-    return value, h * (lam - lam.swapaxes(-1, -2))
+    return value, h * (lam - lam.swapaxes(-1, -2)), h
+
+
+def _eigenbasis_newton_cost(u: np.ndarray, form: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_eigenbasis_cost`` and its Hessian in the coordinates x of
+    ``optim.coordinate_basis`` E_a: the ``(m, d, d)`` second derivatives of
+    I(U exp(Omega)) at Omega = sum_a x_a E_a = 0, d = n(n - 1).
+
+    exp(Omega) Lambda exp(-Omega) = Lambda + [Omega, Lambda] +
+    [Omega, [Omega, Lambda]] / 2 + ..., and I = vec(K)^T form vec(K) with
+    a symmetric form, so with k_a = vec(U [E_a, Lambda] U^dagger) and P the
+    Hermitian part of U^dagger B^T U (half of ``_eigenbasis_terms``' H),
+
+        Hess_ab = 2 Re k_a^T form k_b
+                  + Tr(P ([E_a, [E_b, Lambda]] + [E_b, [E_a, Lambda]])).
+
+    For the pair j < k of E_a, [E_a, Lambda] is (lam_k - lam_j) times
+    e_jk + e_kj on the real direction and i(e_jk - e_kj) on the imaginary
+    one, so with X = (lam_k - lam_j) u_j u_k^dagger for the columns u_j of U,
+    U [E_a, Lambda] U^dagger is X + X^dagger or i(X - X^dagger). The second
+    term is A + A^T, with A_ab = sum_pqr P_pq (E_a)_qr (E_b)_rp (lam_p +
+    lam_q - 2 lam_r), which is Tr(P [Omega, [Omega, Lambda]]) written out in
+    entries and read off the few nonzero ones (``_curvature_terms``).
+    """
+    m, n = u.shape[0], u.shape[-1]
+    value, gradient, h = _eigenbasis_terms(u, form, lam)
+    rows, cols = np.triu_indices(n, 1)
+    x = u[:, :, None, rows] * (u.conj()[:, None, :, cols] * (lam[:, cols] - lam[:, rows])[:, None, None])
+    xh = x.conj().swapaxes(1, 2)
+    k = np.concatenate([x + xh, 1j * (x - xh)], axis=-1).reshape(m, n * n, 2 * rows.size)
+    first = (k.swapaxes(-1, -2) @ (form @ k)).real
+    pqr, coef = _curvature_terms(n)
+    c = lam[:, :, None, None] + lam[:, None, :, None] - 2.0 * lam[:, None, None, :]
+    second = (coef * (h[..., None] * c)[(slice(None), *pqr)]).sum(axis=1).real
+    half = first + 0.5 * second  # h = 2 P, so second is 2 A
+    return value, gradient, half + half.swapaxes(-1, -2)
+
+
+@functools.cache
+def _curvature_terms(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each pair (a, b) of ``optim.coordinate_basis(n)`` directions, the
+    nonzero terms (E_a)_qr (E_b)_rp of a sum over p, q and r, as read-only
+    index stacks p, q, r ``(3, S, d, d)`` and coefficients ``(S, d, d)``,
+    padded with zero coefficients to the largest count S."""
+    basis = optim.coordinate_basis(n)
+    terms = {}
+    for a, ea in enumerate(basis):
+        for b, eb in enumerate(basis):
+            for qa, ra in zip(*np.nonzero(ea)):
+                for p in np.flatnonzero(eb[ra]):
+                    terms.setdefault((a, b), []).append(((p, qa, ra), ea[qa, ra] * eb[ra, p]))
+    d, slots = len(basis), max(map(len, terms.values()), default=0)
+    pqr, coef = np.zeros((3, slots, d, d), dtype=int), np.zeros((slots, d, d), dtype=np.complex128)
+    for (a, b), found in terms.items():
+        for slot, (index, c) in enumerate(found):
+            pqr[:, slot, a, b], coef[slot, a, b] = index, c
+    pqr.flags.writeable = coef.flags.writeable = False
+    return pqr, coef
 
 
 def _gell_mann(n: int) -> np.ndarray:
@@ -221,7 +286,7 @@ def lqu(
 
     Where ``lqu_is_exact`` holds, the value is exact (see ``_lqus``),
     ``restarts_used`` is 0, and no draws are taken from ``rng``. On a larger
-    side a restarted Riemannian BFGS descent (see :mod:`skewinfo.optim`)
+    side a restarted Riemannian Newton descent (see :mod:`skewinfo.optim`)
     searches the eigenbases U of K = U diag(spectrum) U† on the chosen side,
     from the spectral seed first (``_spectral_seeds``), then from the seed
     observables' eigenbases, then from the ``lqu_draws`` Haar draws from
@@ -238,8 +303,7 @@ def lqu(
         if s.dim != n_side:
             raise DimensionMismatch(f"seed observable dim {s.dim} vs side dim {n_side}")
     opts = opts or OptimizerOptions()
-    draws = lqu_draws(n_side, opts, len(seeds))
-    drawn = haar_unitaries(n_side, draws, restart_stream(rng)) if draws else []
+    drawn = haar_unitaries(n_side, lqu_draws(n_side, opts, len(seeds)), restart_stream(rng))
     bases = np.array([*(s.eigenbasis for s in seeds), *drawn], dtype=np.complex128).reshape(-1, n_side, n_side)
     found = _lqus(local_skew_forms(rho_ab.matrix, rho_ab.dims, side)[None], lam, opts, bases[None])
     minimizer = NondegenerateObservable(lam, found.unitaries[0])
@@ -256,15 +320,15 @@ def _lqus(forms: np.ndarray, lam: np.ndarray, opts: OptimizerOptions, bases: np.
     observable is a multiple of the identity, and ``_lqu_qubit`` on two.
     On a larger side, each problem's spectral seed (``_spectral_seeds``)
     and then its restart bases of ``bases`` ``(T, R, n, n)`` follow
-    ``_eigenbasis_cost`` downhill along geodesics of the unitary group, in
-    quasi-Newton directions built from its analytic gradient, for at most
-    ``opts.max_iters`` accepted steps, all in one stacked ``optim.search``
-    of R + 1 restarts per problem.
+    ``_eigenbasis_newton_cost`` downhill along geodesics of the unitary
+    group, in modified Newton directions of its analytic gradient and
+    Hessian, for at most ``opts.max_iters`` accepted steps, all in one
+    stacked ``optim.search`` of R + 1 restarts per problem.
     """
     t, n = len(forms), lam.size
     if not lqu_is_exact(n):
         starts = np.concatenate([_spectral_seeds(forms, n)[1][:, None], bases], axis=1)
-        found = optim.search(_eigenbasis_cost, (forms, np.broadcast_to(lam, (t, n))), starts, opts)
+        found = optim.search(_eigenbasis_newton_cost, (forms, np.broadcast_to(lam, (t, n))), starts, opts)
         return found._replace(values=_clamp(found.values))
     values, units = _lqu_qubit(forms, lam) if n == 2 else (np.zeros(t), np.ones((t, 1, 1), dtype=np.complex128))
     return SearchResult(values, units, np.ones(t, dtype=bool), *np.zeros((2, t), dtype=int), 0)

@@ -102,12 +102,13 @@ def haar_unitaries(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
 
     The draw takes the real then the imaginary Gaussian block of each
     member in turn, so the stack equals ``count`` successive
-    ``haar_unitary`` draws and leaves ``rng`` in the same state.
+    ``haar_unitary`` draws and leaves ``rng`` in the same state. A count
+    of 0 draws nothing and returns the empty ``(0, n, n)`` stack.
     """
     if n < 1:
         raise DimensionMismatch(f"dimension must be >= 1, got {n}")
-    if count < 1:
-        raise DimensionMismatch(f"count must be >= 1, got {count}")
+    if count < 0:
+        raise DimensionMismatch(f"count must be >= 0, got {count}")
     return haar_from_gaussians(rng.standard_normal((count, 2, n, n)))
 
 

@@ -25,7 +25,16 @@ import numpy as np
 from . import optim
 from .errors import UsageError
 from .linalg import kron
-from .metrics import _clamp, _eigenbasis_cost, _lqus, local_skew_forms, lqu_draws, q_locals, skew_informations
+from .metrics import (
+    _clamp,
+    _eigenbasis_cost,
+    _lqus,
+    local_skew_forms,
+    lqu_draws,
+    lqu_is_exact,
+    q_locals,
+    skew_informations,
+)
 from .optim import OptimizerOptions
 from .rand import (
     commuting_kraus_from_gaussians,
@@ -270,8 +279,9 @@ def _config(
     n_a: int, n_b: int, tol: float, master_seed: int, opts: OptimizerOptions | None, **own: object
 ) -> dict[str, object]:
     """A run's configuration: the sizes, the harness's ``own`` entries, the
-    tolerance and the seed, then the search budget of a searching harness,
-    in the order the summary echoes them."""
+    tolerance and the seed, then the search budget ``opts`` of a run that
+    searches, in the order the summary echoes them; a run that searches
+    nothing passes None and records no budget."""
     config = {"n_a": n_a, "n_b": n_b, **own, "violation_tol": tol, "master_seed": master_seed}
     if opts is not None:
         config.update(opt_restarts=opts.restarts, opt_tol=opts.tol, opt_max_iters=opts.max_iters)
@@ -279,8 +289,19 @@ def _config(
 
 
 def _opts(config: dict[str, Any]) -> OptimizerOptions:
-    """The search budget a configuration records."""
+    """The search budget a configuration records, or ``HARNESS_OPTS`` for a
+    run that records none: it searches nothing, so no value of it is used."""
+    if "opt_restarts" not in config:
+        return HARNESS_OPTS
     return OptimizerOptions(restarts=config["opt_restarts"], tol=config["opt_tol"], max_iters=config["opt_max_iters"])
+
+
+def _claim2_searches(n_a: int, n_b: int, mode: str) -> bool:
+    """Whether a claim2 run searches: on a 1-level B both sides are exactly
+    0 and nothing runs; otherwise the steering search chooses among the
+    bases of a side A above one level, and ``argmin_K`` searches B's LQU
+    where it is not exact."""
+    return not (n_b == 1 and n_a > 1) and (n_a != 1 or (mode == "argmin_K" and not lqu_is_exact(n_b)))
 
 
 class _Claim1Draws(NamedTuple):
@@ -348,9 +369,11 @@ def verify_claim1(
     else searched from the spectral seed and capped by the output's skew
     information at K_A) against the input skew information. Also
     spot-checks the commuting-channel monotonicity of skew information at
-    K_A per trial. The default budget is ``CLAIM1_OPTS``.
+    K_A per trial. The default budget is ``CLAIM1_OPTS``; on an exact side
+    A no search runs, and the budget is neither read nor echoed.
     """
-    config = _config(n_a, n_b, tol, master_seed, opts or CLAIM1_OPTS, kraus_count=kraus_count)
+    budget = None if lqu_is_exact(n_a) else (opts or CLAIM1_OPTS)
+    config = _config(n_a, n_b, tol, master_seed, budget, kraus_count=kraus_count)
     return _run_trials("claim1", _claim1_body, config, trials, workers, collect_timing)
 
 
@@ -409,10 +432,13 @@ def verify_claim2(
     In ``argmin_K`` mode the observable is the optimized local-uncertainty
     minimizer and the bound is the optimized value; in ``random_K`` mode a
     random observable is drawn and the bound is its joint skew information.
+    A run that searches nothing (``_claim2_searches``) neither reads nor
+    echoes its budget.
     """
     if mode not in get_args(Claim2Mode):
         raise UsageError(f"mode must be one of {', '.join(get_args(Claim2Mode))}, got {mode!r}")
-    config = _config(n_a, n_b, tol, master_seed, opts or HARNESS_OPTS, mode=mode)
+    budget = (opts or HARNESS_OPTS) if _claim2_searches(n_a, n_b, mode) else None
+    config = _config(n_a, n_b, tol, master_seed, budget, mode=mode)
     return _run_trials("claim2", _claim2_body, config, trials, workers, collect_timing)
 
 

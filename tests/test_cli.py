@@ -472,11 +472,14 @@ def test_format_without_out_is_a_usage_error(monkeypatch, capsys):
 
 def test_run_verify_defaults_to_harness_budget(capsys):
     # claim1 descends from the spectral seed alone; claim2 keeps two restarts
-    for claim, restarts in (("claim1", 1), ("claim2", 2)):
+    for claim, restarts in (("claim1 --dim-a 3", 1), ("claim2", 2)):
         assert main(f"verify {claim} --trials 2 --seed 3".split()) == 0
         out = capsys.readouterr().out
         assert f"config.opt_restarts={restarts}\n" in out
         assert "config.opt_max_iters=150" in out
+    # claim1's default side A has two levels: its LQU is exact, and no budget is echoed
+    assert main("verify claim1 --trials 2 --seed 3".split()) == 0
+    assert "config.opt_" not in capsys.readouterr().out
 
 
 def test_run_verify_rejects_bad_uq_threads(monkeypatch, capsys):

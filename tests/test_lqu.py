@@ -22,6 +22,7 @@ from skewinfo import (
 from skewinfo.metrics import (
     _clamp,
     _eigenbasis_cost,
+    _eigenbasis_newton_cost,
     _gell_mann,
     _lqu_qubit,
     _lqus,
@@ -227,8 +228,8 @@ def test_lqu_on_a_one_level_side_is_exactly_zero(side, dims):
 
 def test_lqu_routine_is_the_closed_form_and_the_search():
     # the stacked routine is bit for bit the qubit closed form at n = 2, with
-    # no work done, and bit for bit the clamped direct search at n = 3, from
-    # the spectral seed and then the given bases
+    # no work done, and bit for bit the clamped direct Newton search at
+    # n = 3, from the spectral seed and then the given bases
     rng = stream(7, 0)
     opts = OptimizerOptions(restarts=3, max_iters=60)
     for n in (2, 3):
@@ -244,7 +245,8 @@ def test_lqu_routine_is_the_closed_form_and_the_search():
         else:
             spectra = np.tile(lam, (5, 1))
             starts = np.concatenate([_spectral_seeds(forms, n)[1][:, None], bases], axis=1)
-            values, units, converged, evals, steps, rounds = search(_eigenbasis_cost, (forms, spectra), starts, opts)
+            found_directly = search(_eigenbasis_newton_cost, (forms, spectra), starts, opts)
+            values, units, converged, evals, steps, rounds = found_directly
             values = _clamp(values)
         assert len(found) == 6
         for got, want in zip(found, (values, units, converged, evals, steps, rounds)):

@@ -30,7 +30,7 @@ from skewinfo import (
     stream,
 )
 from skewinfo import optim
-from skewinfo.metrics import _eigenbasis_cost, local_skew_forms
+from skewinfo.metrics import _eigenbasis_cost, _eigenbasis_newton_cost, _spectral_seeds, local_skew_forms
 from skewinfo.optim import geodesic, walk
 from skewinfo.steering import _bloch_skew_cost, _eigen_skew_cost, _q_objective, _skew_objective, _tensor
 
@@ -92,6 +92,40 @@ def test_lqu_gradient_matches_central_difference(dims, rank, rng):
         form = local_skew_forms(state.matrix, state.dims, side)
         lam = np.sort(rng.standard_normal(n_side))
         assert_gradient(at_one(_eigenbasis_cost, form[None], lam[None]), n_side, rng)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("rank", [None, 1])
+def test_lqu_hessian_matches_central_differences_of_the_gradient(n, rank, rng):
+    # the search's coordinates are Re Tr(G^dagger E_a) on optim's basis, and
+    # the analytic Hessian is the symmetrized central difference of those
+    # coordinates along U exp(h E_b): the antisymmetric part of the
+    # difference, g([E_b, E_a]) / 2, is the frame turning, not curvature
+    basis = optim.coordinate_basis(n)
+    for dims, side in (((n, 2), "A"), ((2, n), "B")):
+        state = BipartiteState(ginibre_state(2 * n, rank=rank, rng=rng), *dims)
+        form = local_skew_forms(state.matrix, state.dims, side)[None]
+        lam = np.sort(rng.standard_normal(n))[None]
+
+        def coords(u):
+            g = _eigenbasis_cost(u[None], form, lam)[1][0]
+            direct = np.array([np.vdot(g, e).real for e in basis])
+            np.testing.assert_array_equal(optim._coordinates(g[None], *np.triu_indices(n, 1))[0], direct)
+            return direct
+
+        for _ in range(2):
+            u = haar_unitary(n, rng)
+            value, g, hess = _eigenbasis_newton_cost(u[None], form, lam)
+            expected_value, expected_g = _eigenbasis_cost(u[None], form, lam)
+            np.testing.assert_array_equal(value, expected_value)
+            np.testing.assert_array_equal(g, expected_g)
+            np.testing.assert_array_equal(hess[0], hess[0].T)
+            steps = [scipy.linalg.expm(FD_STEP * e) for e in basis]
+            columns = [(coords(u @ step) - coords(u @ step.conj().T)) / (2.0 * FD_STEP) for step in steps]
+            measured = np.array(columns).T
+            measured = 0.5 * (measured + measured.T)
+            scale = max(1.0, np.abs(measured).max())
+            assert np.abs(hess[0] - measured).max() <= 1e-6 * scale, np.abs(hess[0] - measured).max()
 
 
 @pytest.mark.parametrize("dims", DIMS)
@@ -202,21 +236,22 @@ def test_geodesic_is_the_exponential_step(n, rng):
     seed=st.integers(0, 2**32 - 1),
     dims=st.sampled_from(((2, 2), (2, 3), (3, 2))),
     pure=st.booleans(),
-    kind=st.sampled_from(("lqu", "skew", "q")),
+    kind=st.sampled_from(("lqu", "newton", "skew", "q")),
 )
 def test_search_returns_its_value_and_never_ends_above_the_seed(seed, dims, pure, kind):
     rng = stream(seed, 0)
     n_a, n_b = dims
     state = BipartiteState(ginibre_state(n_a * n_b, rank=1 if pure else None, rng=rng), n_a, n_b)
-    if kind == "lqu":
+    if kind in ("lqu", "newton"):
         form = local_skew_forms(state.matrix, state.dims, "A")
-        cost, rows = _eigenbasis_cost, (form[None], np.sort(rng.standard_normal(n_a))[None])
+        cost = _eigenbasis_cost if kind == "lqu" else _eigenbasis_newton_cost
+        rows = (form[None], np.sort(rng.standard_normal(n_a))[None])
     elif kind == "skew":
         km = random_nondegenerate_observable(n_b, rng=rng).matrix
         cost, rows = _skew_objective, (_tensor(state), km[None])
     else:
         cost, rows = _q_objective, (_tensor(state),)
-    objective = at_one(cost, *rows)
+    objective = at_one(_eigenbasis_cost if kind == "newton" else cost, *rows)
     seed_u = haar_unitary(n_a, rng)
     opts = OptimizerOptions(restarts=2, tol=1e-7, max_iters=40)
     bases = np.concatenate([seed_u[None], haar_unitaries(n_a, opts.restarts - 1, rng)])
@@ -426,6 +461,51 @@ def test_search_stacks_problems_without_changing_their_results():
     assert_stack_is_its_restarts_alone(_skew_objective, steering_data, steering_bases, opts)
 
 
+def test_newton_member_does_not_depend_on_its_stack():
+    # 64 claim1-like LQU problems (3x2, a quarter of them pure) from their
+    # spectral seeds and a Haar basis each: every restart of the stack is
+    # bit for bit the Newton descent it makes alone, and none ends above
+    # its start
+    rng = stream(64, 0)
+    rho = np.stack([ginibre_state(6, rank=1 if k % 4 == 0 else None, rng=rng).matrix for k in range(32)])
+    forms = local_skew_forms(rho, (3, 2), "A")
+    lam = np.broadcast_to([-1.0, 0.0, 1.0], (32, 3))
+    bases = np.concatenate([_spectral_seeds(forms, 3)[1][:, None], haar_unitaries(3, 32, rng)[:, None]], axis=1)
+    members, rows = bases.reshape(64, 3, 3), (np.repeat(forms, 2, axis=0), np.repeat(lam, 2, axis=0))
+    values, units, evals, steps, rounds = optim._descend(_eigenbasis_newton_cost, members, rows, 150, 1e-9)
+    assert (values <= _eigenbasis_cost(members, *rows)[0]).all() and rounds > 1
+    for j in range(64):
+        alone = optim._descend(_eigenbasis_newton_cost, members[j : j + 1], tuple(x[j : j + 1] for x in rows), 150, 1e-9)
+        assert alone[0][0] == values[j]
+        np.testing.assert_array_equal(alone[1][0], units[j])
+        assert (alone[2][0], alone[3][0]) == (evals[j], steps[j])
+
+
+def test_newton_steps_start_from_the_full_step(monkeypatch):
+    # a Newton step's first trial is t = 1, shortened only by the turn cap,
+    # from the very first step: no first step turns U by exactly the cap
+    rng = stream(65, 0)
+    forms = local_skew_forms(ginibre_state(6, rng=rng).matrix, (3, 2), "A")[None]
+    lam = np.array([[-1.0, 0.0, 1.0]])
+    trials = []
+
+    def recorded_walk(uv, w, vh, t):
+        trials.append((float(t[0]), np.abs(w[0]).max()))
+        return walk(uv, w, vh, t)
+
+    monkeypatch.setattr(optim, "walk", recorded_walk)
+    firsts = []
+    for base in (_spectral_seeds(forms, 3)[1], haar_unitaries(3, 1, rng)):
+        trials.clear()
+        optim._descend(_eigenbasis_newton_cost, base, (forms, lam), 150, 1e-9)
+        first, rate = trials[0]
+        assert first == min(1.0, optim._first_angle(3) / rate)
+        firsts.append(first)
+    # from the seed the full step turns U by less than the cap, where a BFGS
+    # restart's first trial would turn it by exactly the cap
+    assert firsts[0] == 1.0
+
+
 def stacked_brockett(u, m, lam):
     """``brockett`` for a stack of U with one M and spectrum per member."""
     a = u.conj().swapaxes(-1, -2) @ m @ u
@@ -478,24 +558,26 @@ def test_best_starts_picks_each_problems_first_least_basis():
 def test_search_counts_its_rounds_as_stacked_cost_calls():
     # rounds counts the search's stacked cost calls, the first at the starts
     # included; the members share them, so a stack takes at least as many
-    # rounds as its longest restart takes evaluations
+    # rounds as its longest restart takes evaluations, on the BFGS and on
+    # the Newton path
     rng = stream(62, 0)
     forms = local_skew_forms(np.stack([ginibre_state(6, rng=rng).matrix for _ in range(6)]), (3, 2), "A")
     lam = np.broadcast_to([-1.0, 0.0, 1.0], (6, 3))
     opts = OptimizerOptions(restarts=3, tol=1e-7, max_iters=150)
     bases = np.stack([haar_unitaries(3, opts.restarts, rng) for _ in forms])
-    calls = []
+    for cost in (_eigenbasis_cost, _eigenbasis_newton_cost):
+        calls = []
 
-    def counted(u, *data):
-        calls.append(len(u))
-        return _eigenbasis_cost(u, *data)
+        def counted(u, *data):
+            calls.append(len(u))
+            return cost(u, *data)
 
-    found = optim.search(counted, (forms, lam), bases, opts)
-    assert found.rounds == len(calls) > 1 and calls[0] == 18
-    assert sum(calls) == found.evals.sum()
-    assert found.rounds >= max(found.evals // 3) >= 1
-    alone = optim.search(counted, (forms[:1], lam[:1]), bases[:1, :1], opts)
-    assert alone.rounds == alone.evals[0] == len(calls) - found.rounds
+        found = optim.search(counted, (forms, lam), bases, opts)
+        assert found.rounds == len(calls) > 1 and calls[0] == 18
+        assert sum(calls) == found.evals.sum()
+        assert found.rounds >= max(found.evals // 3) >= 1
+        alone = optim.search(counted, (forms[:1], lam[:1]), bases[:1, :1], opts)
+        assert alone.rounds == alone.evals[0] == len(calls) - found.rounds
 
 
 @pytest.mark.parametrize(

@@ -78,7 +78,12 @@ def test_haar_unitaries_rejects_bad_sizes():
     with pytest.raises(DimensionMismatch):
         haar_unitaries(0, 3, stream(0, 0))
     with pytest.raises(DimensionMismatch):
-        haar_unitaries(2, 0, stream(0, 0))
+        haar_unitaries(2, -1, stream(0, 0))
+    # a count of 0 is the empty stack, and draws nothing from the stream
+    drawn, fresh = stream(0, 0), stream(0, 0)
+    empty = haar_unitaries(2, 0, drawn)
+    assert empty.shape == (0, 2, 2) and empty.dtype == np.complex128
+    np.testing.assert_array_equal(drawn.standard_normal(4), fresh.standard_normal(4))
 
 
 def test_streams_differ_across_trial_index():

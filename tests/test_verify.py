@@ -98,6 +98,10 @@ def test_claim2_on_a_one_level_side_a_does_not_depend_on_the_restarts():
     for r, other in zip(records, other_records):
         assert (r.lhs.hex(), r.rhs.hex(), r.margin.hex()) == (other.lhs.hex(), other.rhs.hex(), other.margin.hex())
     assert records == other_records
+    # so the summary echoes no budget, as it does once argmin_K searches B
+    assert summary_text(report) == summary_text(other_report) and "config.opt_" not in summary_text(report)
+    searched, _ = verify_claim2(n_a=1, n_b=3, trials=2, mode="argmin_K", opts=OptimizerOptions(restarts=7), workers=1)
+    assert "config.opt_restarts=7\n" in summary_text(searched)
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (3, 2), (2, 3)])
@@ -159,7 +163,10 @@ def test_claim2_on_a_one_level_side_b_searches_nothing(mode, monkeypatch):
             verify_claim2(n_a, 1, trials=40, mode=mode, opts=OptimizerOptions(restarts=r), workers=1) for r in (2, 5)
         ]
         assert runs[0][1] == runs[1][1]
+        # nothing reads the budget, so the summary does not echo it
+        assert summary_text(runs[0][0]) == summary_text(runs[1][0])
         report, records = runs[0]
+        assert not any(key.startswith("opt_") for key in report.config)
         assert report.failed == 0 and report.violations == 0
         assert all((r.lhs, r.rhs, r.margin) == (0.0, 0.0, 0.0) for r in records)
     assert all(math.prod(shape) == 0 for call in shapes for shape in call[1:])
@@ -373,8 +380,7 @@ def test_chunk_draws_what_the_public_samplers_draw():
             np.testing.assert_array_equal(draws.tau_b[k], tau_b.matrix)
             np.testing.assert_array_equal(draws.k_basis[k], k_a.eigenbasis)
             np.testing.assert_array_equal(draws.kraus_ops[k], np.stack(channel.kraus_ops))
-            if haar_rows:
-                np.testing.assert_array_equal(draws.haar_bases[k], haar_unitaries(3, haar_rows, rng))
+            np.testing.assert_array_equal(draws.haar_bases[k], haar_unitaries(3, haar_rows, rng))
 
 
 @pytest.mark.parametrize("master_seed", [-3, 2**64 + 5])
@@ -709,13 +715,16 @@ def test_float_serialization_is_exact(tmp_path):
 
 
 def test_summary_contains_config_echo():
-    report, _ = verify_claim1(trials=2, master_seed=6, opts=QUICK, workers=1)
+    report, _ = verify_claim1(n_a=3, trials=2, master_seed=6, opts=QUICK, workers=1)
     text = summary_text(report)
     assert "claim_id=claim1" in text
     assert "config.master_seed=6" in text
     assert "config.opt_restarts=2" in text
     assert "monotonicity_violations=0" in text
     assert text.endswith("failures=\n")
+    # an exact side A runs no search, so its budget is neither read nor echoed
+    report, _ = verify_claim1(trials=2, master_seed=6, opts=QUICK, workers=1)
+    assert "config.opt_" not in summary_text(report)
 
 
 def test_wall_time_zero_by_default_measured_on_request():
