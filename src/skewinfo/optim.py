@@ -234,8 +234,8 @@ def _descend(
     to I, and the member turns to −g, from the point the step reached: a
     direction barely downhill would otherwise end the restart far from a
     minimum. A member stops after ``max_iters`` accepted steps, or when a
-    step taken with Hinv = I fails; a Newton member keeps no curvature of
-    its own to reset, so it stops at its first failed step.
+    step taken with Hinv = I fails; a Newton member has no Hinv to reset,
+    so it stops at its first failed step.
 
     The members advance in rounds. A round takes one stacked
     eigendecomposition for the members that turn to a new direction (two
